@@ -1,160 +1,8 @@
-"""Hot grid-evaluation kernels with a numba path and a pure-numpy fallback.
+"""Flag kept for the benchmark's environment block.
 
-Dense family matrices are the inner loop of every rank experiment: a rank
-map over an n = 2^10 family evaluates on the order of a million log-gamma
-calls before any SVD runs.  The loops below are compiled with numba by
-default; set the environment variable ``HLRD_NUMBA=0`` (before import) to
-force the vectorized numpy/scipy path instead.  Both paths produce
-bit-comparable results (same log-space formulas, same special-function
-accuracy class); ``bench/bench_kernels.py`` times them against each other.
-
-All evaluation is done in log space and exponentiated at the end, so tails
-that would overflow a naive factorial (n = 2^14 and beyond) stay finite.
+Family entries have one evaluator, ``hlrd.families.entry_exact``, in numpy.
+``perfbench/run.py`` imports ``USE_NUMBA`` from here to report the grid
+path it ran; the flag is constant.
 """
 
-from __future__ import annotations
-
-import math
-import os
-
-import numpy as np
-from scipy.special import gammaln
-
-__all__ = [
-    "USE_NUMBA",
-    "IMPLEMENTATIONS",
-    "binomial_pmf_grid",
-    "poisson_pmf_grid",
-    "chisq_pdf_grid",
-]
-
-
-def _numba_enabled() -> bool:
-    flag = os.environ.get("HLRD_NUMBA", "1").strip().lower()
-    return flag not in {"0", "false", "no", "off"}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_binomial_pmf_grid(n: int, ks: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Binomial pmf on the tensor grid ks x qs, qs strictly inside (0, 1)."""
-    ks = np.asarray(ks, dtype=np.float64)
-    qs = np.asarray(qs, dtype=np.float64)
-    lc = gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
-    lq = np.log(qs)
-    l1q = np.log1p(-qs)
-    logp = lc[:, None] + ks[:, None] * lq[None, :] + (n - ks)[:, None] * l1q[None, :]
-    return np.exp(logp)
-
-
-def _np_poisson_pmf_grid(ks: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Poisson pmf on the tensor grid ks x lams, lams > 0."""
-    ks = np.asarray(ks, dtype=np.float64)
-    lams = np.asarray(lams, dtype=np.float64)
-    logp = (ks[:, None] * np.log(lams)[None, :]
-            - lams[None, :]
-            - gammaln(ks + 1.0)[:, None])
-    return np.exp(logp)
-
-
-def _np_chisq_pdf_grid(xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Chi-squared density on the tensor grid xs x ks, xs > 0, ks >= 1."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.float64)
-    half = 0.5 * ks
-    logp = ((half - 1.0)[None, :] * np.log(xs)[:, None]
-            - 0.5 * xs[:, None]
-            - (half * math.log(2.0) + gammaln(half))[None, :])
-    return np.exp(logp)
-
-
-_NUMPY_IMPLS = {
-    "binomial_pmf_grid": _np_binomial_pmf_grid,
-    "poisson_pmf_grid": _np_poisson_pmf_grid,
-    "chisq_pdf_grid": _np_chisq_pdf_grid,
-}
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via HLRD_NUMBA=0 instead
-    numba = None
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nb_binomial_pmf_grid(n, ks, qs):
-        rows = ks.shape[0]
-        cols = qs.shape[0]
-        out = np.empty((rows, cols), dtype=np.float64)
-        lgn = math.lgamma(n + 1.0)
-        for i in range(rows):
-            k = ks[i]
-            lc = lgn - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-            for j in range(cols):
-                q = qs[j]
-                out[i, j] = math.exp(lc + k * math.log(q) + (n - k) * math.log1p(-q))
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_poisson_pmf_grid(ks, lams):
-        rows = ks.shape[0]
-        cols = lams.shape[0]
-        out = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            k = ks[i]
-            lg = math.lgamma(k + 1.0)
-            for j in range(cols):
-                lam = lams[j]
-                out[i, j] = math.exp(k * math.log(lam) - lam - lg)
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_chisq_pdf_grid(xs, ks):
-        rows = xs.shape[0]
-        cols = ks.shape[0]
-        out = np.empty((rows, cols), dtype=np.float64)
-        ln2 = math.log(2.0)
-        for j in range(cols):
-            half = 0.5 * ks[j]
-            norm = half * ln2 + math.lgamma(half)
-            for i in range(rows):
-                x = xs[i]
-                out[i, j] = math.exp((half - 1.0) * math.log(x) - 0.5 * x - norm)
-        return out
-
-    def _wrap_f64(fn, n_leading_scalars=0):
-        def wrapped(*args):
-            conv = list(args[:n_leading_scalars])
-            for a in args[n_leading_scalars:]:
-                conv.append(np.ascontiguousarray(a, dtype=np.float64))
-            return fn(*conv)
-
-        wrapped.__name__ = fn.py_func.__name__
-        return wrapped
-
-    _NUMBA_IMPLS = {
-        "binomial_pmf_grid": _wrap_f64(_nb_binomial_pmf_grid, 1),
-        "poisson_pmf_grid": _wrap_f64(_nb_poisson_pmf_grid),
-        "chisq_pdf_grid": _wrap_f64(_nb_chisq_pdf_grid),
-    }
-else:
-    _NUMBA_IMPLS = None
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPLS, "numba": _NUMBA_IMPLS}
-
-USE_NUMBA = _HAVE_NUMBA and _numba_enabled()
-
-_active = _NUMBA_IMPLS if USE_NUMBA else _NUMPY_IMPLS
-
-binomial_pmf_grid = _active["binomial_pmf_grid"]
-poisson_pmf_grid = _active["poisson_pmf_grid"]
-chisq_pdf_grid = _active["chisq_pdf_grid"]
+USE_NUMBA = False

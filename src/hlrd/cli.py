@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -77,7 +77,7 @@ def _family_from_args(args) -> object:
 
 
 def _family_params(spec) -> dict:
-    return {k: v for k, v in vars(spec).items()}
+    return dataclasses.asdict(spec)
 
 
 def _block_singular_values(spec, leaf: int):
@@ -169,8 +169,7 @@ def _cmd_compress(args) -> int:
     spec = _family_from_args(args)
     builder = Builder(args.builder)
     t0 = time.perf_counter()
-    h = compress(spec, args.eps[0], builder=builder, leaf_size=args.leaf,
-                 threads=args.threads)
+    h = compress(spec, args.eps[0], builder=builder, leaf_size=args.leaf)
     build_s = time.perf_counter() - t0
     out = Path(args.out)
     save_hmatrix(h, out)
@@ -187,8 +186,7 @@ def _cmd_compress(args) -> int:
     }
     _write_provenance(out, "compress",
                       {"family": _family_params(spec), "eps": args.eps[0],
-                       "builder": args.builder, "leaf": args.leaf,
-                       "threads": args.threads, "result": doc},
+                       "builder": args.builder, "leaf": args.leaf, "result": doc},
                       args.seed)
     print(f"compress: stored {rep.stored_entries} of {rep.dense_equivalent} "
           f"(ratio {rep.ratio:.4f}), max|err| {chk.max_abs_error:.3e}, wrote {out}")
@@ -205,8 +203,7 @@ def _cmd_matvec_bench(args) -> int:
         ns.n = n
         spec = _family_from_args(ns)
         t0 = time.perf_counter()
-        h = compress(spec, args.eps[0], builder=Builder(args.builder),
-                     leaf_size=args.leaf, threads=args.threads)
+        h = compress(spec, args.eps[0], builder=Builder(args.builder), leaf_size=args.leaf)
         build_s = time.perf_counter() - t0
         x = rng.standard_normal(spec.shape[1])
         t0 = time.perf_counter()
@@ -274,8 +271,6 @@ def _add_common_flags(p: argparse.ArgumentParser, eps_required: bool = True) -> 
     p.add_argument("--builder", choices=["constructive", "aca"], default="aca")
     p.add_argument("--out", type=str, required=True, help="output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size for per-block compression")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,14 @@ row grid and a column grid:
 * chi-squared: rows discretize the argument x in (0, x_max], columns are
   the integer degrees of freedom k = 1..k_max.
 
-Every exact entry is evaluated in log space (log-gamma instead of
-factorials) and exponentiated, so nothing overflows even at n = 2^14.
+Each family has one log-entry model: its log-entry is a sum of row terms,
+column terms and products of a row term with a column term, e.g.
+``ln C(n, k) + k ln q + (n - k) ln(1 - q)`` for the binomial.  The 1-D
+terms are computed once per family instance (log-gamma instead of
+factorials, so nothing overflows even at n = 2^14); ``entry_exact``
+gathers them at the requested indices and exponentiates.  It is the only
+evaluator: ``dense_matrix`` is ``entry_exact`` on the full index grid, and
+the binomial and Poisson exact prefactors are the model at q = p.
 ``entry_stirling`` exposes the Stirling reduction
 ``prefactor * exp(-n_eff * divergence)`` that explains why the matrices
 compress; ``kernel_map`` returns the full identification (divergence
@@ -22,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from . import _kernels
 from .divergence import DivergenceKind, divergence
 
 __all__ = [
@@ -71,6 +77,27 @@ class BinomialFamily:
     def col_values(self) -> np.ndarray:
         return (np.arange(self.cols, dtype=np.float64) + 0.5) / self.cols
 
+    # log-entry model: ln C(n, k) + k ln q + (n - k) ln(1 - q)
+    @cached_property
+    def _row_terms(self) -> tuple:
+        k = self.row_values()
+        lc = gammaln(self.n + 1.0) - gammaln(k + 1.0) - gammaln(self.n - k + 1.0)
+        return lc, k, self.n - k
+
+    @cached_property
+    def _col_terms(self) -> tuple:
+        return self._col_terms_at(self.col_values())
+
+    @staticmethod
+    def _col_terms_at(q: np.ndarray) -> tuple:
+        return np.log(q), np.log1p(-q)
+
+    @staticmethod
+    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+        lc, k, n_minus_k = row
+        log_q, log_1mq = col
+        return lc + k * log_q + n_minus_k * log_1mq
+
 
 @dataclass(frozen=True)
 class PoissonFamily:
@@ -95,6 +122,26 @@ class PoissonFamily:
         j = np.arange(1, self.lambda_grid + 1, dtype=np.float64)
         return j * (self.lambda_max / self.lambda_grid)
 
+    # log-entry model: k ln(lambda) - lambda - ln k!
+    @cached_property
+    def _row_terms(self) -> tuple:
+        k = self.row_values()
+        return k, gammaln(k + 1.0)
+
+    @cached_property
+    def _col_terms(self) -> tuple:
+        return self._col_terms_at(self.col_values())
+
+    @staticmethod
+    def _col_terms_at(lam: np.ndarray) -> tuple:
+        return np.log(lam), lam
+
+    @staticmethod
+    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+        k, log_k_factorial = row
+        log_lam, lam = col
+        return k * log_lam - lam - log_k_factorial
+
 
 @dataclass(frozen=True)
 class ChiSquaredFamily:
@@ -118,6 +165,23 @@ class ChiSquaredFamily:
 
     def col_values(self) -> np.ndarray:
         return np.arange(1, self.k_max + 1, dtype=np.float64)
+
+    # log-entry model: (k/2 - 1) ln x - x/2 - (k/2) ln 2 - ln Gamma(k/2)
+    @cached_property
+    def _row_terms(self) -> tuple:
+        x = self.row_values()
+        return np.log(x), 0.5 * x
+
+    @cached_property
+    def _col_terms(self) -> tuple:
+        half = 0.5 * self.col_values()
+        return half - 1.0, half * math.log(2.0), gammaln(half)
+
+    @staticmethod
+    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+        log_x, half_x = row
+        half_minus_1, half_log_2, log_gamma_half = col
+        return half_minus_1 * log_x - half_x - half_log_2 - log_gamma_half
 
 
 FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]
@@ -152,25 +216,6 @@ class KernelMap:
 # exact entries
 # ---------------------------------------------------------------------------
 
-def _binomial_exact(spec: BinomialFamily, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    k = spec.row_values()[rows]
-    q = spec.col_values()[cols]
-    lc = gammaln(spec.n + 1.0) - gammaln(k + 1.0) - gammaln(spec.n - k + 1.0)
-    return np.exp(lc + k * np.log(q) + (spec.n - k) * np.log1p(-q))
-
-
-def _poisson_exact(spec: PoissonFamily, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    k = spec.row_values()[rows]
-    lam = spec.col_values()[cols]
-    return np.exp(k * np.log(lam) - lam - gammaln(k + 1.0))
-
-
-def _chisq_exact(spec: ChiSquaredFamily, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    x = spec.row_values()[rows]
-    half = 0.5 * spec.col_values()[cols]
-    return np.exp((half - 1.0) * np.log(x) - 0.5 * x - half * math.log(2.0) - gammaln(half))
-
-
 def entry_exact(spec: FamilySpec, row, col):
     """Exact matrix entries, elementwise over broadcast integer indices."""
     rows = np.asarray(row, dtype=np.intp)
@@ -179,23 +224,17 @@ def entry_exact(spec: FamilySpec, row, col):
     n_rows, n_cols = spec.shape
     if np.any(rows < 0) or np.any(rows >= n_rows) or np.any(cols < 0) or np.any(cols >= n_cols):
         raise IndexError(f"index out of range for family of shape {spec.shape}")
-    rows, cols = np.broadcast_arrays(rows, cols)
-    if isinstance(spec, BinomialFamily):
-        out = _binomial_exact(spec, rows, cols)
-    elif isinstance(spec, PoissonFamily):
-        out = _poisson_exact(spec, rows, cols)
-    else:
-        out = _chisq_exact(spec, rows, cols)
+    # gather the 1-D terms; open index arrays (rows[:, None], cols[None, :])
+    # broadcast in the arithmetic, so no full-grid index arrays are built
+    out = np.exp(spec._log_entry(tuple(t[rows] for t in spec._row_terms),
+                                 tuple(t[cols] for t in spec._col_terms)))
     return float(out) if scalar else out
 
 
 def dense_matrix(spec: FamilySpec) -> np.ndarray:
-    """The full dense matrix, via the grid kernels (numba path by default)."""
-    if isinstance(spec, BinomialFamily):
-        return _kernels.binomial_pmf_grid(spec.n, spec.row_values(), spec.col_values())
-    if isinstance(spec, PoissonFamily):
-        return _kernels.poisson_pmf_grid(spec.row_values(), spec.col_values())
-    return _kernels.chisq_pdf_grid(spec.row_values(), spec.col_values())
+    """The full dense matrix: ``entry_exact`` on the open index grid."""
+    n_rows, n_cols = spec.shape
+    return entry_exact(spec, np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +253,9 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
         k = spec.row_values()
         p = k / n
         with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor: C(n,k) (k/n)^k (1-k/n)^(n-k); singular ends excluded
-            log_pref = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-                        + k * np.log(p) + (n - k) * np.log1p(-p))
+            # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
+            # singular ends excluded
+            log_pref = spec._log_entry(spec._row_terms, spec._col_terms_at(p))
         log_pref[0] = np.nan
         log_pref[-1] = np.nan
 
@@ -239,8 +278,8 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
     if isinstance(spec, PoissonFamily):
         k = spec.row_values()
         with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor: k^k e^{-k} / k!
-            log_pref = k * np.log(k) - k - gammaln(k + 1.0)
+            # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
+            log_pref = spec._log_entry(spec._row_terms, spec._col_terms_at(k))
         log_pref[0] = np.nan
 
         def stirling_pref(idx):
@@ -263,7 +302,10 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
         kcol = spec.col_values()
         qc = 0.5 * kcol - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            # exact column prefactor: q^q e^{-q} / (2 Gamma(q+1)) with q = k/2 - 1
+            # exact column prefactor: q^q e^{-q} / (2 Gamma(q+1)) with q = k/2 - 1.
+            # Kept in the q coordinate rather than taken from the model at the
+            # mode x = 2q: that rounds differently in the last bit for about
+            # half the columns and would change the constructive factors.
             log_pref = qc * np.log(qc) - qc - math.log(2.0) - gammaln(qc + 1.0)
         singular = tuple(int(j) for j in np.nonzero(kcol <= 2.0)[0])
         for j in singular:

@@ -4,8 +4,9 @@
 coordinate space, builds the staircase partition there, and stores
 
 * every off-diagonal block as a separated approximation (built by ACA
-  against the exact-entry oracle, or by the constructive divergence
-  pipeline with the exact row/column prefactor folded into the factors),
+  against the exact-entry oracle ``families.entry_exact``, or by the
+  constructive divergence pipeline with the exact row/column prefactor of
+  ``families.kernel_map`` folded into the factors),
 * the finest-level diagonal strip exactly,
 * the singular rows/columns (binomial outcomes k = 0 and k = n, the
   Poisson k = 0 row, chi-squared columns with k <= 2) exactly as dense
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -293,8 +293,7 @@ def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
 
 
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
-             leaf_size: int = DEFAULT_LEAF, scheme: Optional[PartitionScheme] = None,
-             threads: int = 1) -> HMatrix:
+             leaf_size: int = DEFAULT_LEAF, scheme: Optional[PartitionScheme] = None) -> HMatrix:
     """Compress a family matrix into hierarchical low-rank form.
 
     Off-diagonal blocks are approximated to accuracy eps against the
@@ -321,15 +320,8 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
             h.dense.append(DensePiece("diagonal", blk.level, blk.index, r0, r1, c0, c1,
                                       dense_box(r0, r1, c0, c1)))
     else:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pieces = list(pool.map(
-                    lambda item: _compress_block(spec, kmap, builder, item[0], item[1], eps),
-                    block_ranges))
-        else:
-            pieces = [_compress_block(spec, kmap, builder, blk, rng, eps)
-                      for blk, rng in block_ranges]
-        h.lowrank.extend(pieces)
+        h.lowrank.extend(_compress_block(spec, kmap, builder, blk, rng, eps)
+                         for blk, rng in block_ranges)
 
     for cell, (r0, r1, c0, c1) in cell_ranges:
         h.dense.append(DensePiece("diagonal", cell.level, cell.index, r0, r1, c0, c1,

@@ -472,6 +472,9 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
         alpha = uu[:, :r] * s[:r]
         beta = vt[:r].T
 
+    # row-major factors, as the HLRD1 container stores and loads them, so a
+    # loaded matrix multiplies bit for bit like the one that was saved
     return SeparatedApprox(p_grid=all_rows.astype(np.float64),
                            q_grid=all_cols.astype(np.float64),
-                           alpha=alpha, beta=beta, target_eps=eps)
+                           alpha=np.ascontiguousarray(alpha),
+                           beta=np.ascontiguousarray(beta), target_eps=eps)

@@ -1,10 +1,12 @@
 """CLI commands: schemas, provenance, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from hlrd.cli import main
+from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily
 
 
 def run(args):
@@ -106,6 +108,23 @@ def test_compress_round_trip(tmp_path):
     assert h.stored_entries == stored
     rep = verify(h, samples=2000, seed=0)
     assert rep.max_abs_error <= 1e-5
+
+
+@pytest.mark.parametrize("flags,spec", [
+    (["--family", "binomial", "--n", "64"], BinomialFamily(n=64)),
+    (["--family", "poisson", "--kmax", "64", "--lambda-max", "48", "--grid", "32"],
+     PoissonFamily(k_max=64, lambda_max=48.0, lambda_grid=32)),
+    (["--family", "chisq", "--xmax", "64", "--grid", "48", "--kmax", "32"],
+     ChiSquaredFamily(x_max=64.0, x_grid=48, k_max=32)),
+])
+def test_provenance_family_is_spec_fields(tmp_path, flags, spec):
+    # the sidecar records the family's parameters and nothing the family computed
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    for command, extra in (("compress", ["--samples", "500"]), ("rank-map", [])):
+        out = tmp_path / f"{command}.out"
+        assert run([command, *flags, "--eps", "1e-6", *extra, "--out", str(out)]) == 0
+        prov = json.loads((tmp_path / f"{command}.out.json").read_text())
+        assert prov["parameters"]["family"] == fields
 
 
 def test_matvec_bench_schema(tmp_path):

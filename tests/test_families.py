@@ -63,13 +63,15 @@ def test_exact_against_scipy():
 
 
 def test_dense_matrix_matches_entry_exact():
+    # the CLI's SVD oracle sees exactly the matrix the compressor sees
     for spec in (BinomialFamily(n=40),
                  PoissonFamily(k_max=30, lambda_max=30.0, lambda_grid=30),
-                 ChiSquaredFamily(x_max=24.0, x_grid=24, k_max=24)):
+                 ChiSquaredFamily(x_max=24.0, x_grid=24, k_max=24),
+                 ChiSquaredFamily(x_max=256.0, x_grid=256, k_max=256)):
         full = dense_matrix(spec)
         rows, cols = spec.shape
         ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        np.testing.assert_allclose(full, entry_exact(spec, ii, jj), rtol=1e-13, atol=0)
+        assert np.array_equal(full, entry_exact(spec, ii, jj))
 
 
 def test_binomial_column_normalization():
