@@ -34,13 +34,11 @@ from .partition import (
 )
 from .separated import (
     BuilderError,
-    ChebModel,
     RankConvention,
     SeparatedApprox,
     aca_build,
     build_constructive,
     build_product,
-    cheb_exp,
     numerical_rank,
     rank_from_singular_values,
 )

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .container import save_hmatrix
 from .divergence import Regime, SolverError, divergence_ratio, solve_thresholds
-from .families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
+from .families import FAMILIES, BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from .hmatrix import Builder, compress, index_layout, matvec, storage_report, verify
 from .partition import QuarterPlane, UnitSquare, build_scheme, verify_tiling
 from .separated import (
@@ -97,7 +97,7 @@ def _block_singular_values(spec, leaf: int):
 
 def _cmd_rank_map(args) -> int:
     spec = _family_from_args(args)
-    eps = args.eps[0]
+    eps = args.eps
     convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
                   else RankConvention.ABSOLUTE)
     rows = []
@@ -169,7 +169,7 @@ def _cmd_compress(args) -> int:
     spec = _family_from_args(args)
     builder = Builder(args.builder)
     t0 = time.perf_counter()
-    h = compress(spec, args.eps[0], builder=builder, leaf_size=args.leaf)
+    h = compress(spec, args.eps, builder=builder, leaf_size=args.leaf)
     build_s = time.perf_counter() - t0
     out = Path(args.out)
     save_hmatrix(h, out)
@@ -185,7 +185,7 @@ def _cmd_compress(args) -> int:
         "verify_rms_error": chk.rms_error,
     }
     _write_provenance(out, "compress",
-                      {"family": _family_params(spec), "eps": args.eps[0],
+                      {"family": _family_params(spec), "eps": args.eps,
                        "builder": args.builder, "leaf": args.leaf, "result": doc},
                       args.seed)
     print(f"compress: stored {rep.stored_entries} of {rep.dense_equivalent} "
@@ -203,7 +203,7 @@ def _cmd_matvec_bench(args) -> int:
         ns.n = n
         spec = _family_from_args(ns)
         t0 = time.perf_counter()
-        h = compress(spec, args.eps[0], builder=Builder(args.builder), leaf_size=args.leaf)
+        h = compress(spec, args.eps, builder=Builder(args.builder), leaf_size=args.leaf)
         build_s = time.perf_counter() - t0
         x = rng.standard_normal(spec.shape[1])
         t0 = time.perf_counter()
@@ -224,7 +224,7 @@ def _cmd_matvec_bench(args) -> int:
     _write_csv(out, ["n", "build_s", "matvec_s", "dense_matvec_s", "rel_err",
                      "stored_entries", "ratio"], rows)
     _write_provenance(out, "matvec-bench",
-                      {"family": args.family, "sizes": sizes, "eps": args.eps[0],
+                      {"family": args.family, "sizes": sizes, "eps": args.eps,
                        "builder": args.builder, "results": results},
                       args.seed)
     print(f"matvec-bench: sizes {sizes}, wrote {out}")
@@ -255,7 +255,7 @@ def _cmd_verify_tiling(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["binomial", "poisson", "chisq"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--n", type=int, default=1024, help="binomial trial count")
     p.add_argument("--kmax", type=int, default=0, help="Poisson/chi-squared k range")
     p.add_argument("--lambda-max", type=float, default=0.0, dest="lambda_max")
@@ -264,11 +264,20 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leaf", type=int, default=32, help="target indices per finest diagonal cell")
 
 
-def _add_common_flags(p: argparse.ArgumentParser, eps_required: bool = True) -> None:
-    p.add_argument("--eps", type=float, action="append", required=eps_required,
-                   help="target accuracy (repeatable)")
-    p.add_argument("--rank-convention", choices=["rel", "abs"], default="rel")
-    p.add_argument("--builder", choices=["constructive", "aca"], default="aca")
+class _StoreOnce(argparse.Action):
+    """Store the flag's value; giving the flag twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
+
+def _add_eps_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eps", type=float, action=_StoreOnce, required=True, help="target accuracy")
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, required=True, help="output path")
     p.add_argument("--seed", type=int, default=0)
 
@@ -281,11 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank-map", help="per-block numerical ranks (SVD oracle + ACA)")
     _add_family_flags(p)
+    _add_eps_flag(p)
+    p.add_argument("--rank-convention", choices=["rel", "abs"], default="rel")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_rank_map)
 
     p = sub.add_parser("eps-sweep", help="max block rank as a function of eps")
     _add_family_flags(p)
+    p.add_argument("--eps", type=float, action="append", required=True,
+                   help="target accuracy (repeatable)")
+    p.add_argument("--rank-convention", choices=["rel", "abs"], default="rel")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_eps_sweep)
 
@@ -299,12 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="compress a family matrix into an HLRD1 container")
     _add_family_flags(p)
+    _add_eps_flag(p)
+    p.add_argument("--builder", choices=["constructive", "aca"], default="aca")
     _add_common_flags(p)
     p.add_argument("--samples", type=int, default=10000, help="verification sample count")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("matvec-bench", help="compressed vs dense matvec timing and error")
     _add_family_flags(p)
+    _add_eps_flag(p)
+    p.add_argument("--builder", choices=["constructive", "aca"], default="aca")
     _add_common_flags(p)
     p.add_argument("--n-list", type=int, action="append", dest="n_list",
                    help="matrix sizes to benchmark (repeatable; defaults to --n)")

@@ -30,6 +30,7 @@ anything else.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -37,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .families import BinomialFamily, ChiSquaredFamily, FamilySpec, PoissonFamily
+from .families import FAMILIES, FamilySpec
 from .hmatrix import Builder, DensePiece, HMatrix, LowRankPiece
 from .partition import QuarterPlane, UnitSquare, build_scheme
 
@@ -51,28 +52,24 @@ _TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _family_meta(spec: FamilySpec) -> dict:
-    if isinstance(spec, BinomialFamily):
-        return {"family": "binomial", "n": spec.n, "cols": spec.cols}
-    if isinstance(spec, PoissonFamily):
-        return {"family": "poisson", "k_max": spec.k_max,
-                "lambda_max": spec.lambda_max, "lambda_grid": spec.lambda_grid}
-    if isinstance(spec, ChiSquaredFamily):
-        return {"family": "chisq", "x_max": spec.x_max,
-                "x_grid": spec.x_grid, "k_max": spec.k_max}
+    for name, cls in FAMILIES.items():
+        if type(spec) is cls:
+            return {"family": name, **dataclasses.asdict(spec)}
     raise TypeError(f"unsupported family {spec!r}")
 
 
 def family_from_meta(meta: dict) -> FamilySpec:
-    name = meta["family"]
-    if name == "binomial":
-        return BinomialFamily(n=meta["n"], cols=meta["cols"])
-    if name == "poisson":
-        return PoissonFamily(k_max=meta["k_max"], lambda_max=meta["lambda_max"],
-                             lambda_grid=meta["lambda_grid"])
-    if name == "chisq":
-        return ChiSquaredFamily(x_max=meta["x_max"], x_grid=meta["x_grid"],
-                                k_max=meta["k_max"])
-    raise ValueError(f"unknown family tag {name!r}")
+    """The family spec that ``_family_meta`` wrote; ValueError on anything else."""
+    fields = dict(meta)
+    name = fields.pop("family", None)
+    cls = FAMILIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown family tag {name!r}")
+    expected = {f.name for f in dataclasses.fields(cls)}
+    if set(fields) != expected:
+        raise ValueError(f"{name} family metadata has fields {sorted(fields)}, "
+                         f"expected {sorted(expected)}")
+    return cls(**fields)
 
 
 def save_hmatrix(h: HMatrix, path: Union[str, Path]) -> None:

@@ -39,6 +39,7 @@ from .divergence import DivergenceKind, divergence
 __all__ = [
     "BinomialFamily",
     "ChiSquaredFamily",
+    "FAMILIES",
     "FamilySpec",
     "KernelMap",
     "PoissonFamily",
@@ -185,6 +186,9 @@ class ChiSquaredFamily:
 
 
 FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]
+
+# the name each family goes by in containers and on the command line
+FAMILIES = {"binomial": BinomialFamily, "poisson": PoissonFamily, "chisq": ChiSquaredFamily}
 
 
 @dataclass(frozen=True)

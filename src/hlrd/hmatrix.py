@@ -158,22 +158,13 @@ def _interior_clip(rng: tuple[int, int], interior: tuple[int, int]) -> tuple[int
     return (lo, hi) if hi > lo else (lo, lo)
 
 
-def _interior_rows(kmap: KernelMap, n_rows: int) -> tuple[int, int]:
+def _interior(singular: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Index range [lo, hi) of 0..n-1 left after peeling singular indices off both ends."""
     lo = 0
-    hi = n_rows
-    while lo in kmap.singular_rows:
+    hi = n
+    while lo in singular:
         lo += 1
-    while (hi - 1) in kmap.singular_rows:
-        hi -= 1
-    return lo, hi
-
-
-def _interior_cols(kmap: KernelMap, n_cols: int) -> tuple[int, int]:
-    lo = 0
-    hi = n_cols
-    while lo in kmap.singular_cols:
-        lo += 1
-    while (hi - 1) in kmap.singular_cols:
+    while (hi - 1) in singular:
         hi -= 1
     return lo, hi
 
@@ -214,8 +205,8 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
         scheme = scheme_for(spec, leaf_size)
     n_rows, n_cols = spec.shape
     extent = scheme.extent
-    int_rows = _interior_rows(kmap, n_rows)
-    int_cols = _interior_cols(kmap, n_cols)
+    int_rows = _interior(kmap.singular_rows, n_rows)
+    int_cols = _interior(kmap.singular_cols, n_cols)
 
     block_ranges = []
     for blk in scheme.blocks:

@@ -40,20 +40,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .divergence import DivergenceKind, Regime, solve_thresholds
 from .partition import Block, Parity
 
 __all__ = [
     "BuilderError",
-    "ChebModel",
     "RankConvention",
     "SeparatedApprox",
     "aca_build",
     "build_constructive",
     "build_product",
-    "cheb_exp",
     "numerical_rank",
     "rank_from_singular_values",
 ]
@@ -78,7 +75,6 @@ class SeparatedApprox:
     q_grid: np.ndarray
     alpha: np.ndarray  # (len(p_grid), rank)
     beta: np.ndarray   # (len(q_grid), rank)
-    target_eps: float
 
     @property
     def rank(self) -> int:
@@ -86,80 +82,6 @@ class SeparatedApprox:
 
     def reconstruct(self) -> np.ndarray:
         return self.alpha @ self.beta.T
-
-
-@dataclass
-class ChebModel:
-    """Chebyshev interpolant of exp(-x) on [0, interval_length].
-
-    ``coefficients`` are in the Chebyshev basis of the interval (degree+1
-    numbers); ``sup_error`` is the measured dense-sample error.
-    """
-
-    degree: int
-    interval_length: float
-    coefficients: np.ndarray
-    sup_error: float
-
-    def __call__(self, x) -> np.ndarray:
-        t = 2.0 * np.asarray(x, dtype=np.float64) / self.interval_length - 1.0
-        return _cheb.chebval(t, self.coefficients)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev interpolation of exp(-x)
-# ---------------------------------------------------------------------------
-
-def _cheb_error(L: float, degree: int) -> tuple[np.ndarray, float]:
-    coeffs = _cheb.chebinterpolate(lambda t: np.exp(-(t + 1.0) * (L / 2.0)), degree)
-    xs = np.linspace(0.0, L, 10 * (degree + 1))
-    err = float(np.max(np.abs(np.exp(-xs) - _cheb.chebval(2.0 * xs / L - 1.0, coeffs))))
-    return coeffs, err
-
-
-def cheb_exp(interval_length: float, eps: float) -> ChebModel:
-    """Smallest-degree Chebyshev interpolant of exp(-x) on [0, L].
-
-    The degree is found by doubling until the dense-sample sup error drops
-    below eps, then bisecting down.  Degrees beyond the sanity cap
-    ``16 (ln(1+L) + ln(1/eps))`` raise BuilderError (eps too small for
-    working precision, or L unreasonably large).
-    """
-    L = float(interval_length)
-    if not (L > 0.0):
-        raise ValueError("interval_length must be positive")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must be in (0, 1)")
-    cap = max(8, int(math.ceil(16.0 * (math.log1p(L) + math.log(1.0 / eps)))))
-
-    coeffs, err = _cheb_error(L, 0)
-    if err <= eps:
-        return ChebModel(0, L, coeffs, err)
-    # doubling phase
-    lo = 0  # largest known-failing degree
-    d = 1
-    while True:
-        if d > cap:
-            raise BuilderError(
-                f"Chebyshev degree cap {cap} exceeded for L={L:g}, eps={eps:g}")
-        coeffs, err = _cheb_error(L, d)
-        if err <= eps:
-            hi = d
-            break
-        lo = d
-        d *= 2
-    # bisection phase: smallest degree whose sampled error passes
-    best = (coeffs, err, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        coeffs, err = _cheb_error(L, mid)
-        if err <= eps:
-            hi = mid
-            best = (coeffs, err, mid)
-        else:
-            lo = mid
-    coeffs, err, d = best
-    return ChebModel(d, L, coeffs, err)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +274,7 @@ def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
         raise ValueError(f"unknown divergence kind {kind!r}")
 
     alpha, beta = _recompress(alpha, beta, eps)
-    return SeparatedApprox(p_grid=p_grid, q_grid=q_grid, alpha=alpha, beta=beta, target_eps=eps)
+    return SeparatedApprox(p_grid=p_grid, q_grid=q_grid, alpha=alpha, beta=beta)
 
 
 def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> SeparatedApprox:
@@ -367,35 +289,24 @@ def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> Separat
     alpha = (a.alpha[:, :, None] * b.alpha[:, None, :]).reshape(a.alpha.shape[0], ra * rb)
     beta = (a.beta[:, :, None] * b.beta[:, None, :]).reshape(a.beta.shape[0], ra * rb)
     alpha, beta = _recompress(alpha, beta, eps)
-    return SeparatedApprox(p_grid=a.p_grid, q_grid=a.q_grid, alpha=alpha, beta=beta,
-                           target_eps=eps)
+    return SeparatedApprox(p_grid=a.p_grid, q_grid=a.q_grid, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------
 # adaptive cross approximation
 # ---------------------------------------------------------------------------
 
-def _vectorized_oracle(entry: Callable) -> Callable:
-    probe_i = np.zeros(2, dtype=np.intp)
-    probe_j = np.arange(2, dtype=np.intp)
-    try:
-        out = np.asarray(entry(probe_i, probe_j), dtype=np.float64)
-        if out.shape == (2,):
-            return entry
-    except Exception:
-        pass
-    vec = np.vectorize(entry, otypes=[np.float64])
-    return vec
-
-
-def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
-              max_rank: Optional[int] = None) -> SeparatedApprox:
+def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> SeparatedApprox:
     """Adaptive cross approximation with partial pivoting.
 
-    ``entry_oracle(i, j)`` must return matrix entries; index arrays are
-    passed when the oracle supports broadcasting (scalar-only oracles are
-    wrapped transparently).  Crosses are added until the last cross norm
-    falls below eps times the running Frobenius-norm estimate of the
+    ``entry_oracle(i, j)`` is called with integer index arrays that
+    broadcast against each other and lie inside the block
+    (``0 <= i < rows``, ``0 <= j < cols``); it must return the entries at
+    the broadcast index pairs, in the broadcast shape.  ACA asks it for
+    one row or one column at a time (1-D arrays), and for the whole block
+    as the open grid ``(i[:, None], j[None, :])`` when it falls back to
+    the dense SVD.  Crosses are added until the last cross norm falls
+    below eps times the running Frobenius-norm estimate of the
     approximation.  If no convergence happens within min(rows, cols)
     steps, the block is assembled densely and truncated by SVD instead.
     """
@@ -403,8 +314,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
         raise ValueError("rows and cols must be >= 1")
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    entry = _vectorized_oracle(entry_oracle)
-    limit = min(rows, cols) if max_rank is None else min(max_rank, rows, cols)
+    limit = min(rows, cols)
     all_rows = np.arange(rows, dtype=np.intp)
     all_cols = np.arange(cols, dtype=np.intp)
 
@@ -418,7 +328,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
 
     step = 0
     while step < limit:
-        r = np.asarray(entry(np.full(cols, pivot_row, dtype=np.intp), all_cols),
+        r = np.asarray(entry_oracle(np.full(cols, pivot_row, dtype=np.intp), all_cols),
                        dtype=np.float64).copy()
         for u, v in zip(us, vs):
             r -= u[pivot_row] * v
@@ -434,7 +344,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
             pivot_row = int(remaining[0])
             continue
         v = r / r[pivot_col]
-        c = np.asarray(entry(all_rows, np.full(rows, pivot_col, dtype=np.intp)),
+        c = np.asarray(entry_oracle(all_rows, np.full(rows, pivot_col, dtype=np.intp)),
                        dtype=np.float64).copy()
         for u_prev, v_prev in zip(us, vs):
             c -= v_prev[pivot_col] * u_prev
@@ -466,7 +376,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
         beta = np.array(vs).T.reshape(cols, len(vs))
     else:
         # non-convergence: dense SVD truncation fallback
-        dense = np.asarray(entry(all_rows[:, None], all_cols[None, :]), dtype=np.float64)
+        dense = np.asarray(entry_oracle(all_rows[:, None], all_cols[None, :]), dtype=np.float64)
         uu, s, vt = np.linalg.svd(dense, full_matrices=False)
         r = rank_from_singular_values(s, eps)
         alpha = uu[:, :r] * s[:r]
@@ -477,4 +387,4 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float,
     return SeparatedApprox(p_grid=all_rows.astype(np.float64),
                            q_grid=all_cols.astype(np.float64),
                            alpha=np.ascontiguousarray(alpha),
-                           beta=np.ascontiguousarray(beta), target_eps=eps)
+                           beta=np.ascontiguousarray(beta))

@@ -152,8 +152,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # each command takes only the flags it reads
+    ["rank-map", "--family", "binomial", "--n", "64", "--eps", "1e-6",
+     "--builder", "aca", "--out", "x.csv"],
+    ["compress", "--family", "binomial", "--n", "64", "--eps", "1e-6",
+     "--rank-convention", "abs", "--out", "x.hlrd"],
+    # one accuracy per compress, not the first of several
+    ["compress", "--family", "binomial", "--n", "64", "--eps", "1e-6", "--eps", "1e-9",
+     "--out", "x.hlrd"],
+], ids=["rank-map-builder", "compress-rank-convention", "compress-two-eps"])
+def test_unread_or_repeated_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_numerical_failure_exit_code(tmp_path):
-    # chebyshev degree cap unreachable -> numerical failure channel
+    # a library ValueError goes to the numerical failure channel
     out = tmp_path / "x.csv"
     rc = run(["compress", "--family", "binomial", "--n", "3", "--eps", "1e-6",
               "--out", str(out)])

@@ -1,5 +1,8 @@
 """Hierarchical assembly: ownership, accuracy, matvec, storage, container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -218,3 +221,32 @@ def test_container_magic_check(tmp_path):
     p.write_bytes(b"NOTHLRD1 garbage")
     with pytest.raises(ValueError):
         load_hmatrix(p)
+
+
+def _rewrite_family_meta(src, dst, edit):
+    """Copy a container, applying ``edit`` to its family metadata."""
+    buf = src.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    meta = json.loads(buf[9:9 + meta_len])
+    edit(meta["family_spec"])
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    dst.write_bytes(buf[:5] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                    + buf[9 + meta_len:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda fam: fam.update(family="gamma"),
+    lambda fam: fam.pop("family"),
+    lambda fam: fam.pop("cols"),
+    lambda fam: fam.update(lambda_max=64.0),
+], ids=["unknown-name", "missing-name", "missing-field", "extra-field"])
+def test_container_rejects_bad_family_meta(tmp_path, edit):
+    spec = BinomialFamily(n=64)
+    path = tmp_path / "m.hlrd"
+    save_hmatrix(compress(spec, 1e-6, leaf_size=8), path)
+    _rewrite_family_meta(path, tmp_path / "same.hlrd", lambda fam: None)
+    assert load_hmatrix(tmp_path / "same.hlrd").spec == spec
+    bad = tmp_path / "bad.hlrd"
+    _rewrite_family_meta(path, bad, edit)
+    with pytest.raises(ValueError):
+        load_hmatrix(bad)

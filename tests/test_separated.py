@@ -7,8 +7,8 @@ import pytest
 
 from hlrd.divergence import DivergenceKind, divergence
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
-from hlrd.hmatrix import index_layout
-from hlrd.partition import Block
+from hlrd.hmatrix import Builder, compress, index_layout
+from hlrd.partition import Block, Parity
 from hlrd.separated import (
     BuilderError,
     RankConvention,
@@ -16,9 +16,9 @@ from hlrd.separated import (
     aca_build,
     build_constructive,
     build_product,
-    cheb_exp,
     numerical_rank,
 )
+from hlrd import separated
 
 K = DivergenceKind
 
@@ -41,49 +41,6 @@ def bernoulli_kernel(n, pg, qg):
     out[(Q == 0.0) & (P == 0.0)] = 1.0
     out[(Q == 1.0) & (P == 1.0)] = 1.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev interpolation of exp(-x)
-# ---------------------------------------------------------------------------
-
-def test_cheb_exp_tiny_interval_is_constant():
-    model = cheb_exp(1e-12, 1e-6)
-    assert model.degree == 0
-    assert model(0.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_cheb_exp_dense_sample_error():
-    model = cheb_exp(20.0, 1e-9)
-    xs = np.linspace(0.0, 20.0, 10 * (model.degree + 1) + 7)
-    assert np.max(np.abs(np.exp(-xs) - model(xs))) <= 2e-9
-    assert len(model.coefficients) == model.degree + 1
-
-
-def test_cheb_exp_degree_scales_with_log_accuracy():
-    eps = 1e-6
-    for c in (1.0, 2.0, 4.0):
-        L = c * math.log(1.0 / eps)
-        model = cheb_exp(L, eps)
-        assert model.sup_error <= eps
-        assert model.degree <= 16.0 * (math.log1p(L) + math.log(1.0 / eps))
-
-
-def test_cheb_exp_degree_minimal():
-    model = cheb_exp(12.0, 1e-8)
-    smaller = model.degree - 1
-    from hlrd.separated import _cheb_error
-    _, err = _cheb_error(12.0, smaller)
-    assert err > 1e-8  # one degree less fails the same sampled check
-
-
-def test_cheb_exp_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        cheb_exp(0.0, 1e-6)
-    with pytest.raises(ValueError):
-        cheb_exp(1.0, 2.0)
-    with pytest.raises(BuilderError):
-        cheb_exp(1e6, 1e-12)  # degree cap
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +190,25 @@ def test_constructive_matches_family_scaling():
     assert np.max(np.abs(ap.reconstruct() - exact)) <= 10.0 * eps
 
 
+def test_constructive_degree_grows_like_log_accuracy():
+    # raw factor width (interpolation nodes) of the builder itself, before
+    # recompression: non-decreasing, at most 3 ln(1/eps), and linear in ln(1/eps)
+    eps_list = [10.0 ** -t for t in range(3, 13)]
+    logs = np.array([math.log(1.0 / e) for e in eps_list])
+    grids = {Parity.ODD: (np.linspace(1.0, 2.0, 17), np.linspace(0.0, 1.0, 17)),
+             Parity.EVEN: (np.linspace(0.0, 1.0, 17), np.linspace(1.0, 2.0, 17))}
+    for parity, (pg, qg) in grids.items():
+        for n_scaled in (1.0, 32.0, 1024.0, 2.0 ** 14):
+            widths = np.array([separated._unit_rate_factors(parity, n_scaled, e, pg, qg)[0].shape[1]
+                               for e in eps_list], dtype=float)
+            assert np.all(np.diff(widths) >= 0), (parity, n_scaled, widths)
+            assert np.all(widths <= 3.0 * logs), (parity, n_scaled, widths)
+            A = np.vstack([logs, np.ones_like(logs)]).T
+            _, res, *_ = np.linalg.lstsq(A, widths, rcond=None)
+            r2 = 1.0 - res[0] / np.sum((widths - widths.mean()) ** 2)
+            assert r2 >= 0.95, (parity, n_scaled, widths, r2)
+
+
 # ---------------------------------------------------------------------------
 # product builder
 # ---------------------------------------------------------------------------
@@ -241,8 +217,8 @@ def test_product_of_rank_one_factors():
     pg = np.linspace(0.0, 0.5, 16)
     qg = np.linspace(0.5, 1.0, 16)
     one = np.ones((16, 1))
-    a = SeparatedApprox(pg, qg, 2.0 * one, one.copy(), 1e-9)
-    b = SeparatedApprox(pg, qg, 3.0 * one, one.copy(), 1e-9)
+    a = SeparatedApprox(pg, qg, 2.0 * one, one.copy())
+    b = SeparatedApprox(pg, qg, 3.0 * one, one.copy())
     prod = build_product(a, b, 1e-9)
     assert prod.rank <= 1
     np.testing.assert_allclose(prod.reconstruct(), 6.0)
@@ -252,8 +228,8 @@ def test_product_grid_mismatch():
     pg = np.linspace(0.0, 0.5, 8)
     qg = np.linspace(0.5, 1.0, 8)
     one = np.ones((8, 1))
-    a = SeparatedApprox(pg, qg, one, one, 1e-9)
-    b = SeparatedApprox(pg + 1.0, qg, one, one, 1e-9)
+    a = SeparatedApprox(pg, qg, one, one)
+    b = SeparatedApprox(pg + 1.0, qg, one, one)
     with pytest.raises(ValueError):
         build_product(a, b, 1e-9)
 
@@ -291,10 +267,32 @@ def test_aca_zero_matrix():
     assert np.max(np.abs(ap.reconstruct())) == 0.0
 
 
-def test_aca_accepts_scalar_oracle():
-    m = np.fromfunction(lambda i, j: 1.0 / (1.0 + i + j), (12, 12))
-    ap = aca_build(lambda i, j: 1.0 / (1.0 + i + j), 12, 12, 1e-10)
-    assert np.max(np.abs(ap.reconstruct() - m)) <= 1e-8
+def test_aca_oracle_stays_inside_block():
+    # a one-column block: the oracle is only ever asked for indices inside it
+    col = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+    calls = []
+
+    def oracle(i, j):
+        i, j = np.broadcast_arrays(i, j)
+        calls.append((i.copy(), j.copy()))
+        if np.any(j >= 1):
+            raise IndexError("column outside the block")
+        return col[i]
+
+    ap = aca_build(oracle, 5, 1, 1e-12)
+    assert np.array_equal(ap.reconstruct()[:, 0], col)
+    assert calls
+    for i, j in calls:
+        assert np.all((0 <= i) & (i < 5)) and np.all(j == 0)
+
+
+def test_aca_compress_one_column_edge_blocks():
+    # leaf 2 on binomial n = 5 leaves one-column ACA blocks at the right edge
+    spec = BinomialFamily(n=5)
+    eps = 1e-6
+    h = compress(spec, eps, builder=Builder.ACA, leaf_size=2)
+    assert any(p.col_hi - p.col_lo == 1 for p in h.lowrank)
+    assert np.max(np.abs(h.to_dense() - dense_matrix(spec))) <= 10.0 * eps
 
 
 def test_aca_reconstruction_error_bound():
