@@ -218,8 +218,9 @@ def _cmd_matvec_bench(args) -> int:
         rel = float(np.linalg.norm(y - y_dense) / np.linalg.norm(y_dense))
         rep = storage_report(h)
         rows.append([n, build_s, mv_s, dense_s, rel, rep.stored_entries, rep.ratio])
-        results.append({"n": n, "matvec_seconds": mv_s, "dense_seconds": dense_s,
-                        "rel_error": rel, "stored_entries": rep.stored_entries})
+        results.append({"n": n, "family": _family_params(spec), "matvec_seconds": mv_s,
+                        "dense_seconds": dense_s, "rel_error": rel,
+                        "stored_entries": rep.stored_entries})
     out = Path(args.out)
     _write_csv(out, ["n", "build_s", "matvec_s", "dense_matvec_s", "rel_err",
                      "stored_entries", "ratio"], rows)
@@ -343,6 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "matvec-bench" and args.n_list and (
+            args.kmax or args.xmax or args.lambda_max or args.grid):
+        # each size sets the whole family; a fixed range or grid would override it
+        parser.error("--n-list cannot be combined with --kmax, --xmax, --lambda-max or --grid")
     try:
         return args.func(args)
     except (SolverError, BuilderError, FileNotFoundError, OSError, ValueError) as exc:

@@ -17,14 +17,22 @@ are converted to index ranges half-open on the right, closed at the
 domain's upper edge.  The result supports fast matvec (each low-rank
 block costs rank * (rows + cols) operations), storage accounting and
 randomized verification against the exact entries.
+
+The pieces' arrays live in one ``StackedLayout``: low-rank factors are
+stacked per (level, rank) and dense values per shape, zero-padded to the
+widest piece of the stack, so ``matvec`` runs two batched products per
+stack instead of a loop over pieces and ``reconstruct_entries`` finds a
+sample's piece by a row lookup per stack.  ``LowRankPiece.alpha``/``beta``
+and ``DensePiece.values`` are views into those stacks.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +46,7 @@ __all__ = [
     "DensePiece",
     "HMatrix",
     "LowRankPiece",
+    "StackedLayout",
     "StorageReport",
     "VerifyReport",
     "compress",
@@ -45,6 +54,7 @@ __all__ = [
     "matvec",
     "reconstruct_entries",
     "scheme_for",
+    "stack_pieces",
     "storage_report",
     "verify",
 ]
@@ -108,14 +118,143 @@ class VerifyReport:
     rms_error: float
 
 
+class _Stack(NamedTuple):
+    """Pieces of one stack; their row ranges are pairwise disjoint."""
+
+    left: np.ndarray             # (g, m, rank) alpha factors, or (g, m, c) dense values
+    right: Optional[np.ndarray]  # (g, c, rank) beta factors; None for dense values
+    row_lo: np.ndarray           # (g,) first row and column of each piece
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    rows: slice                  # this stack's part of StackedLayout.row_index / col_index
+    cols: slice
+
+
+@dataclass(frozen=True)
+class StackedLayout:
+    """Every piece of an HMatrix in zero-padded stacks.
+
+    Stacked row t of a stack maps to matrix row ``row_index[t]`` and
+    stacked column t to matrix column ``col_index[t]``; padding maps to
+    one index past the matrix (the row or column count).
+    """
+
+    stacks: tuple
+    row_index: np.ndarray
+    col_index: np.ndarray
+
+
+def stack_pieces(shape: tuple, lowrank_heads, dense_boxes):
+    """Allocate the stacks for pieces described by their table entries.
+
+    ``lowrank_heads`` is an (NL, 6) integer array of (level, rank, row_lo,
+    row_hi, col_lo, col_hi) per low-rank piece and ``dense_boxes`` an
+    (ND, 4) array of (row_lo, row_hi, col_lo, col_hi) per dense piece.
+    Low-rank pieces are stacked by (level, rank), dense pieces by shape; a
+    piece whose rows overlap those of the previous piece of its stack
+    starts a new stack.  Returns (layout, lowrank_views, dense_views): per
+    piece, in input order, its (alpha, beta) views or its values view, for
+    the caller to fill.  Padding is zero; the views are not.  Stacks hold
+    little-endian doubles, the byte order of the HLRD1 container.
+    """
+    n_rows, n_cols = shape
+    lowrank_heads = np.asarray(lowrank_heads, dtype=np.intp).reshape(-1, 6)
+    dense_boxes = np.asarray(dense_boxes, dtype=np.intp).reshape(-1, 4)
+    n_lr = len(lowrank_heads)
+    dense = np.repeat([False, True], [n_lr, len(dense_boxes)])
+    keys = np.concatenate([lowrank_heads[:, :2],
+                           dense_boxes[:, [1, 3]] - dense_boxes[:, [0, 2]]])
+    boxes = np.concatenate([lowrank_heads[:, 2:], dense_boxes])
+    order = np.lexsort((boxes[:, 0], keys[:, 1], keys[:, 0], dense))
+    dense, keys, boxes = dense[order], keys[order], boxes[order]
+    # rows ascend within a run, so a run whose neighbours do not overlap is
+    # pairwise disjoint
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = ((dense[1:] != dense[:-1]) | np.any(keys[1:] != keys[:-1], axis=1)
+                  | (boxes[1:, 0] < boxes[:-1, 1]))
+    starts = np.flatnonzero(starts)
+    counts = np.diff(np.append(starts, len(order)))
+    row_lo, col_lo, col_hi = boxes[:, 0].copy(), boxes[:, 2].copy(), boxes[:, 3].copy()
+    heights = boxes[:, 1] - row_lo
+    widths = col_hi - col_lo
+    if len(starts):
+        m, c = np.maximum.reduceat(heights, starts), np.maximum.reduceat(widths, starts)
+        short_rows = np.add.reduceat(heights, starts) < m * counts
+        short_cols = np.add.reduceat(widths, starts) < c * counts
+    else:
+        m = c = short_rows = short_cols = starts
+    row_index = np.empty(int(np.dot(counts, m)), dtype=np.intp)
+    col_index = np.empty(int(np.dot(counts, c)), dtype=np.intp)
+
+    views = [None] * len(order)
+    stacks = []
+    row_at = col_at = 0
+    for a, g, m_s, c_s, pad_rows, pad_cols, is_dense, rank in zip(
+            starts.tolist(), counts.tolist(), m.tolist(), c.tolist(), short_rows.tolist(),
+            short_cols.tolist(), dense[starts].tolist(), keys[starts, 1].tolist()):
+        b = a + g
+        rows, cols = slice(row_at, row_at + g * m_s), slice(col_at, col_at + g * c_s)
+        row_at, col_at = rows.stop, cols.stop
+        row_slots = row_index[rows].reshape(g, m_s)
+        col_slots = col_index[cols].reshape(g, c_s)
+        np.add(row_lo[a:b, None], np.arange(m_s), out=row_slots)
+        np.add(col_lo[a:b, None], np.arange(c_s), out=col_slots)
+        if is_dense:   # one shape per stack: no padding
+            left, right = np.empty((g, m_s, c_s), dtype="<f8"), None
+            views[a:b] = left
+        else:
+            left = np.empty((g, m_s, rank), dtype="<f8")
+            right = np.empty((g, c_s, rank), dtype="<f8")
+            alphas, betas = left, right
+            if pad_rows:
+                pad = np.arange(m_s) >= heights[a:b, None]
+                left[pad] = 0.0
+                row_slots[pad] = n_rows
+                alphas = [left[k, :h] for k, h in enumerate(heights[a:b].tolist())]
+            if pad_cols:
+                pad = np.arange(c_s) >= widths[a:b, None]
+                right[pad] = 0.0
+                col_slots[pad] = n_cols
+                betas = [right[k, :w] for k, w in enumerate(widths[a:b].tolist())]
+            views[a:b] = zip(alphas, betas)
+        stacks.append(_Stack(left, right, row_lo[a:b], col_lo[a:b], col_hi[a:b], rows, cols))
+    in_order = [None] * len(order)
+    for n, view in zip(order.tolist(), views):
+        in_order[n] = view
+    layout = StackedLayout(stacks=tuple(stacks), row_index=row_index, col_index=col_index)
+    return layout, in_order[:n_lr], in_order[n_lr:]
+
+
+def _joined(layouts: list) -> StackedLayout:
+    """One layout holding the stacks of ``layouts``, in order."""
+    stacks = []
+    row_at = col_at = 0
+    for layout in layouts:
+        for s in layout.stacks:
+            stacks.append(s._replace(rows=slice(s.rows.start + row_at, s.rows.stop + row_at),
+                                     cols=slice(s.cols.start + col_at, s.cols.stop + col_at)))
+        row_at += layout.row_index.size
+        col_at += layout.col_index.size
+    return StackedLayout(stacks=tuple(stacks),
+                         row_index=np.concatenate([lay.row_index for lay in layouts]),
+                         col_index=np.concatenate([lay.col_index for lay in layouts]))
+
+
 @dataclass
 class HMatrix:
+    """A compressed matrix: its pieces and the stacks their arrays live in.
+
+    Built by ``compress`` and ``container.load_hmatrix``.  Writing into a
+    piece's array writes into ``layout``; rebinding it does not.
+    """
+
     spec: FamilySpec
     scheme: PartitionScheme
     eps: float
     builder: Builder
-    lowrank: list = field(default_factory=list)
-    dense: list = field(default_factory=list)
+    lowrank: list
+    dense: list
+    layout: StackedLayout
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -298,32 +437,47 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, scheme, leaf_size)
-    h = HMatrix(spec=spec, scheme=scheme, eps=eps, builder=builder)
+    lowrank, dense = [], []
 
     rows_all = np.arange(n_rows, dtype=np.intp)
     cols_all = np.arange(n_cols, dtype=np.intp)
 
-    def dense_box(r0, r1, c0, c1):
-        return entry_exact(spec, rows_all[r0:r1, None], cols_all[None, c0:c1])
-
+    # Each level's blocks go into their stacks as soon as the level is
+    # built, so the factors are never held twice over more than one level.
+    layouts = []
     if eps >= 1.0:
-        for blk, (r0, r1, c0, c1) in block_ranges:
-            h.dense.append(DensePiece("diagonal", blk.level, blk.index, r0, r1, c0, c1,
-                                      dense_box(r0, r1, c0, c1)))
+        dense.extend(DensePiece("diagonal", blk.level, blk.index, *box, None)
+                     for blk, box in block_ranges)
     else:
-        h.lowrank.extend(_compress_block(spec, kmap, builder, blk, rng, eps)
-                         for blk, rng in block_ranges)
-
-    for cell, (r0, r1, c0, c1) in cell_ranges:
-        h.dense.append(DensePiece("diagonal", cell.level, cell.index, r0, r1, c0, c1,
-                                  dense_box(r0, r1, c0, c1)))
-    for tag, (r0, r1, c0, c1) in strips:
-        h.dense.append(DensePiece(tag, None, None, r0, r1, c0, c1,
-                                  dense_box(r0, r1, c0, c1)))
-
-    h.lowrank.sort(key=lambda p: (p.level, p.index))
-    h.dense.sort(key=lambda p: (p.tag, p.row_lo, p.col_lo))
-    return h
+        block_ranges = sorted(block_ranges, key=lambda br: (br[0].level, br[0].index))
+        for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0].level):
+            level_pieces = [_compress_block(spec, kmap, builder, blk, rng, eps)
+                            for blk, rng in level_ranges]
+            layout, views, _ = stack_pieces(
+                spec.shape,
+                [(p.level, p.rank, p.row_lo, p.row_hi, p.col_lo, p.col_hi)
+                 for p in level_pieces], [])
+            for p, (alpha, beta) in zip(level_pieces, views):
+                alpha[...] = p.alpha
+                beta[...] = p.beta
+                p.alpha, p.beta = alpha, beta
+            layouts.append(layout)
+            lowrank.extend(level_pieces)
+    dense.extend(DensePiece("diagonal", cell.level, cell.index, *box, None)
+                 for cell, box in cell_ranges)
+    dense.extend(DensePiece(tag, None, None, *box, None) for tag, box in strips)
+    dense.sort(key=lambda p: (p.tag, p.row_lo, p.col_lo))
+    layout, _, views = stack_pieces(spec.shape, [],
+                                    [(p.row_lo, p.row_hi, p.col_lo, p.col_hi) for p in dense])
+    for p, values in zip(dense, views):
+        # computed straight into the stack
+        values[...] = entry_exact(spec, rows_all[p.row_lo:p.row_hi, None],
+                                  cols_all[None, p.col_lo:p.col_hi])
+        p.values = values
+    layouts.append(layout)
+    layout = _joined(layouts)
+    return HMatrix(spec=spec, scheme=scheme, eps=eps, builder=builder,
+                   lowrank=lowrank, dense=dense, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +485,31 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
 # ---------------------------------------------------------------------------
 
 def matvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
-    """y = H x using the compressed representation."""
+    """y = H x using the compressed representation.
+
+    One gather of x for all stacks, two batched products per low-rank
+    stack (one per dense stack), and one accumulating scatter into y.
+    """
     rows, cols = h.shape
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cols,):
         raise ValueError(f"dimension mismatch: expected vector of length {cols}, got {x.shape}")
-    y = np.zeros(rows)
-    for p in h.lowrank:
-        if p.rank:
-            y[p.row_lo:p.row_hi] += p.alpha @ (p.beta.T @ x[p.col_lo:p.col_hi])
-    for p in h.dense:
-        y[p.row_lo:p.row_hi] += p.values @ x[p.col_lo:p.col_hi]
-    return y
+    layout = h.layout
+    x_ext = np.empty(cols + 1)
+    x_ext[:cols] = x
+    x_ext[cols] = 0.0   # what padded columns read
+    xs = x_ext[layout.col_index]
+    u = np.empty(layout.row_index.size)
+    for s in layout.stacks:
+        g, m = s.left.shape[:2]
+        xg = xs[s.cols].reshape(g, -1, 1)
+        out = u[s.rows].reshape(g, m, 1)
+        if s.right is None:
+            np.matmul(s.left, xg, out=out)
+        else:
+            np.matmul(s.left, np.matmul(s.right.transpose(0, 2, 1), xg), out=out)
+    # padded rows land in the extra last bin
+    return np.bincount(layout.row_index, weights=u, minlength=rows + 1)[:rows]
 
 
 def storage_report(h: HMatrix) -> StorageReport:
@@ -357,23 +524,39 @@ def storage_report(h: HMatrix) -> StorageReport:
 
 
 def reconstruct_entries(h: HMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Reconstructed entries at index pairs (vectorized over the pairs)."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = np.zeros(rows.shape, dtype=np.float64)
-    for p in h.lowrank:
-        mask = ((rows >= p.row_lo) & (rows < p.row_hi)
-                & (cols >= p.col_lo) & (cols < p.col_hi))
-        if np.any(mask) and p.rank:
-            i = rows[mask] - p.row_lo
-            j = cols[mask] - p.col_lo
-            out[mask] = np.einsum("ij,ij->i", p.alpha[i, :], p.beta[j, :])
-    for p in h.dense:
-        mask = ((rows >= p.row_lo) & (rows < p.row_hi)
-                & (cols >= p.col_lo) & (cols < p.col_hi))
-        if np.any(mask):
-            out[mask] = p.values[rows[mask] - p.row_lo, cols[mask] - p.col_lo]
-    return out
+    """Reconstructed entries at index pairs (vectorized over the pairs).
+
+    Per stack, a row-to-piece table gives each sample's candidate piece;
+    the sample is that piece's when its column falls inside the piece.
+    Pairs outside the matrix read 0.
+    """
+    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
+                                     np.asarray(cols, dtype=np.intp))
+    n_rows = h.shape[0]
+    ii = rows.ravel()
+    jj = cols.ravel()
+    # rows outside the matrix look up the padding slot, which no piece owns
+    ii_safe = np.where((ii >= 0) & (ii < n_rows), ii, n_rows)
+    out = np.zeros(ii.shape, dtype=np.float64)
+    piece_of_row = np.empty(n_rows + 1, dtype=np.intp)
+    layout = h.layout
+    for s in layout.stacks:
+        if s.left.size == 0:
+            continue
+        g, m = s.left.shape[:2]
+        piece_of_row.fill(-1)
+        piece_of_row[layout.row_index[s.rows]] = np.repeat(np.arange(g), m)
+        piece_of_row[n_rows] = -1
+        k = piece_of_row[ii_safe]
+        hit = np.flatnonzero((k >= 0) & (jj >= s.col_lo[k]) & (jj < s.col_hi[k]))
+        k = k[hit]
+        i = ii[hit] - s.row_lo[k]
+        j = jj[hit] - s.col_lo[k]
+        if s.right is None:
+            out[hit] = s.left[k, i, j]
+        else:
+            out[hit] = np.einsum("ij,ij->i", s.left[k, i], s.right[k, j])
+    return out.reshape(rows.shape)
 
 
 def verify(h: HMatrix, samples: int, seed: int = 0) -> VerifyReport:

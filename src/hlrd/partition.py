@@ -37,6 +37,7 @@ __all__ = [
     "TilingReport",
     "UnitSquare",
     "build_scheme",
+    "claim_counts",
     "locate",
     "verify_tiling",
 ]
@@ -221,12 +222,44 @@ def locate(scheme: PartitionScheme, p: float, q: float) -> Union[Block, DenseCel
     raise OutOfDomainError(f"point ({p!r}, {q!r}) not covered; this indicates a scheme bug")
 
 
+def claim_counts(scheme: PartitionScheme, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """How many regions of the scheme claim each point (p, q), closed intervals.
+
+    Per level of width w, a point's p lies in grid cell k = floor(p / w),
+    and also in cell k - 1 when it sits on their shared edge; each of the
+    two candidates claims the point when its q-interval holds q, once per
+    copy of that (level, index) in the scheme's block or cell list.
+    """
+    ps = np.asarray(ps, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
+    counts = np.zeros(ps.shape, dtype=np.int64)
+    for regions, is_block in ((scheme.blocks, True), (scheme.dense_cells, False)):
+        copies: dict = {}
+        for r in regions:
+            level_copies = copies.setdefault(r.level, {})
+            level_copies[r.index] = level_copies.get(r.index, 0) + 1
+        for level, by_index in copies.items():
+            w = 2.0 ** (-level)
+            table = np.zeros(max(by_index) + 1, dtype=np.int64)
+            table[list(by_index)] = list(by_index.values())
+            k = np.floor(ps / w).astype(np.int64)
+            for idx in (k - 1, k):
+                # a block's q-interval sits one step above (even index) or below (odd)
+                q0 = (np.where(idx % 2 == 0, idx + 1, idx - 1) if is_block else idx)
+                inside = ((idx >= 0) & (idx < len(table))
+                          & (ps >= idx * w) & (ps <= (idx + 1) * w)
+                          & (qs >= q0 * w) & (qs <= (q0 + 1) * w))
+                counts += np.where(inside, table[np.clip(idx, 0, len(table) - 1)], 0)
+    return counts
+
+
 def verify_tiling(scheme: PartitionScheme, samples: int, seed: int = 0) -> TilingReport:
     """Monte-Carlo check that blocks plus dense cells tile the domain.
 
     Draws uniform interior points and counts, for each, how many regions
-    claim it.  A correct scheme reports covered == 1.0 and overlaps == 0
-    (random points avoid the measure-zero shared boundaries).
+    claim it (``claim_counts``).  A correct scheme reports covered == 1.0
+    and overlaps == 0 (random points avoid the measure-zero shared
+    boundaries).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -234,13 +267,7 @@ def verify_tiling(scheme: PartitionScheme, samples: int, seed: int = 0) -> Tilin
     A = scheme.extent
     ps = rng.uniform(0.0, A, size=samples)
     qs = rng.uniform(0.0, A, size=samples)
-    counts = np.zeros(samples, dtype=np.int64)
-    for blk in scheme.blocks:
-        (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
-        counts += ((ps >= plo) & (ps <= phi) & (qs >= qlo) & (qs <= qhi))
-    for cell in scheme.dense_cells:
-        lo, hi = cell.interval
-        counts += ((ps >= lo) & (ps <= hi) & (qs >= lo) & (qs <= hi))
+    counts = claim_counts(scheme, ps, qs)
     covered = float(np.mean(counts >= 1))
     overlaps = int(np.sum(counts >= 2))
     return TilingReport(samples=samples, covered=covered, overlaps=overlaps)

@@ -139,6 +139,30 @@ def test_matvec_bench_schema(tmp_path):
     assert all(float(r[4]) <= 50.0 * 1e-6 for r in rows)
 
 
+def test_matvec_bench_records_each_size_family(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run(["matvec-bench", "--family", "poisson", "--eps", "1e-6",
+                "--n-list", "32", "--n-list", "48", "--out", str(out)]) == 0
+    prov = json.loads((tmp_path / "bench.csv.json").read_text())
+    assert [r["family"] for r in prov["parameters"]["results"]] == [
+        dataclasses.asdict(PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n))
+        for n in (32, 48)]
+
+
+@pytest.mark.parametrize("family,flag", [
+    ("poisson", ["--kmax", "64"]),
+    ("poisson", ["--lambda-max", "64"]),
+    ("chisq", ["--xmax", "64"]),
+    ("binomial", ["--grid", "64"]),
+])
+def test_matvec_bench_n_list_with_fixed_family_is_usage_error(tmp_path, family, flag):
+    # each --n-list size sets the whole family, so a fixed range or grid would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["matvec-bench", "--family", family, "--eps", "1e-6", "--n-list", "32",
+              "--n-list", "48", *flag, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
 def test_verify_tiling_command(tmp_path, capsys):
     rc = run(["verify-tiling", "--domain", "quarter", "--extent", "8", "--lmax", "4",
               "--samples", "20000"])

@@ -10,6 +10,7 @@ from hlrd.container import load_hmatrix, save_hmatrix
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from hlrd.hmatrix import (
     Builder,
+    DensePiece,
     compress,
     index_layout,
     matvec,
@@ -23,6 +24,29 @@ SMALL_FAMILIES = [
     PoissonFamily(k_max=48, lambda_max=48.0, lambda_grid=48),
     ChiSquaredFamily(x_max=48.0, x_grid=48, k_max=48),
 ]
+
+
+def _loop_matvec(h, x):
+    """Reference: one product per piece."""
+    y = np.zeros(h.shape[0])
+    for p in h.lowrank:
+        y[p.row_lo:p.row_hi] += p.alpha @ (p.beta.T @ x[p.col_lo:p.col_hi])
+    for p in h.dense:
+        y[p.row_lo:p.row_hi] += p.values @ x[p.col_lo:p.col_hi]
+    return y
+
+
+def _loop_entries(h, rows, cols):
+    """Reference: every piece tests every index pair."""
+    out = np.zeros(rows.shape)
+    for p in h.lowrank + h.dense:
+        mask = (rows >= p.row_lo) & (rows < p.row_hi) & (cols >= p.col_lo) & (cols < p.col_hi)
+        i, j = rows[mask] - p.row_lo, cols[mask] - p.col_lo
+        if isinstance(p, DensePiece):
+            out[mask] = p.values[i, j]
+        elif p.rank:
+            out[mask] = np.einsum("ij,ij->i", p.alpha[i], p.beta[j])
+    return out
 
 
 def _coverage_counts(spec, leaf=8):
@@ -47,6 +71,76 @@ def _coverage_counts(spec, leaf=8):
 def test_every_index_owned_exactly_once(spec):
     counts = _coverage_counts(spec)
     assert np.all(counts == 1), f"ownership breaks at {np.argwhere(counts != 1)[:5]}"
+
+
+def _family(name, n):
+    if name == "binomial":
+        return BinomialFamily(n=n)
+    if name == "poisson":
+        return PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n)
+    return ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n)
+
+
+@pytest.mark.parametrize("leaf", [8, 32])
+@pytest.mark.parametrize("spec", [_family(name, n) for name in ("binomial", "poisson", "chisq")
+                                  for n in (5, 48, 1024)] + [BinomialFamily(n=255, cols=193)])
+def test_block_ranges_disjoint_within_level(spec, leaf):
+    # the stacked layout relies on it: one stack per (level, rank) has disjoint rows
+    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
+    by_level = {}
+    for blk, box in block_ranges:
+        by_level.setdefault(blk.level, []).append(box)
+    for boxes in by_level.values():
+        for lo, hi in ((0, 1), (2, 3)):
+            spans = sorted((b[lo], b[hi]) for b in boxes)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), spans
+
+
+MATVEC_CASES = [(spec, 8) for spec in SMALL_FAMILIES] + [(BinomialFamily(n=5), 2)]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1.0])
+@pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
+@pytest.mark.parametrize("spec,leaf", MATVEC_CASES)
+def test_matvec_matches_dense_and_loop(spec, leaf, builder, eps):
+    h = compress(spec, eps, builder=builder, leaf_size=leaf)
+    x = np.random.default_rng(6).uniform(0.5, 1.5, spec.shape[1])
+    y = matvec(h, x)
+    scale = np.max(np.abs(y))
+    assert np.max(np.abs(y - h.to_dense() @ x)) <= 1e-14 * scale
+    assert np.max(np.abs(y - _loop_matvec(h, x))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1.0])
+@pytest.mark.parametrize("spec,leaf", MATVEC_CASES)
+def test_stacks_hold_the_pieces(spec, leaf, eps):
+    h = compress(spec, eps, leaf_size=leaf)
+    stacks = h.layout.stacks
+    arrays = [(p.alpha, p.beta) for p in h.lowrank] + [(p.values,) for p in h.dense]
+    for views in arrays:
+        for v in views:
+            # every piece array is a contiguous view into one stack, not a copy
+            assert v.flags.c_contiguous
+            assert sum(np.shares_memory(v, s.left) or (s.right is not None
+                                                       and np.shares_memory(v, s.right))
+                       for s in stacks) == 1
+    for s in stacks:
+        g, m = s.left.shape[:2]
+        rows = h.layout.row_index[s.rows].reshape(g, m)
+        real = rows[rows < h.shape[0]]
+        assert len(np.unique(real)) == len(real)   # rows disjoint within a stack
+    assert sum(len(s.row_lo) for s in stacks) == len(h.lowrank) + len(h.dense)
+
+
+@pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
+@pytest.mark.parametrize("spec,leaf", MATVEC_CASES)
+def test_reconstruct_entries_matches_loop(spec, leaf, builder):
+    h = compress(spec, 1e-9, builder=builder, leaf_size=leaf)
+    rng = np.random.default_rng(8)
+    # pairs outside the matrix included: they read 0
+    ii = rng.integers(-1, spec.shape[0] + 1, 3000)
+    jj = rng.integers(-1, spec.shape[1] + 1, 3000)
+    assert np.array_equal(reconstruct_entries(h, ii, jj), _loop_entries(h, ii, jj))
 
 
 @pytest.mark.parametrize("spec", SMALL_FAMILIES)
@@ -193,18 +287,96 @@ def test_tiny_matrix_has_no_compression():
 def test_container_round_trip(spec, tmp_path):
     x = np.linspace(0.5, 1.5, spec.shape[1])
     for builder in Builder:
-        h = compress(spec, 1e-6, builder=builder, leaf_size=8)
-        path = tmp_path / f"{builder.value}.hlrd"
-        save_hmatrix(h, path)
-        g = load_hmatrix(path)
-        assert g.shape == h.shape
-        assert g.stored_entries == h.stored_entries
-        assert np.array_equal(g.to_dense(), h.to_dense())
-        # the loaded matrix multiplies bit for bit like the saved one
-        assert np.array_equal(matvec(g, x), matvec(h, x))
-        r1 = verify(h, samples=2000, seed=7)
-        r2 = verify(g, samples=2000, seed=7)
-        assert r1 == r2
+        for eps in (1e-6, 1.0):
+            h = compress(spec, eps, builder=builder, leaf_size=8)
+            path = tmp_path / f"{builder.value}.hlrd"
+            save_hmatrix(h, path)
+            g = load_hmatrix(path)
+            assert g.shape == h.shape
+            assert g.stored_entries == h.stored_entries
+            assert np.array_equal(g.to_dense(), h.to_dense())
+            # the loaded matrix multiplies bit for bit like the saved one
+            assert np.array_equal(matvec(g, x), matvec(h, x))
+            r1 = verify(h, samples=2000, seed=7)
+            r2 = verify(g, samples=2000, seed=7)
+            assert r1 == r2
+            again = tmp_path / "again.hlrd"
+            save_hmatrix(g, again)
+            assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILIES)
+def test_container_length(spec, tmp_path):
+    h = compress(spec, 1e-6, leaf_size=8)
+    path = tmp_path / "h.hlrd"
+    save_hmatrix(h, path)
+    buf = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    payload = (sum(p.alpha.size + p.beta.size for p in h.lowrank)
+               + sum(p.values.size for p in h.dense))
+    assert len(buf) == (9 + meta_len + 16 + 28 * len(h.lowrank) + 25 * len(h.dense)
+                        + 8 * payload)
+
+
+def _small_container(tmp_path):
+    path = tmp_path / "small.hlrd"
+    save_hmatrix(compress(BinomialFamily(n=16), 1e-6, leaf_size=4), path)
+    return path, path.read_bytes()
+
+
+def test_container_every_prefix_raises_value_error(tmp_path):
+    _, buf = _small_container(tmp_path)
+    cut = tmp_path / "cut.hlrd"
+    for n in range(len(buf)):
+        cut.write_bytes(buf[:n])
+        with pytest.raises(ValueError):
+            load_hmatrix(cut)
+
+
+def _table_offsets(buf):
+    """(offset of the low-rank table, NL, offset of the dense table, ND)."""
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    off = 9 + meta_len
+    _, _, n_lr, n_dn = struct.unpack_from("<IIII", buf, off)
+    return off + 16, n_lr, off + 16 + 28 * n_lr, n_dn
+
+
+def _edit_u32(buf, offset, value):
+    out = bytearray(buf)
+    struct.pack_into("<I", out, offset, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("case", ["lr-rows-reversed", "lr-cols-outside", "dn-rows-outside",
+                                  "dn-cols-reversed", "rank-plus-one", "rank-huge",
+                                  "unknown-tag", "trailing-byte", "too-many-pieces",
+                                  "metadata-not-json", "metadata-missing-key"])
+def test_container_rejects_bad_tables(tmp_path, case):
+    path, buf = _small_container(tmp_path)
+    lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    # low-rank entry fields: level, index, rank, row_lo, row_hi, col_lo, col_hi (4 bytes each);
+    # dense entry fields: tag (1 byte), then level, index, row_lo, row_hi, col_lo, col_hi
+    edits = {
+        "lr-rows-reversed": lambda: _edit_u32(buf, lr_at + 16, 0),
+        "lr-cols-outside": lambda: _edit_u32(buf, lr_at + 24, 17),
+        "dn-rows-outside": lambda: _edit_u32(buf, dn_at + 13, 18),
+        "dn-cols-reversed": lambda: _edit_u32(buf, dn_at + 17, 5),
+        "rank-plus-one": lambda: _edit_u32(buf, lr_at + 8, struct.unpack_from("<I", buf, lr_at + 8)[0] + 1),
+        "rank-huge": lambda: _edit_u32(buf, lr_at + 8, 2**32 - 1),
+        "unknown-tag": lambda: buf[:dn_at] + bytes([7]) + buf[dn_at + 1:],
+        "trailing-byte": lambda: buf + b"\0",
+        "too-many-pieces": lambda: _edit_u32(buf, lr_at - 8, 10**6),
+        "metadata-not-json": lambda: buf[:9] + b"{" * meta_len + buf[9 + meta_len:],
+        "metadata-missing-key": lambda: buf[:9] + json.dumps(
+            {k: v for k, v in json.loads(buf[9:9 + meta_len]).items() if k != "l_max"}
+        ).encode().ljust(meta_len) + buf[9 + meta_len:],
+    }
+    bad = tmp_path / "bad.hlrd"
+    bad.write_bytes(edits[case]())
+    assert bad.read_bytes() != buf
+    with pytest.raises(ValueError):
+        load_hmatrix(bad)
 
 
 def test_container_bytes_deterministic(tmp_path):

@@ -11,6 +11,7 @@ from hlrd.partition import (
     QuarterPlane,
     UnitSquare,
     build_scheme,
+    claim_counts,
     locate,
     verify_tiling,
 )
@@ -159,3 +160,45 @@ def test_tiling_quarter_plane(l_max):
 def test_tiling_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         verify_tiling(build_scheme(UnitSquare(2)), samples=0)
+
+
+def _brute_claim_counts(scheme, ps, qs):
+    """Reference: test every block and cell of the scheme against every point."""
+    counts = np.zeros(len(ps), dtype=np.int64)
+    for blk in scheme.blocks:
+        (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
+        counts += (ps >= plo) & (ps <= phi) & (qs >= qlo) & (qs <= qhi)
+    for cell in scheme.dense_cells:
+        lo, hi = cell.interval
+        counts += (ps >= lo) & (ps <= hi) & (qs >= lo) & (qs <= hi)
+    return counts
+
+
+@pytest.mark.parametrize("domain", [UnitSquare(l_max=5), QuarterPlane(extent=16.0, l_max=4),
+                                    QuarterPlane(extent=8.0, l_max=-2)])
+@pytest.mark.parametrize("edit", ["none", "duplicate", "remove"])
+def test_claim_counts_match_brute_force(domain, edit):
+    scheme = build_scheme(domain)
+    # the first block is a coarsest one, large enough for the sampled report to see
+    if edit == "duplicate":
+        scheme.blocks = scheme.blocks + scheme.blocks[:1]
+    elif edit == "remove":
+        scheme.blocks = scheme.blocks[1:]
+    rng = np.random.default_rng(3)
+    extent = scheme.extent
+    # uniform points plus points on the finest grid lines, where closed
+    # intervals make neighbouring regions claim the same point
+    grid = np.arange(extent * 2.0 ** scheme.l_max + 1) * 2.0 ** (-scheme.l_max)
+    ps = np.concatenate([rng.uniform(0, extent, 4000), rng.choice(grid, 2000),
+                         rng.uniform(0, extent, 1000), rng.choice(grid, 1000)])
+    qs = np.concatenate([rng.uniform(0, extent, 4000), rng.choice(grid, 2000),
+                         rng.choice(grid, 1000), rng.uniform(0, extent, 1000)])
+    counts = claim_counts(scheme, ps, qs)
+    assert np.array_equal(counts, _brute_claim_counts(scheme, ps, qs))
+    report = verify_tiling(scheme, samples=20000, seed=5)
+    if edit == "none":
+        assert report.covered == 1.0 and report.overlaps == 0
+    elif edit == "duplicate":
+        assert report.overlaps > 0
+    else:
+        assert report.covered < 1.0
