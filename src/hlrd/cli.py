@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,14 @@ import numpy as np
 from . import __version__
 from .container import save_hmatrix
 from .divergence import Regime, SolverError, divergence_ratio, solve_thresholds
-from .families import FAMILIES, BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
+from .families import (
+    FAMILIES,
+    BinomialFamily,
+    ChiSquaredFamily,
+    PoissonFamily,
+    block_oracle,
+    dense_matrix,
+)
 from .hmatrix import Builder, compress, index_layout, matvec, storage_report, verify
 from .partition import QuarterPlane, UnitSquare, build_scheme, verify_tiling
 from .separated import (
@@ -60,18 +68,25 @@ def _write_provenance(out: Path, command: str, params: dict, seed: int) -> None:
                                         encoding="utf-8")
 
 
+def _unit_grid(extent: float) -> int:
+    """Default grid size over (0, extent]: one point per unit of the range."""
+    if not math.isfinite(extent):
+        raise ValueError(f"range must be finite, got {extent}")
+    return int(extent)
+
+
 def _family_from_args(args) -> object:
     if args.family == "binomial":
         return BinomialFamily(n=args.n, cols=args.grid or 0)
     if args.family == "poisson":
         k_max = args.kmax or args.n
         lam_max = args.lambda_max or float(k_max)
-        grid = args.grid or int(lam_max)
+        grid = args.grid or _unit_grid(lam_max)
         return PoissonFamily(k_max=k_max, lambda_max=lam_max, lambda_grid=grid)
     if args.family == "chisq":
         x_max = args.xmax or float(args.kmax or args.n)
-        grid = args.grid or int(x_max)
-        k_max = args.kmax or int(x_max)
+        grid = args.grid or _unit_grid(x_max)
+        k_max = args.kmax or _unit_grid(x_max)
         return ChiSquaredFamily(x_max=x_max, x_grid=grid, k_max=k_max)
     raise ValueError(f"unknown family {args.family!r}")
 
@@ -103,12 +118,7 @@ def _cmd_rank_map(args) -> int:
     rows = []
     for blk, (r0, r1, c0, c1), s in _block_singular_values(spec, args.leaf):
         svd_rank = rank_from_singular_values(s, eps, convention)
-
-        def oracle(i, j, _spec=spec, _r0=r0, _c0=c0):
-            from .families import entry_exact
-            return entry_exact(_spec, np.asarray(i) + _r0, np.asarray(j) + _c0)
-
-        aca_rank = aca_build(oracle, r1 - r0, c1 - c0, eps).rank
+        aca_rank = aca_build(block_oracle(spec, r0, r1, c0, c1), r1 - r0, c1 - c0, eps).rank
         rows.append([blk.level, blk.index, r0, r1, c0, c1, svd_rank, aca_rank])
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)

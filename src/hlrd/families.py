@@ -14,22 +14,27 @@ Each family has one log-entry model: its log-entry is a sum of row terms,
 column terms and products of a row term with a column term, e.g.
 ``ln C(n, k) + k ln q + (n - k) ln(1 - q)`` for the binomial.  The 1-D
 terms are computed once per family instance (log-gamma instead of
-factorials, so nothing overflows even at n = 2^14); ``entry_exact``
-gathers them at the requested indices and exponentiates.  It is the only
-evaluator: ``dense_matrix`` is ``entry_exact`` on the full index grid, and
-the binomial and Poisson exact prefactors are the model at q = p.
-``entry_stirling`` exposes the Stirling reduction
+factorials, so nothing overflows even at n = 2^14).  One core gathers
+them at broadcasting indices and exponentiates, and it is the only
+evaluator.  ``entry_exact`` checks every index against the matrix and
+calls it on the full terms; ``block_oracle`` checks a block's box once
+and returns the core on views of the terms sliced to the box, so a
+builder's row, column or grid requests inside the block cost only the
+gather and ``exp``.  ``dense_matrix`` is ``entry_exact`` on the full
+index grid, and the binomial and Poisson exact prefactors are the model
+at q = p.  ``entry_stirling`` exposes the Stirling reduction
 ``prefactor * exp(-n_eff * divergence)`` that explains why the matrices
 compress; ``kernel_map`` returns the full identification (divergence
-kind, coordinate maps, prefactors) that the compression machinery uses.
+kind, coordinate maps, prefactors) that the compression machinery uses,
+also built once per family instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Union
+from functools import cached_property, partial
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -44,6 +49,7 @@ __all__ = [
     "KernelMap",
     "PoissonFamily",
     "StirlingUndefinedError",
+    "block_oracle",
     "dense_matrix",
     "entry_exact",
     "entry_stirling",
@@ -56,6 +62,40 @@ class StirlingUndefinedError(ValueError):
 
 
 @dataclass(frozen=True)
+class KernelMap:
+    """Identification of a family matrix with a divergence kernel.
+
+    ``p_of_row`` / ``q_of_col`` give the kernel coordinates of every row /
+    column; the exact entry factors as
+    ``exp(exact_log_prefactor) * exp(-n_eff * divergence(kind, p, q))``
+    where the exact prefactor depends only on the ``prefactor_axis``
+    index.  ``stirling_prefactor`` is the classical approximation of that
+    prefactor; it is what ``entry_stirling`` uses.  Singular rows/columns
+    are where both prefactor forms break down and are stored dense by the
+    hierarchical assembly.  A family instance builds its map once and
+    hands the same one to every caller, so the arrays are read-only.
+    """
+
+    kind: DivergenceKind
+    p_of_row: np.ndarray
+    q_of_col: np.ndarray
+    n_eff: float
+    prefactor_axis: str  # "row" or "col"
+    stirling_prefactor: Callable[[np.ndarray], np.ndarray]
+    exact_log_prefactor: np.ndarray
+    singular_rows: tuple[int, ...]
+    singular_cols: tuple[int, ...]
+
+    def __post_init__(self):
+        for a in (self.p_of_row, self.q_of_col, self.exact_log_prefactor):
+            a.flags.writeable = False
+
+
+def _positive_finite(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+@dataclass(frozen=True)
 class BinomialFamily:
     """Binomial(n) matrix: rows k = 0..n, columns q_j = (j + 1/2)/cols."""
 
@@ -65,6 +105,8 @@ class BinomialFamily:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("binomial needs n >= 1")
+        if self.cols < 0:
+            raise ValueError("binomial needs cols >= 0 (0 means: match n)")
         if self.cols == 0:
             object.__setattr__(self, "cols", self.n)
 
@@ -94,10 +136,39 @@ class BinomialFamily:
         return np.log(q), np.log1p(-q)
 
     @staticmethod
-    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
         lc, k, n_minus_k = row
         log_q, log_1mq = col
         return lc + k * log_q + n_minus_k * log_1mq
+
+    # Bernoulli KL with p = k/n, n_eff = n
+    @cached_property
+    def _kernel_map(self) -> KernelMap:
+        n = self.n
+        k = self.row_values()
+        p = k / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
+            # singular ends excluded
+            log_pref = self._log_entry(self._row_terms, self._col_terms_at(p))
+        log_pref[0] = np.nan
+        log_pref[-1] = np.nan
+
+        def stirling_pref(idx, _n=n):
+            pp = np.asarray(idx, dtype=np.float64) / _n
+            return 1.0 / np.sqrt(2.0 * math.pi * _n * pp * (1.0 - pp))
+
+        return KernelMap(
+            kind=DivergenceKind.BERNOULLI,
+            p_of_row=p,
+            q_of_col=self.col_values(),
+            n_eff=float(n),
+            prefactor_axis="row",
+            stirling_prefactor=stirling_pref,
+            exact_log_prefactor=log_pref,
+            singular_rows=(0, n),
+            singular_cols=(),
+        )
 
 
 @dataclass(frozen=True)
@@ -109,8 +180,9 @@ class PoissonFamily:
     lambda_grid: int
 
     def __post_init__(self):
-        if self.k_max < 1 or self.lambda_grid < 1 or not self.lambda_max > 0:
-            raise ValueError("invalid Poisson family parameters")
+        if self.k_max < 1 or self.lambda_grid < 1 or not _positive_finite(self.lambda_max):
+            raise ValueError("invalid Poisson family parameters: need k_max >= 1, "
+                             "lambda_grid >= 1 and a finite lambda_max > 0")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -138,10 +210,35 @@ class PoissonFamily:
         return np.log(lam), lam
 
     @staticmethod
-    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
         k, log_k_factorial = row
         log_lam, lam = col
         return k * log_lam - lam - log_k_factorial
+
+    # rate divergence with p = k, q = lambda, n_eff = 1
+    @cached_property
+    def _kernel_map(self) -> KernelMap:
+        k = self.row_values()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
+            log_pref = self._log_entry(self._row_terms, self._col_terms_at(k))
+        log_pref[0] = np.nan
+
+        def stirling_pref(idx):
+            kk = np.asarray(idx, dtype=np.float64)
+            return 1.0 / np.sqrt(2.0 * math.pi * kk)
+
+        return KernelMap(
+            kind=DivergenceKind.RATE,
+            p_of_row=k,
+            q_of_col=self.col_values(),
+            n_eff=1.0,
+            prefactor_axis="row",
+            stirling_prefactor=stirling_pref,
+            exact_log_prefactor=log_pref,
+            singular_rows=(0,),
+            singular_cols=(),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,8 +250,9 @@ class ChiSquaredFamily:
     k_max: int
 
     def __post_init__(self):
-        if self.k_max < 1 or self.x_grid < 1 or not self.x_max > 0:
-            raise ValueError("invalid chi-squared family parameters")
+        if self.k_max < 1 or self.x_grid < 1 or not _positive_finite(self.x_max):
+            raise ValueError("invalid chi-squared family parameters: need k_max >= 1, "
+                             "x_grid >= 1 and a finite x_max > 0")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -179,131 +277,15 @@ class ChiSquaredFamily:
         return half - 1.0, half * math.log(2.0), gammaln(half)
 
     @staticmethod
-    def _log_entry(row: tuple, col: tuple) -> np.ndarray:
+    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
         log_x, half_x = row
         half_minus_1, half_log_2, log_gamma_half = col
         return half_minus_1 * log_x - half_x - half_log_2 - log_gamma_half
 
-
-FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]
-
-# the name each family goes by in containers and on the command line
-FAMILIES = {"binomial": BinomialFamily, "poisson": PoissonFamily, "chisq": ChiSquaredFamily}
-
-
-@dataclass(frozen=True)
-class KernelMap:
-    """Identification of a family matrix with a divergence kernel.
-
-    ``p_of_row`` / ``q_of_col`` give the kernel coordinates of every row /
-    column; the exact entry factors as
-    ``exp(exact_log_prefactor) * exp(-n_eff * divergence(kind, p, q))``
-    where the exact prefactor depends only on the ``prefactor_axis``
-    index.  ``stirling_prefactor`` is the classical approximation of that
-    prefactor; it is what ``entry_stirling`` uses.  Singular rows/columns
-    are where both prefactor forms break down and are stored dense by the
-    hierarchical assembly.
-    """
-
-    kind: DivergenceKind
-    p_of_row: np.ndarray
-    q_of_col: np.ndarray
-    n_eff: float
-    prefactor_axis: str  # "row" or "col"
-    stirling_prefactor: Callable[[np.ndarray], np.ndarray]
-    exact_log_prefactor: np.ndarray
-    singular_rows: tuple[int, ...]
-    singular_cols: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# exact entries
-# ---------------------------------------------------------------------------
-
-def entry_exact(spec: FamilySpec, row, col):
-    """Exact matrix entries, elementwise over broadcast integer indices."""
-    rows = np.asarray(row, dtype=np.intp)
-    cols = np.asarray(col, dtype=np.intp)
-    scalar = rows.ndim == 0 and cols.ndim == 0
-    n_rows, n_cols = spec.shape
-    if np.any(rows < 0) or np.any(rows >= n_rows) or np.any(cols < 0) or np.any(cols >= n_cols):
-        raise IndexError(f"index out of range for family of shape {spec.shape}")
-    # gather the 1-D terms; open index arrays (rows[:, None], cols[None, :])
-    # broadcast in the arithmetic, so no full-grid index arrays are built
-    out = np.exp(spec._log_entry(tuple(t[rows] for t in spec._row_terms),
-                                 tuple(t[cols] for t in spec._col_terms)))
-    return float(out) if scalar else out
-
-
-def dense_matrix(spec: FamilySpec) -> np.ndarray:
-    """The full dense matrix: ``entry_exact`` on the open index grid."""
-    n_rows, n_cols = spec.shape
-    return entry_exact(spec, np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
-
-
-# ---------------------------------------------------------------------------
-# kernel identification and Stirling form
-# ---------------------------------------------------------------------------
-
-def kernel_map(spec: FamilySpec) -> KernelMap:
-    """Identify the family with its divergence kernel.
-
-    binomial  -> Bernoulli KL with p = k/n, n_eff = n
-    Poisson   -> rate divergence with p = k, q = lambda, n_eff = 1
-    chi^2     -> dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
-    """
-    if isinstance(spec, BinomialFamily):
-        n = spec.n
-        k = spec.row_values()
-        p = k / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
-            # singular ends excluded
-            log_pref = spec._log_entry(spec._row_terms, spec._col_terms_at(p))
-        log_pref[0] = np.nan
-        log_pref[-1] = np.nan
-
-        def stirling_pref(idx, _n=n):
-            pp = np.asarray(idx, dtype=np.float64) / _n
-            return 1.0 / np.sqrt(2.0 * math.pi * _n * pp * (1.0 - pp))
-
-        return KernelMap(
-            kind=DivergenceKind.BERNOULLI,
-            p_of_row=p,
-            q_of_col=spec.col_values(),
-            n_eff=float(n),
-            prefactor_axis="row",
-            stirling_prefactor=stirling_pref,
-            exact_log_prefactor=log_pref,
-            singular_rows=(0, n),
-            singular_cols=(),
-        )
-
-    if isinstance(spec, PoissonFamily):
-        k = spec.row_values()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
-            log_pref = spec._log_entry(spec._row_terms, spec._col_terms_at(k))
-        log_pref[0] = np.nan
-
-        def stirling_pref(idx):
-            kk = np.asarray(idx, dtype=np.float64)
-            return 1.0 / np.sqrt(2.0 * math.pi * kk)
-
-        return KernelMap(
-            kind=DivergenceKind.RATE,
-            p_of_row=k,
-            q_of_col=spec.col_values(),
-            n_eff=1.0,
-            prefactor_axis="row",
-            stirling_prefactor=stirling_pref,
-            exact_log_prefactor=log_pref,
-            singular_rows=(0,),
-            singular_cols=(),
-        )
-
-    if isinstance(spec, ChiSquaredFamily):
-        kcol = spec.col_values()
+    # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
+    @cached_property
+    def _kernel_map(self) -> KernelMap:
+        kcol = self.col_values()
         qc = 0.5 * kcol - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact column prefactor: q^q e^{-q} / (2 Gamma(q+1)) with q = k/2 - 1.
@@ -321,7 +303,7 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
 
         return KernelMap(
             kind=DivergenceKind.RATE_DUAL,
-            p_of_row=0.5 * spec.row_values(),
+            p_of_row=0.5 * self.row_values(),
             q_of_col=qc,
             n_eff=1.0,
             prefactor_axis="col",
@@ -331,7 +313,76 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
             singular_cols=singular,
         )
 
-    raise TypeError(f"unsupported family {spec!r}")
+
+FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]
+
+# the name each family goes by in containers and on the command line
+FAMILIES = {"binomial": BinomialFamily, "poisson": PoissonFamily, "chisq": ChiSquaredFamily}
+
+
+# ---------------------------------------------------------------------------
+# exact entries
+# ---------------------------------------------------------------------------
+
+def _entries(log_entry: Callable, row_terms: tuple, col_terms: tuple, rows, cols) -> np.ndarray:
+    """The gather-and-exp core: the model's entries at broadcasting indices into the terms."""
+    # open index arrays (rows[:, None], cols[None, :]) broadcast in the
+    # arithmetic, so no full-grid index arrays are built
+    return np.exp(log_entry([t[rows] for t in row_terms], [t[cols] for t in col_terms]))
+
+
+def entry_exact(spec: FamilySpec, row, col):
+    """Exact matrix entries, elementwise over broadcast integer indices."""
+    rows = np.asarray(row, dtype=np.intp)
+    cols = np.asarray(col, dtype=np.intp)
+    scalar = rows.ndim == 0 and cols.ndim == 0
+    n_rows, n_cols = spec.shape
+    if np.any(rows < 0) or np.any(rows >= n_rows) or np.any(cols < 0) or np.any(cols >= n_cols):
+        raise IndexError(f"index out of range for family of shape {spec.shape}")
+    out = _entries(spec._log_entry, spec._row_terms, spec._col_terms, rows, cols)
+    return float(out) if scalar else out
+
+
+def block_oracle(spec: FamilySpec, r0: int, r1: int, c0: int, c1: int) -> Callable:
+    """Exact entries of the block rows [r0, r1) x cols [c0, c1), by block-local index.
+
+    The box is checked against the matrix once, here; the returned
+    ``oracle(i, j)`` takes integer indices ``0 <= i < r1 - r0`` and
+    ``0 <= j < c1 - c0`` that broadcast (0-d, 1-D or the open grid
+    ``(i[:, None], j[None, :])``) and returns the entries in the broadcast
+    shape, bit for bit equal to ``entry_exact(spec, i + r0, j + c0)``.  It
+    does not check its indices: an index past the block's end raises
+    ``IndexError`` and a negative one counts from the block's end.
+    """
+    n_rows, n_cols = spec.shape
+    if not (0 <= r0 < r1 <= n_rows and 0 <= c0 < c1 <= n_cols):
+        raise IndexError(f"block rows [{r0}, {r1}) cols [{c0}, {c1}) is empty or "
+                         f"outside the family of shape {spec.shape}")
+    return partial(_entries, spec._log_entry,
+                   tuple(t[r0:r1] for t in spec._row_terms),
+                   tuple(t[c0:c1] for t in spec._col_terms))
+
+
+def dense_matrix(spec: FamilySpec) -> np.ndarray:
+    """The full dense matrix: ``entry_exact`` on the open index grid."""
+    n_rows, n_cols = spec.shape
+    return entry_exact(spec, np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
+
+
+# ---------------------------------------------------------------------------
+# kernel identification and Stirling form
+# ---------------------------------------------------------------------------
+
+def kernel_map(spec: FamilySpec) -> KernelMap:
+    """Identify the family with its divergence kernel (built once per instance).
+
+    binomial  -> Bernoulli KL with p = k/n, n_eff = n
+    Poisson   -> rate divergence with p = k, q = lambda, n_eff = 1
+    chi^2     -> dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
+    """
+    if not isinstance(spec, tuple(FAMILIES.values())):
+        raise TypeError(f"unsupported family {spec!r}")
+    return spec._kernel_map
 
 
 def entry_stirling(spec: FamilySpec, row: int, col: int) -> float:

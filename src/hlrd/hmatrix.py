@@ -4,7 +4,7 @@
 coordinate space, builds the staircase partition there, and stores
 
 * every off-diagonal block as a separated approximation (built by ACA
-  against the exact-entry oracle ``families.entry_exact``, or by the
+  against the block's exact-entry oracle ``families.block_oracle``, or by the
   constructive divergence pipeline with the exact row/column prefactor of
   ``families.kernel_map`` folded into the factors),
 * the finest-level diagonal strip exactly,
@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .divergence import DivergenceKind
-from .families import FamilySpec, entry_exact, kernel_map, KernelMap
+from .families import FamilySpec, block_oracle, entry_exact, kernel_map, KernelMap
 from .partition import Block, PartitionScheme, QuarterPlane, UnitSquare, build_scheme
 from .separated import SeparatedApprox, aca_build, build_constructive, build_product, BuilderError
 
@@ -408,10 +408,7 @@ def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
     r0, r1, c0, c1 = rng
     try:
         if builder is Builder.ACA:
-            def oracle(i, j, _r0=r0, _c0=c0):
-                return entry_exact(spec, np.asarray(i) + _r0, np.asarray(j) + _c0)
-
-            approx = aca_build(oracle, r1 - r0, c1 - c0, eps)
+            approx = aca_build(block_oracle(spec, *rng), r1 - r0, c1 - c0, eps)
         else:
             approx = _constructive_block(spec, kmap, blk, rng, eps)
     except BuilderError as exc:
@@ -438,9 +435,6 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
         raise ValueError("eps must be positive")
     scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, scheme, leaf_size)
     lowrank, dense = [], []
-
-    rows_all = np.arange(n_rows, dtype=np.intp)
-    cols_all = np.arange(n_cols, dtype=np.intp)
 
     # Each level's blocks go into their stacks as soon as the level is
     # built, so the factors are never held twice over more than one level.
@@ -470,9 +464,10 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     layout, _, views = stack_pieces(spec.shape, [],
                                     [(p.row_lo, p.row_hi, p.col_lo, p.col_hi) for p in dense])
     for p, values in zip(dense, views):
-        # computed straight into the stack
-        values[...] = entry_exact(spec, rows_all[p.row_lo:p.row_hi, None],
-                                  cols_all[None, p.col_lo:p.col_hi])
+        # computed straight into the stack, on the block's open index grid
+        oracle = block_oracle(spec, p.row_lo, p.row_hi, p.col_lo, p.col_hi)
+        values[...] = oracle(np.arange(p.row_hi - p.row_lo)[:, None],
+                             np.arange(p.col_hi - p.col_lo)[None, :])
         p.values = values
     layouts.append(layout)
     layout = _joined(layouts)

@@ -299,16 +299,20 @@ def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> Separat
 def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> SeparatedApprox:
     """Adaptive cross approximation with partial pivoting.
 
-    ``entry_oracle(i, j)`` is called with integer index arrays that
-    broadcast against each other and lie inside the block
-    (``0 <= i < rows``, ``0 <= j < cols``); it must return the entries at
-    the broadcast index pairs, in the broadcast shape.  ACA asks it for
-    one row or one column at a time (1-D arrays), and for the whole block
-    as the open grid ``(i[:, None], j[None, :])`` when it falls back to
-    the dense SVD.  Crosses are added until the last cross norm falls
-    below eps times the running Frobenius-norm estimate of the
-    approximation.  If no convergence happens within min(rows, cols)
-    steps, the block is assembled densely and truncated by SVD instead.
+    ``entry_oracle(i, j)`` is called with integer indices that broadcast
+    against each other and lie inside the block (``0 <= i < rows``,
+    ``0 <= j < cols``): 0-d or 1-D arrays, or the open grid
+    ``(i[:, None], j[None, :])``.  It must return the entries at the
+    broadcast index pairs, in the broadcast shape.  ACA asks it for one
+    row at a time as ``(0-d row, 1-D columns)``, one column at a time as
+    ``(1-D rows, 0-d column)``, and for the whole block as the open grid
+    when it falls back to the dense SVD.  ``families.block_oracle`` is
+    such an oracle for a family's block.
+
+    Crosses are added until the last cross norm falls below eps times the
+    running Frobenius-norm estimate of the approximation.  If no
+    convergence happens within min(rows, cols) steps, the block is
+    assembled densely and truncated by SVD instead.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -328,8 +332,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
 
     step = 0
     while step < limit:
-        r = np.asarray(entry_oracle(np.full(cols, pivot_row, dtype=np.intp), all_cols),
-                       dtype=np.float64).copy()
+        r = np.asarray(entry_oracle(np.intp(pivot_row), all_cols), dtype=np.float64).copy()
         for u, v in zip(us, vs):
             r -= u[pivot_row] * v
         r_abs = np.where(used_cols, -1.0, np.abs(r))
@@ -344,8 +347,7 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
             pivot_row = int(remaining[0])
             continue
         v = r / r[pivot_col]
-        c = np.asarray(entry_oracle(all_rows, np.full(rows, pivot_col, dtype=np.intp)),
-                       dtype=np.float64).copy()
+        c = np.asarray(entry_oracle(all_rows, np.intp(pivot_col)), dtype=np.float64).copy()
         for u_prev, v_prev in zip(us, vs):
             c -= v_prev[pivot_col] * u_prev
         u = c

@@ -198,3 +198,20 @@ def test_numerical_failure_exit_code(tmp_path):
     rc = run(["compress", "--family", "binomial", "--n", "3", "--eps", "1e-6",
               "--out", str(out)])
     assert rc == 3  # matrix too small -> ValueError -> numerical failure exit
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "binomial", "--n", "64", "--grid", "-3"],
+    ["--family", "poisson", "--kmax", "64", "--lambda-max", "inf", "--grid", "64"],
+    ["--family", "poisson", "--kmax", "64", "--lambda-max", "inf"],
+    ["--family", "poisson", "--kmax", "64", "--lambda-max", "nan", "--grid", "64"],
+    ["--family", "chisq", "--xmax", "inf", "--grid", "64", "--kmax", "64"],
+    ["--family", "chisq", "--xmax", "inf"],
+], ids=["binomial-grid-neg", "poisson-inf", "poisson-inf-default-grid", "poisson-nan",
+        "chisq-inf", "chisq-inf-defaults"])
+def test_degenerate_family_is_numerical_failure(tmp_path, capsys, flags):
+    # rejected with a message on the error channel, before any artifact is written
+    out = tmp_path / "x.csv"
+    assert run(["rank-map", *flags, "--eps", "1e-6", "--out", str(out)]) == 3
+    assert "hlrd: error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Family entry evaluation: exact, Stirling form, kernel identification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hlrd.families import (
     ChiSquaredFamily,
     PoissonFamily,
     StirlingUndefinedError,
+    block_oracle,
     dense_matrix,
     entry_exact,
     entry_stirling,
@@ -72,6 +74,82 @@ def test_dense_matrix_matches_entry_exact():
         rows, cols = spec.shape
         ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
         assert np.array_equal(full, entry_exact(spec, ii, jj))
+
+
+FAMILY_SPECS = [BinomialFamily(n=96, cols=80),
+                PoissonFamily(k_max=90, lambda_max=60.0, lambda_grid=70),
+                ChiSquaredFamily(x_max=50.0, x_grid=75, k_max=64)]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["binomial", "poisson", "chisq"])
+def test_block_oracle_matches_entry_exact(spec):
+    # block-local indices give entry_exact's entries bit for bit, whatever the index shapes
+    rng = np.random.default_rng(3)
+    n_rows, n_cols = spec.shape
+    boxes = [(0, n_rows, 0, n_cols), (0, 1, n_cols - 1, n_cols)]
+    for _ in range(6):
+        r0, r1 = np.sort(rng.choice(n_rows + 1, 2, replace=False))
+        c0, c1 = np.sort(rng.choice(n_cols + 1, 2, replace=False))
+        boxes.append((int(r0), int(r1), int(c0), int(c1)))
+    for r0, r1, c0, c1 in boxes:
+        oracle = block_oracle(spec, r0, r1, c0, c1)
+        i = rng.integers(0, r1 - r0, 40)
+        j = rng.integers(0, c1 - c0, 40)
+        assert np.array_equal(oracle(i, j), entry_exact(spec, i + r0, j + c0))
+        assert np.array_equal(oracle(np.intp(i[0]), j), entry_exact(spec, i[0] + r0, j + c0))
+        assert np.array_equal(oracle(i, np.intp(j[0])), entry_exact(spec, i + r0, j[0] + c0))
+        assert oracle(np.intp(i[1]), np.intp(j[1])) == entry_exact(spec, i[1] + r0, j[1] + c0)
+        ii = np.arange(r1 - r0)[:, None]
+        jj = np.arange(c1 - c0)[None, :]
+        assert np.array_equal(oracle(ii, jj), dense_matrix(spec)[r0:r1, c0:c1])
+
+
+@pytest.mark.parametrize("box", [
+    (-1, 4, 0, 4), (0, 4, -1, 4),                  # starts before the matrix
+    (0, 98, 0, 4), (0, 4, 0, 81),                  # ends past the 97 x 80 matrix
+    (5, 5, 0, 4), (0, 4, 7, 7), (6, 5, 0, 4),      # empty or reversed
+])
+def test_block_oracle_rejects_box_outside_or_empty(box):
+    with pytest.raises(IndexError):
+        block_oracle(FAMILY_SPECS[0], *box)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BinomialFamily(n=0),
+    lambda: BinomialFamily(n=64, cols=-3),
+    lambda: PoissonFamily(k_max=64, lambda_max=math.inf, lambda_grid=64),
+    lambda: PoissonFamily(k_max=64, lambda_max=math.nan, lambda_grid=64),
+    lambda: PoissonFamily(k_max=64, lambda_max=-1.0, lambda_grid=64),
+    lambda: PoissonFamily(k_max=64, lambda_max=0.0, lambda_grid=64),
+    lambda: ChiSquaredFamily(x_max=math.inf, x_grid=64, k_max=64),
+    lambda: ChiSquaredFamily(x_max=-math.inf, x_grid=64, k_max=64),
+    lambda: ChiSquaredFamily(x_max=0.0, x_grid=64, k_max=64),
+], ids=["binomial-n0", "binomial-cols-neg", "poisson-inf", "poisson-nan", "poisson-neg",
+        "poisson-zero", "chisq-inf", "chisq-neg-inf", "chisq-zero"])
+def test_degenerate_family_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["binomial", "poisson", "chisq"])
+def test_kernel_map_built_once_per_instance(spec):
+    km = kernel_map(spec)
+    assert kernel_map(spec) is km
+    # shared between callers, so nobody can write into it
+    for a in (km.p_of_row, km.q_of_col, km.exact_log_prefactor):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a fresh instance builds the same map and the same Stirling entries
+    fresh = type(spec)(**dataclasses.asdict(spec))
+    assert kernel_map(fresh) is not km
+    assert np.array_equal(kernel_map(fresh).exact_log_prefactor, km.exact_log_prefactor,
+                          equal_nan=True)
+    n_rows, n_cols = spec.shape
+    for i in range(1, n_rows, 7):
+        for j in range(2, n_cols, 5):
+            if i in km.singular_rows or j in km.singular_cols:
+                continue
+            assert entry_stirling(spec, i, j) == entry_stirling(fresh, i, j)
 
 
 def test_binomial_column_normalization():

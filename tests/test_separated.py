@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from hlrd.divergence import DivergenceKind, divergence
-from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
+from hlrd.families import (
+    BinomialFamily,
+    ChiSquaredFamily,
+    PoissonFamily,
+    block_oracle,
+    dense_matrix,
+    entry_exact,
+)
 from hlrd.hmatrix import Builder, compress, index_layout
 from hlrd.partition import Block, Parity
 from hlrd.separated import (
@@ -284,6 +291,44 @@ def test_aca_oracle_stays_inside_block():
     assert calls
     for i, j in calls:
         assert np.all((0 <= i) & (i < 5)) and np.all(j == 0)
+
+
+def test_aca_asks_pivot_row_and_column_with_0d_index():
+    # a smooth kernel that converges at rank > 1, so no dense fallback
+    m = 1.0 / (1.0 + np.arange(40.0)[:, None] + np.arange(30.0)[None, :])
+    calls = []
+
+    def oracle(i, j):
+        calls.append((np.ndim(i), np.ndim(j)))
+        return m[i, j]
+
+    ap = aca_build(oracle, 40, 30, 1e-8)
+    assert ap.rank >= 3
+    # requests alternate: the pivot row (0-d row, 1-D columns), then its pivot column
+    assert calls[0::2] == [(0, 1)] * len(calls[0::2])
+    assert calls[1::2] == [(1, 0)] * len(calls[1::2])
+
+
+def _entry_exact_oracle(spec, r0, c0):
+    def oracle(i, j):
+        return entry_exact(spec, np.asarray(i) + r0, np.asarray(j) + c0)
+    return oracle
+
+
+@pytest.mark.parametrize("spec,leaf", [
+    (BinomialFamily(n=256), 32),
+    (PoissonFamily(k_max=256, lambda_max=256.0, lambda_grid=256), 32),
+    (ChiSquaredFamily(x_max=256.0, x_grid=256, k_max=256), 32),
+    (BinomialFamily(n=5), 2),   # one-column blocks at the right edge
+], ids=["binomial", "poisson", "chisq", "binomial-n5-leaf2"])
+def test_aca_block_oracle_matches_entry_exact_oracle(spec, leaf):
+    # the block-local oracle gives ACA exactly the factors the global one does
+    _, _, branges, _, _ = index_layout(spec, leaf_size=leaf)
+    for eps in (1e-6, 1e-9):
+        for _, (r0, r1, c0, c1) in branges:
+            a = aca_build(block_oracle(spec, r0, r1, c0, c1), r1 - r0, c1 - c0, eps)
+            b = aca_build(_entry_exact_oracle(spec, r0, c0), r1 - r0, c1 - c0, eps)
+            assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.beta, b.beta)
 
 
 def test_aca_compress_one_column_edge_blocks():
