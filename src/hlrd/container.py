@@ -23,6 +23,10 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
                   beta factor (cols x rank, row-major f64); then for each
                   dense piece its values (row-major f64)
 
+Both tables are read and written whole, as numpy record arrays of this
+layout (``hmatrix.LOWRANK_RECORD`` and ``hmatrix.DENSE_RECORD``), and an
+``HMatrix`` keeps them as they are in the file.
+
 Writing is deterministic: identical HMatrix content produces identical
 bytes.  The format is versioned through the magic string; readers reject
 anything else.  The reader checks the header and both tables against the
@@ -42,27 +46,14 @@ from typing import Union
 import numpy as np
 
 from .families import FAMILIES, FamilySpec
-from .hmatrix import Builder, DensePiece, HMatrix, LowRankPiece, stack_pieces
+from .hmatrix import (DENSE_RECORD, DENSE_TAGS, LOWRANK_RECORD, Builder, HMatrix,
+                      payload_arrays, stack_pieces, table_boxes)
 from .partition import QuarterPlane, UnitSquare, build_scheme
 
 __all__ = ["MAGIC", "load_hmatrix", "save_hmatrix"]
 
 MAGIC = b"HLRD1"
-_LR_ENTRY = struct.Struct("<iIIIIII")
-_DN_ENTRY = struct.Struct("<BiIIIII")
-
-
-def _records(entry: struct.Struct, names: tuple) -> np.dtype:
-    """The numpy record type of a table entry, for reading whole tables at once."""
-    codes = {"B": "u1", "i": "<i4", "I": "<u4"}
-    return np.dtype(list(zip(names, (codes[c] for c in entry.format[1:]))))
-
-
-_LR_TABLE = _records(_LR_ENTRY, ("level", "index", "rank", "row_lo", "row_hi", "col_lo", "col_hi"))
-_DN_TABLE = _records(_DN_ENTRY, ("tag", "level", "index", "row_lo", "row_hi", "col_lo", "col_hi"))
 _READ_BUFFER = 1 << 16
-_TAGS = {"diagonal": 0, "rows": 1, "cols": 2}
-_TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _family_meta(spec: FamilySpec) -> dict:
@@ -98,22 +89,12 @@ def save_hmatrix(h: HMatrix, path: Union[str, Path]) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     rows, cols = h.shape
 
-    chunks = [MAGIC, struct.pack("<I", len(meta_bytes)), meta_bytes,
-              struct.pack("<IIII", rows, cols, len(h.lowrank), len(h.dense))]
-    for p in h.lowrank:
-        chunks.append(_LR_ENTRY.pack(p.level, p.index, p.rank,
-                                     p.row_lo, p.row_hi, p.col_lo, p.col_hi))
-    for p in h.dense:
-        lvl = p.level if p.level is not None else 0
-        idx = p.index if p.index is not None else 0
-        chunks.append(_DN_ENTRY.pack(_TAGS[p.tag], lvl, idx,
-                                     p.row_lo, p.row_hi, p.col_lo, p.col_hi))
-    for p in h.lowrank:
-        chunks.append(np.ascontiguousarray(p.alpha, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(p.beta, dtype="<f8").tobytes())
-    for p in h.dense:
-        chunks.append(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    # one joined buffer and one write: a write per piece costs more than the copy
+    path.write_bytes(b"".join([
+        MAGIC, struct.pack("<I", len(meta_bytes)), meta_bytes,
+        struct.pack("<IIII", rows, cols, len(h.lowrank), len(h.dense)),
+        h.lowrank.tobytes(), h.dense.tobytes(),
+        *payload_arrays(h.layout, h.lowrank, h.dense)]))
 
 
 def _need(size: int, off: int, count: int, what: str) -> None:
@@ -135,25 +116,25 @@ def _read_into(f, target: np.ndarray) -> None:
         raise ValueError("container shorter than its size on disk: changed while read")
 
 
-def _table(buf: bytes, off: int, dtype: np.dtype, count: int) -> np.ndarray:
-    """A piece table as a (count, fields) int64 array."""
-    records = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
-    return np.stack([records[name].astype(np.int64) for name in dtype.names], axis=1)
-
-
 def _read_meta(buf: bytes):
     """(spec, domain, eps, builder) from the JSON metadata; ValueError when malformed."""
     meta = json.loads(buf.decode("utf-8"))
     try:
         spec = family_from_meta(meta["family_spec"])
         builder = Builder(meta["builder"])
-        if meta["extent"] == 1.0:
-            domain = UnitSquare(l_max=meta["l_max"])
-        else:
-            domain = QuarterPlane(extent=meta["extent"], l_max=meta["l_max"])
-        return spec, domain, meta["eps"], builder
+        eps, l_max, extent = meta["eps"], meta["l_max"], meta["extent"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed container metadata: {exc!r}") from exc
+    # the eps that compress accepts; JSON true and false are Python ints
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not eps > 0.0:
+        raise ValueError(f"container eps {eps!r} is not a positive number")
+    if isinstance(l_max, bool) or not isinstance(l_max, int):
+        raise ValueError(f"container l_max {l_max!r} is not an integer")
+    if extent == 1.0:
+        domain = UnitSquare(l_max=l_max)
+    else:
+        domain = QuarterPlane(extent=extent, l_max=l_max)
+    return spec, domain, eps, builder
 
 
 def load_hmatrix(path: Union[str, Path]) -> HMatrix:
@@ -179,13 +160,13 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
             raise ValueError("container dimensions do not match its family spec")
 
         off = 9 + meta_len + 16
-        lr_size, dn_size = _LR_ENTRY.size * n_lr, _DN_ENTRY.size * n_dn
+        lr_size, dn_size = LOWRANK_RECORD.itemsize * n_lr, DENSE_RECORD.itemsize * n_dn
         _need(size, off, lr_size + dn_size, "the piece tables")
         tables = _read(f, lr_size + dn_size)
         off += lr_size + dn_size
-        lr = _table(tables, 0, _LR_TABLE, n_lr)
-        dn = _table(tables, lr_size, _DN_TABLE, n_dn)
-        lr_boxes, dn_boxes = lr[:, 3:], dn[:, 3:]
+        lowrank = np.frombuffer(tables, dtype=LOWRANK_RECORD, count=n_lr).copy()
+        dense = np.frombuffer(tables, dtype=DENSE_RECORD, count=n_dn, offset=lr_size).copy()
+        lr_boxes, dn_boxes = table_boxes(lowrank), table_boxes(dense)
         for what, boxes in (("low-rank", lr_boxes), ("dense", dn_boxes)):
             bad = ((boxes[:, 0] > boxes[:, 1]) | (boxes[:, 1] > rows)
                    | (boxes[:, 2] > boxes[:, 3]) | (boxes[:, 3] > cols))
@@ -194,12 +175,12 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
                 raise ValueError(f"{what} piece {n} has rows [{boxes[n, 0]},{boxes[n, 1]}) "
                                  f"cols [{boxes[n, 2]},{boxes[n, 3]}), outside a {rows}x{cols} "
                                  "matrix or reversed")
-        bad_tag = dn[:, 0] > max(_TAG_NAMES)
+        bad_tag = dense["tag"] >= len(DENSE_TAGS)
         if bad_tag.any():
             raise ValueError(f"dense piece {int(np.argmax(bad_tag))} has an unknown tag")
         # Python integers: a corrupt rank times an extent can pass 2^63
         extents = (lr_boxes[:, 1] - lr_boxes[:, 0] + lr_boxes[:, 3] - lr_boxes[:, 2]).tolist()
-        floats = (sum(r * e for r, e in zip(lr[:, 2].tolist(), extents))
+        floats = (sum(r * e for r, e in zip(lowrank["rank"].tolist(), extents))
                   + int(np.sum((dn_boxes[:, 1] - dn_boxes[:, 0])
                                * (dn_boxes[:, 3] - dn_boxes[:, 2]))))
         if size - off != 8 * floats:
@@ -210,19 +191,8 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
             scheme = build_scheme(domain)
         except TypeError as exc:
             raise ValueError(f"malformed container metadata: {exc}") from exc
-        layout, lr_views, dn_views = stack_pieces((rows, cols), lr[:, [0, 2, 3, 4, 5, 6]],
-                                                  dn_boxes)
-        lowrank = []
-        for (level, index, _, r0, r1, c0, c1), (alpha, beta) in zip(lr.tolist(), lr_views):
-            _read_into(f, alpha)
-            _read_into(f, beta)
-            lowrank.append(LowRankPiece(level, index, r0, r1, c0, c1, alpha, beta))
-        dense = []
-        for (tag, level, index, r0, r1, c0, c1), values in zip(dn.tolist(), dn_views):
-            _read_into(f, values)
-            name = _TAG_NAMES[tag]
-            diagonal = name == "diagonal"
-            dense.append(DensePiece(name, level if diagonal else None,
-                                    index if diagonal else None, r0, r1, c0, c1, values))
+        layout = stack_pieces((rows, cols), lowrank, dense)
+        for target in payload_arrays(layout, lowrank, dense):
+            _read_into(f, target)
     return HMatrix(spec=spec, scheme=scheme, eps=eps, builder=builder,
                    lowrank=lowrank, dense=dense, layout=layout)

@@ -18,12 +18,17 @@ domain's upper edge.  The result supports fast matvec (each low-rank
 block costs rank * (rows + cols) operations), storage accounting and
 randomized verification against the exact entries.
 
-The pieces' arrays live in one ``StackedLayout``: low-rank factors are
-stacked per (level, rank) and dense values per shape, zero-padded to the
-widest piece of the stack, so ``matvec`` runs two batched products per
-stack instead of a loop over pieces and ``reconstruct_entries`` finds a
-sample's piece by a row lookup per stack.  ``LowRankPiece.alpha``/``beta``
-and ``DensePiece.values`` are views into those stacks.
+A compressed matrix is two record tables and the stacks their arrays
+live in.  ``HMatrix.lowrank`` and ``HMatrix.dense`` hold one record per
+piece (level, index, rank and box; tag, level, index and box) in the
+byte layout and order of the HLRD1 container's tables.  The arrays live
+in one ``StackedLayout``: low-rank factors are stacked per (level, rank)
+and dense values per shape, zero-padded to the widest piece of the
+stack, and each stack names the table position of each of its slots.
+``matvec`` runs two batched products per stack instead of a loop over
+pieces, ``reconstruct_entries`` finds a sample's piece by a row lookup
+per stack, and the container writes and reads the tables whole and the
+payloads slot by slot.
 """
 
 from __future__ import annotations
@@ -43,19 +48,22 @@ from .separated import SeparatedApprox, aca_build, build_constructive, build_pro
 
 __all__ = [
     "Builder",
-    "DensePiece",
+    "DENSE_RECORD",
+    "DENSE_TAGS",
     "HMatrix",
-    "LowRankPiece",
+    "LOWRANK_RECORD",
     "StackedLayout",
     "StorageReport",
     "VerifyReport",
     "compress",
     "index_layout",
     "matvec",
+    "payload_arrays",
     "reconstruct_entries",
     "scheme_for",
     "stack_pieces",
     "storage_report",
+    "table_boxes",
     "verify",
 ]
 
@@ -67,40 +75,26 @@ class Builder(enum.Enum):
     ACA = "aca"
 
 
-@dataclass
-class LowRankPiece:
-    level: int
-    index: int
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-    alpha: np.ndarray  # (row_hi - row_lo, rank)
-    beta: np.ndarray   # (col_hi - col_lo, rank)
-
-    @property
-    def rank(self) -> int:
-        return self.alpha.shape[1]
-
-    @property
-    def stored(self) -> int:
-        return self.rank * ((self.row_hi - self.row_lo) + (self.col_hi - self.col_lo))
+# One record per piece, in the byte layout of the HLRD1 container's tables.
+LOWRANK_RECORD = np.dtype([("level", "<i4"), ("index", "<u4"), ("rank", "<u4"),
+                           ("row_lo", "<u4"), ("row_hi", "<u4"),
+                           ("col_lo", "<u4"), ("col_hi", "<u4")])
+DENSE_RECORD = np.dtype([("tag", "u1"), ("level", "<i4"), ("index", "<u4"),
+                         ("row_lo", "<u4"), ("row_hi", "<u4"),
+                         ("col_lo", "<u4"), ("col_hi", "<u4")])
+# a dense record's tag is its position here; level and index are 0 unless
+# the piece is a diagonal one
+DENSE_TAGS = ("diagonal", "rows", "cols")
 
 
-@dataclass
-class DensePiece:
-    tag: str  # "diagonal", "rows" or "cols"
-    level: Optional[int]
-    index: Optional[int]
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-    values: np.ndarray
+def table_boxes(table: np.ndarray) -> np.ndarray:
+    """(N, 4) array of each record's (row_lo, row_hi, col_lo, col_hi)."""
+    return np.stack([table[f] for f in ("row_lo", "row_hi", "col_lo", "col_hi")],
+                    axis=-1).astype(np.intp)
 
-    @property
-    def stored(self) -> int:
-        return (self.row_hi - self.row_lo) * (self.col_hi - self.col_lo)
+
+_NO_LOWRANK = np.empty(0, dtype=LOWRANK_RECORD)
+_NO_DENSE = np.empty(0, dtype=DENSE_RECORD)
 
 
 @dataclass
@@ -119,13 +113,11 @@ class VerifyReport:
 
 
 class _Stack(NamedTuple):
-    """Pieces of one stack; their row ranges are pairwise disjoint."""
+    """Slots of one stack; the row ranges of its pieces are pairwise disjoint."""
 
     left: np.ndarray             # (g, m, rank) alpha factors, or (g, m, c) dense values
     right: Optional[np.ndarray]  # (g, c, rank) beta factors; None for dense values
-    row_lo: np.ndarray           # (g,) first row and column of each piece
-    col_lo: np.ndarray
-    col_hi: np.ndarray
+    piece: np.ndarray            # (g,) each slot's position in HMatrix.lowrank, or .dense
     rows: slice                  # this stack's part of StackedLayout.row_index / col_index
     cols: slice
 
@@ -144,39 +136,35 @@ class StackedLayout:
     col_index: np.ndarray
 
 
-def stack_pieces(shape: tuple, lowrank_heads, dense_boxes):
-    """Allocate the stacks for pieces described by their table entries.
+def stack_pieces(shape: tuple, lowrank: np.ndarray, dense: np.ndarray) -> StackedLayout:
+    """Allocate the stacks for the pieces of a low-rank and a dense table.
 
-    ``lowrank_heads`` is an (NL, 6) integer array of (level, rank, row_lo,
-    row_hi, col_lo, col_hi) per low-rank piece and ``dense_boxes`` an
-    (ND, 4) array of (row_lo, row_hi, col_lo, col_hi) per dense piece.
     Low-rank pieces are stacked by (level, rank), dense pieces by shape; a
     piece whose rows overlap those of the previous piece of its stack
-    starts a new stack.  Returns (layout, lowrank_views, dense_views): per
-    piece, in input order, its (alpha, beta) views or its values view, for
-    the caller to fill.  Padding is zero; the views are not.  Stacks hold
+    starts a new stack.  ``payload_arrays`` hands out the slots for the
+    caller to fill.  Padding is zero; the slots are not.  Stacks hold
     little-endian doubles, the byte order of the HLRD1 container.
     """
     n_rows, n_cols = shape
-    lowrank_heads = np.asarray(lowrank_heads, dtype=np.intp).reshape(-1, 6)
-    dense_boxes = np.asarray(dense_boxes, dtype=np.intp).reshape(-1, 4)
-    n_lr = len(lowrank_heads)
-    dense = np.repeat([False, True], [n_lr, len(dense_boxes)])
-    keys = np.concatenate([lowrank_heads[:, :2],
-                           dense_boxes[:, [1, 3]] - dense_boxes[:, [0, 2]]])
-    boxes = np.concatenate([lowrank_heads[:, 2:], dense_boxes])
-    order = np.lexsort((boxes[:, 0], keys[:, 1], keys[:, 0], dense))
-    dense, keys, boxes = dense[order], keys[order], boxes[order]
+    n_lr = len(lowrank)
+    dense_boxes = table_boxes(dense)
+    is_dense = np.repeat([False, True], [n_lr, len(dense)])
+    lowrank_keys = np.stack([lowrank["level"], lowrank["rank"]], axis=-1).astype(np.intp)
+    keys = np.concatenate([lowrank_keys, dense_boxes[:, [1, 3]] - dense_boxes[:, [0, 2]]])
+    boxes = np.concatenate([table_boxes(lowrank), dense_boxes])
+    order = np.lexsort((boxes[:, 0], keys[:, 1], keys[:, 0], is_dense))
+    piece = np.concatenate([np.arange(n_lr), np.arange(len(dense))])[order]
+    is_dense, keys, boxes = is_dense[order], keys[order], boxes[order]
     # rows ascend within a run, so a run whose neighbours do not overlap is
     # pairwise disjoint
     starts = np.ones(len(order), dtype=bool)
-    starts[1:] = ((dense[1:] != dense[:-1]) | np.any(keys[1:] != keys[:-1], axis=1)
+    starts[1:] = ((is_dense[1:] != is_dense[:-1]) | np.any(keys[1:] != keys[:-1], axis=1)
                   | (boxes[1:, 0] < boxes[:-1, 1]))
     starts = np.flatnonzero(starts)
     counts = np.diff(np.append(starts, len(order)))
-    row_lo, col_lo, col_hi = boxes[:, 0].copy(), boxes[:, 2].copy(), boxes[:, 3].copy()
+    row_lo, col_lo = boxes[:, 0], boxes[:, 2]
     heights = boxes[:, 1] - row_lo
-    widths = col_hi - col_lo
+    widths = boxes[:, 3] - col_lo
     if len(starts):
         m, c = np.maximum.reduceat(heights, starts), np.maximum.reduceat(widths, starts)
         short_rows = np.add.reduceat(heights, starts) < m * counts
@@ -186,12 +174,11 @@ def stack_pieces(shape: tuple, lowrank_heads, dense_boxes):
     row_index = np.empty(int(np.dot(counts, m)), dtype=np.intp)
     col_index = np.empty(int(np.dot(counts, c)), dtype=np.intp)
 
-    views = [None] * len(order)
     stacks = []
     row_at = col_at = 0
-    for a, g, m_s, c_s, pad_rows, pad_cols, is_dense, rank in zip(
+    for a, g, m_s, c_s, pad_rows, pad_cols, dense_stack, rank in zip(
             starts.tolist(), counts.tolist(), m.tolist(), c.tolist(), short_rows.tolist(),
-            short_cols.tolist(), dense[starts].tolist(), keys[starts, 1].tolist()):
+            short_cols.tolist(), is_dense[starts].tolist(), keys[starts, 1].tolist()):
         b = a + g
         rows, cols = slice(row_at, row_at + g * m_s), slice(col_at, col_at + g * c_s)
         row_at, col_at = rows.stop, cols.stop
@@ -199,40 +186,56 @@ def stack_pieces(shape: tuple, lowrank_heads, dense_boxes):
         col_slots = col_index[cols].reshape(g, c_s)
         np.add(row_lo[a:b, None], np.arange(m_s), out=row_slots)
         np.add(col_lo[a:b, None], np.arange(c_s), out=col_slots)
-        if is_dense:   # one shape per stack: no padding
+        if dense_stack:   # one shape per stack: no padding
             left, right = np.empty((g, m_s, c_s), dtype="<f8"), None
-            views[a:b] = left
         else:
             left = np.empty((g, m_s, rank), dtype="<f8")
             right = np.empty((g, c_s, rank), dtype="<f8")
-            alphas, betas = left, right
             if pad_rows:
                 pad = np.arange(m_s) >= heights[a:b, None]
                 left[pad] = 0.0
                 row_slots[pad] = n_rows
-                alphas = [left[k, :h] for k, h in enumerate(heights[a:b].tolist())]
             if pad_cols:
                 pad = np.arange(c_s) >= widths[a:b, None]
                 right[pad] = 0.0
                 col_slots[pad] = n_cols
-                betas = [right[k, :w] for k, w in enumerate(widths[a:b].tolist())]
-            views[a:b] = zip(alphas, betas)
-        stacks.append(_Stack(left, right, row_lo[a:b], col_lo[a:b], col_hi[a:b], rows, cols))
-    in_order = [None] * len(order)
-    for n, view in zip(order.tolist(), views):
-        in_order[n] = view
-    layout = StackedLayout(stacks=tuple(stacks), row_index=row_index, col_index=col_index)
-    return layout, in_order[:n_lr], in_order[n_lr:]
+        stacks.append(_Stack(left, right, piece[a:b], rows, cols))
+    return StackedLayout(stacks=tuple(stacks), row_index=row_index, col_index=col_index)
+
+
+def payload_arrays(layout: StackedLayout, lowrank: np.ndarray, dense: np.ndarray) -> list:
+    """The pieces' arrays in their stack slots, in the container's payload order.
+
+    Alpha and beta of each low-rank piece in table order, then the values
+    of each dense piece.  Each is a C-contiguous view: the leading rows of
+    its slot.
+    """
+    n_lr = len(lowrank)
+    boxes = table_boxes(lowrank)
+    heights, widths = (boxes[:, 1] - boxes[:, 0]).tolist(), (boxes[:, 3] - boxes[:, 2]).tolist()
+    out = [None] * (2 * n_lr + len(dense))
+    for s in layout.stacks:
+        for k, n in enumerate(s.piece.tolist()):
+            if s.right is None:
+                out[2 * n_lr + n] = s.left[k]
+            else:
+                out[2 * n] = s.left[k, :heights[n]]
+                out[2 * n + 1] = s.right[k, :widths[n]]
+    return out
 
 
 def _joined(layouts: list) -> StackedLayout:
-    """One layout holding the stacks of ``layouts``, in order."""
+    """One layout over the concatenated tables of ``layouts``, in order."""
     stacks = []
     row_at = col_at = 0
+    pieces_at = {False: 0, True: 0}   # per table (dense or not): pieces of the layouts so far
     for layout in layouts:
+        stacks.extend(s._replace(piece=s.piece + pieces_at[s.right is None],
+                                 rows=slice(s.rows.start + row_at, s.rows.stop + row_at),
+                                 cols=slice(s.cols.start + col_at, s.cols.stop + col_at))
+                      for s in layout.stacks)
         for s in layout.stacks:
-            stacks.append(s._replace(rows=slice(s.rows.start + row_at, s.rows.stop + row_at),
-                                     cols=slice(s.cols.start + col_at, s.cols.stop + col_at)))
+            pieces_at[s.right is None] += len(s.piece)
         row_at += layout.row_index.size
         col_at += layout.col_index.size
     return StackedLayout(stacks=tuple(stacks),
@@ -242,18 +245,20 @@ def _joined(layouts: list) -> StackedLayout:
 
 @dataclass
 class HMatrix:
-    """A compressed matrix: its pieces and the stacks their arrays live in.
+    """A compressed matrix: its two piece tables and the stacks that hold their arrays.
 
-    Built by ``compress`` and ``container.load_hmatrix``.  Writing into a
-    piece's array writes into ``layout``; rebinding it does not.
+    ``lowrank`` and ``dense`` are arrays of ``LOWRANK_RECORD`` and
+    ``DENSE_RECORD``, one record per piece in container order; the slots
+    of ``layout`` name their pieces by table position.  Built by
+    ``compress`` and ``container.load_hmatrix``.
     """
 
     spec: FamilySpec
     scheme: PartitionScheme
     eps: float
     builder: Builder
-    lowrank: list
-    dense: list
+    lowrank: np.ndarray
+    dense: np.ndarray
     layout: StackedLayout
 
     @property
@@ -262,8 +267,10 @@ class HMatrix:
 
     @property
     def stored_entries(self) -> int:
-        return (sum(p.stored for p in self.lowrank)
-                + sum(p.stored for p in self.dense))
+        lr, dn = table_boxes(self.lowrank), table_boxes(self.dense)
+        return int(np.dot(self.lowrank["rank"].astype(np.intp),
+                          lr[:, 1] - lr[:, 0] + lr[:, 3] - lr[:, 2])
+                   + np.dot(dn[:, 1] - dn[:, 0], dn[:, 3] - dn[:, 2]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
@@ -271,12 +278,7 @@ class HMatrix:
     def to_dense(self) -> np.ndarray:
         """Reconstruct the full matrix (testing / small sizes only)."""
         rows, cols = self.shape
-        out = np.zeros((rows, cols))
-        for p in self.lowrank:
-            out[p.row_lo:p.row_hi, p.col_lo:p.col_hi] += p.alpha @ p.beta.T
-        for p in self.dense:
-            out[p.row_lo:p.row_hi, p.col_lo:p.col_hi] = p.values
-        return out
+        return reconstruct_entries(self, np.arange(rows)[:, None], np.arange(cols)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +406,16 @@ def _constructive_block(spec: FamilySpec, kmap: KernelMap, blk: Block,
 
 
 def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
-                    blk: Block, rng: tuple[int, int, int, int], eps: float) -> LowRankPiece:
+                    blk: Block, rng: tuple[int, int, int, int], eps: float) -> SeparatedApprox:
     r0, r1, c0, c1 = rng
     try:
         if builder is Builder.ACA:
-            approx = aca_build(block_oracle(spec, *rng), r1 - r0, c1 - c0, eps)
-        else:
-            approx = _constructive_block(spec, kmap, blk, rng, eps)
+            return aca_build(block_oracle(spec, *rng), r1 - r0, c1 - c0, eps)
+        return _constructive_block(spec, kmap, blk, rng, eps)
     except BuilderError as exc:
         raise BuilderError(
             f"builder failed on block level={blk.level} index={blk.index} "
             f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
-    return LowRankPiece(level=blk.level, index=blk.index, row_lo=r0, row_hi=r1,
-                        col_lo=c0, col_hi=c1, alpha=approx.alpha, beta=approx.beta)
 
 
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
@@ -434,45 +433,43 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, scheme, leaf_size)
-    lowrank, dense = [], []
 
     # Each level's blocks go into their stacks as soon as the level is
     # built, so the factors are never held twice over more than one level.
-    layouts = []
+    tables, layouts, diagonal = [_NO_LOWRANK], [], cell_ranges
     if eps >= 1.0:
-        dense.extend(DensePiece("diagonal", blk.level, blk.index, *box, None)
-                     for blk, box in block_ranges)
+        diagonal = block_ranges + cell_ranges
     else:
         block_ranges = sorted(block_ranges, key=lambda br: (br[0].level, br[0].index))
         for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0].level):
-            level_pieces = [_compress_block(spec, kmap, builder, blk, rng, eps)
-                            for blk, rng in level_ranges]
-            layout, views, _ = stack_pieces(
-                spec.shape,
-                [(p.level, p.rank, p.row_lo, p.row_hi, p.col_lo, p.col_hi)
-                 for p in level_pieces], [])
-            for p, (alpha, beta) in zip(level_pieces, views):
-                alpha[...] = p.alpha
-                beta[...] = p.beta
-                p.alpha, p.beta = alpha, beta
+            level_ranges = list(level_ranges)
+            approxs = [_compress_block(spec, kmap, builder, blk, box, eps)
+                       for blk, box in level_ranges]
+            table = np.array([(blk.level, blk.index, a.alpha.shape[1], *box)
+                              for (blk, box), a in zip(level_ranges, approxs)],
+                             dtype=LOWRANK_RECORD)
+            layout = stack_pieces(spec.shape, table, _NO_DENSE)
+            arrays = payload_arrays(layout, table, _NO_DENSE)
+            for a, alpha, beta in zip(approxs, arrays[0::2], arrays[1::2]):
+                alpha[...] = a.alpha
+                beta[...] = a.beta
+            tables.append(table)
             layouts.append(layout)
-            lowrank.extend(level_pieces)
-    dense.extend(DensePiece("diagonal", cell.level, cell.index, *box, None)
-                 for cell, box in cell_ranges)
-    dense.extend(DensePiece(tag, None, None, *box, None) for tag, box in strips)
-    dense.sort(key=lambda p: (p.tag, p.row_lo, p.col_lo))
-    layout, _, views = stack_pieces(spec.shape, [],
-                                    [(p.row_lo, p.row_hi, p.col_lo, p.col_hi) for p in dense])
-    for p, values in zip(dense, views):
+    records = ([("diagonal", region.level, region.index, *box) for region, box in diagonal]
+               + [(tag, 0, 0, *box) for tag, box in strips])
+    # container order: by tag name, then by first row and column
+    records.sort(key=lambda r: (r[0], r[3], r[5]))
+    dense = np.array([(DENSE_TAGS.index(tag), *rest) for tag, *rest in records],
+                     dtype=DENSE_RECORD)
+    layout = stack_pieces(spec.shape, _NO_LOWRANK, dense)
+    for (r0, r1, c0, c1), values in zip(table_boxes(dense).tolist(),
+                                        payload_arrays(layout, _NO_LOWRANK, dense)):
         # computed straight into the stack, on the block's open index grid
-        oracle = block_oracle(spec, p.row_lo, p.row_hi, p.col_lo, p.col_hi)
-        values[...] = oracle(np.arange(p.row_hi - p.row_lo)[:, None],
-                             np.arange(p.col_hi - p.col_lo)[None, :])
-        p.values = values
+        oracle = block_oracle(spec, r0, r1, c0, c1)
+        values[...] = oracle(np.arange(r1 - r0)[:, None], np.arange(c1 - c0)[None, :])
     layouts.append(layout)
-    layout = _joined(layouts)
     return HMatrix(spec=spec, scheme=scheme, eps=eps, builder=builder,
-                   lowrank=lowrank, dense=dense, layout=layout)
+                   lowrank=np.concatenate(tables), dense=dense, layout=_joined(layouts))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +508,8 @@ def storage_report(h: HMatrix) -> StorageReport:
     rows, cols = h.shape
     dense_equiv = rows * cols
     per_level: dict = {}
-    for p in h.lowrank:
-        per_level[p.level] = max(per_level.get(p.level, 0), p.rank)
+    for level, rank in zip(h.lowrank["level"].tolist(), h.lowrank["rank"].tolist()):
+        per_level[level] = max(per_level.get(level, 0), rank)
     stored = h.stored_entries
     return StorageReport(stored_entries=stored, dense_equivalent=dense_equiv,
                          ratio=stored / dense_equiv, per_level_ranks=dict(sorted(per_level.items())))
@@ -535,18 +532,20 @@ def reconstruct_entries(h: HMatrix, rows: np.ndarray, cols: np.ndarray) -> np.nd
     out = np.zeros(ii.shape, dtype=np.float64)
     piece_of_row = np.empty(n_rows + 1, dtype=np.intp)
     layout = h.layout
+    boxes = {False: table_boxes(h.lowrank), True: table_boxes(h.dense)}
     for s in layout.stacks:
         if s.left.size == 0:
             continue
         g, m = s.left.shape[:2]
+        row_lo, _, col_lo, col_hi = boxes[s.right is None][s.piece].T
         piece_of_row.fill(-1)
         piece_of_row[layout.row_index[s.rows]] = np.repeat(np.arange(g), m)
         piece_of_row[n_rows] = -1
         k = piece_of_row[ii_safe]
-        hit = np.flatnonzero((k >= 0) & (jj >= s.col_lo[k]) & (jj < s.col_hi[k]))
+        hit = np.flatnonzero((k >= 0) & (jj >= col_lo[k]) & (jj < col_hi[k]))
         k = k[hit]
-        i = ii[hit] - s.row_lo[k]
-        j = jj[hit] - s.col_lo[k]
+        i = ii[hit] - row_lo[k]
+        j = jj[hit] - col_lo[k]
         if s.right is None:
             out[hit] = s.left[k, i, j]
         else:

@@ -21,6 +21,7 @@ the diagonal; those are kept as an explicit dense remainder.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -171,14 +172,18 @@ class PartitionScheme:
 
         self.domain = domain
         self.l_max = domain.l_max
-        blocks = []
-        for lvl in levels:
-            count = int(round(self.extent * 2.0 ** lvl))
-            blocks.extend(Block(lvl, k) for k in range(count))
-        self.blocks: tuple[Block, ...] = tuple(blocks)
+        self._levels = levels
+
+    # built on first use: loading a container builds the scheme but reads neither
+    @functools.cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(Block(lvl, k) for lvl in self._levels
+                     for k in range(int(round(self.extent * 2.0 ** lvl))))
+
+    @functools.cached_property
+    def dense_cells(self) -> tuple[DenseCell, ...]:
         n_cells = int(round(self.extent * 2.0 ** self.l_max))
-        self.dense_cells: tuple[DenseCell, ...] = tuple(
-            DenseCell(self.l_max, k) for k in range(n_cells))
+        return tuple(DenseCell(self.l_max, k) for k in range(n_cells))
 
     def __repr__(self) -> str:
         return (f"PartitionScheme({self.domain!r}, blocks={len(self.blocks)}, "

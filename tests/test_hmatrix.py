@@ -5,12 +5,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlrd.container import load_hmatrix, save_hmatrix
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from hlrd.hmatrix import (
+    DENSE_RECORD,
+    LOWRANK_RECORD,
     Builder,
-    DensePiece,
     compress,
     index_layout,
     matvec,
@@ -26,26 +28,46 @@ SMALL_FAMILIES = [
 ]
 
 
+def _pieces(h):
+    """(record, left, right) per piece, sliced out of its stack slot; right is None if dense."""
+    for s in h.layout.stacks:
+        table = h.dense if s.right is None else h.lowrank
+        for k, n in enumerate(s.piece):
+            rec = table[n]
+            m, c = int(rec["row_hi"] - rec["row_lo"]), int(rec["col_hi"] - rec["col_lo"])
+            if s.right is None:
+                yield rec, s.left[k], None
+            else:
+                yield rec, s.left[k, :m], s.right[k, :c]
+
+
+def _box(rec):
+    return (int(rec["row_lo"]), int(rec["row_hi"]), int(rec["col_lo"]), int(rec["col_hi"]))
+
+
 def _loop_matvec(h, x):
     """Reference: one product per piece."""
     y = np.zeros(h.shape[0])
-    for p in h.lowrank:
-        y[p.row_lo:p.row_hi] += p.alpha @ (p.beta.T @ x[p.col_lo:p.col_hi])
-    for p in h.dense:
-        y[p.row_lo:p.row_hi] += p.values @ x[p.col_lo:p.col_hi]
+    for rec, left, right in _pieces(h):
+        r0, r1, c0, c1 = _box(rec)
+        if right is None:
+            y[r0:r1] += left @ x[c0:c1]
+        else:
+            y[r0:r1] += left @ (right.T @ x[c0:c1])
     return y
 
 
 def _loop_entries(h, rows, cols):
     """Reference: every piece tests every index pair."""
     out = np.zeros(rows.shape)
-    for p in h.lowrank + h.dense:
-        mask = (rows >= p.row_lo) & (rows < p.row_hi) & (cols >= p.col_lo) & (cols < p.col_hi)
-        i, j = rows[mask] - p.row_lo, cols[mask] - p.col_lo
-        if isinstance(p, DensePiece):
-            out[mask] = p.values[i, j]
-        elif p.rank:
-            out[mask] = np.einsum("ij,ij->i", p.alpha[i], p.beta[j])
+    for rec, left, right in _pieces(h):
+        r0, r1, c0, c1 = _box(rec)
+        mask = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+        i, j = rows[mask] - r0, cols[mask] - c0
+        if right is None:
+            out[mask] = left[i, j]
+        elif left.shape[1]:
+            out[mask] = np.einsum("ij,ij->i", left[i], right[j])
     return out
 
 
@@ -115,21 +137,24 @@ def test_matvec_matches_dense_and_loop(spec, leaf, builder, eps):
 @pytest.mark.parametrize("spec,leaf", MATVEC_CASES)
 def test_stacks_hold_the_pieces(spec, leaf, eps):
     h = compress(spec, eps, leaf_size=leaf)
+    assert h.lowrank.dtype == LOWRANK_RECORD and h.dense.dtype == DENSE_RECORD
     stacks = h.layout.stacks
-    arrays = [(p.alpha, p.beta) for p in h.lowrank] + [(p.values,) for p in h.dense]
-    for views in arrays:
-        for v in views:
-            # every piece array is a contiguous view into one stack, not a copy
-            assert v.flags.c_contiguous
-            assert sum(np.shares_memory(v, s.left) or (s.right is not None
-                                                       and np.shares_memory(v, s.right))
-                       for s in stacks) == 1
+    # every table position sits in exactly one slot
+    for table, dense in ((h.lowrank, False), (h.dense, True)):
+        held = np.concatenate([s.piece for s in stacks if (s.right is None) == dense] or [[]])
+        assert np.array_equal(np.sort(held), np.arange(len(table)))
+    for rec, left, right in _pieces(h):
+        r0, r1, c0, c1 = _box(rec)
+        assert left.shape[0] == r1 - r0
+        if right is None:
+            assert left.shape[1] == c1 - c0
+        else:
+            assert right.shape == (c1 - c0, rec["rank"]) and left.shape[1] == rec["rank"]
     for s in stacks:
         g, m = s.left.shape[:2]
         rows = h.layout.row_index[s.rows].reshape(g, m)
         real = rows[rows < h.shape[0]]
         assert len(np.unique(real)) == len(real)   # rows disjoint within a stack
-    assert sum(len(s.row_lo) for s in stacks) == len(h.lowrank) + len(h.dense)
 
 
 @pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
@@ -155,10 +180,10 @@ def test_dense_equivalence_small(spec, builder):
 def test_stored_entries_matches_formula():
     h = compress(BinomialFamily(n=128), 1e-6, leaf_size=16)
     expected = 0
-    for p in h.lowrank:
-        expected += p.rank * ((p.row_hi - p.row_lo) + (p.col_hi - p.col_lo))
-    for p in h.dense:
-        expected += (p.row_hi - p.row_lo) * (p.col_hi - p.col_lo)
+    for rank, r0, r1, c0, c1 in h.lowrank[["rank", "row_lo", "row_hi", "col_lo", "col_hi"]].tolist():
+        expected += rank * ((r1 - r0) + (c1 - c0))
+    for r0, r1, c0, c1 in h.dense[["row_lo", "row_hi", "col_lo", "col_hi"]].tolist():
+        expected += (r1 - r0) * (c1 - c0)
     assert h.stored_entries == expected
 
 
@@ -167,7 +192,7 @@ def test_dense_only_mode_is_exact():
 
     spec = PoissonFamily(k_max=24, lambda_max=24.0, lambda_grid=24)
     h = compress(spec, eps=1.0, leaf_size=8)
-    assert not h.lowrank
+    assert len(h.lowrank) == 0
     ii, jj = np.meshgrid(np.arange(25), np.arange(24), indexing="ij")
     assert np.array_equal(h.to_dense(), entry_exact(spec, ii, jj))
     rep = verify(h, samples=500, seed=1)
@@ -176,7 +201,7 @@ def test_dense_only_mode_is_exact():
 
 def test_coarse_eps_small_ranks():
     h = compress(BinomialFamily(n=128), eps=0.5, leaf_size=16)
-    assert max((p.rank for p in h.lowrank), default=0) <= 2
+    assert h.lowrank["rank"].max(initial=0) <= 2
     rep = storage_report(h)
     assert rep.ratio < 0.6
 
@@ -265,7 +290,7 @@ def test_compress_rejects_tiny_matrices():
 def test_binomial_1024_rank_bound():
     # production-size compression keeps every block rank small
     h = compress(BinomialFamily(n=1024), 1e-9)
-    assert max(p.rank for p in h.lowrank) <= 12
+    assert h.lowrank["rank"].max() <= 12
     rep = storage_report(h)
     assert rep.ratio <= 0.25
     chk = verify(h, samples=100000, seed=21)
@@ -312,8 +337,8 @@ def test_container_length(spec, tmp_path):
     save_hmatrix(h, path)
     buf = path.read_bytes()
     (meta_len,) = struct.unpack_from("<I", buf, 5)
-    payload = (sum(p.alpha.size + p.beta.size for p in h.lowrank)
-               + sum(p.values.size for p in h.dense))
+    payload = sum(left.size + (0 if right is None else right.size)
+                  for _, left, right in _pieces(h))
     assert len(buf) == (9 + meta_len + 16 + 28 * len(h.lowrank) + 25 * len(h.dense)
                         + 8 * payload)
 
@@ -341,6 +366,15 @@ def _table_offsets(buf):
     return off + 16, n_lr, off + 16 + 28 * n_lr, n_dn
 
 
+def _with_meta(buf, edit):
+    """``buf`` with ``edit`` applied to its JSON metadata, whose length may change."""
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    meta = json.loads(buf[9:9 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return buf[:5] + struct.pack("<I", len(meta_bytes)) + meta_bytes + buf[9 + meta_len:]
+
+
 def _edit_u32(buf, offset, value):
     out = bytearray(buf)
     struct.pack_into("<I", out, offset, value)
@@ -350,7 +384,9 @@ def _edit_u32(buf, offset, value):
 @pytest.mark.parametrize("case", ["lr-rows-reversed", "lr-cols-outside", "dn-rows-outside",
                                   "dn-cols-reversed", "rank-plus-one", "rank-huge",
                                   "unknown-tag", "trailing-byte", "too-many-pieces",
-                                  "metadata-not-json", "metadata-missing-key"])
+                                  "metadata-not-json", "metadata-missing-key",
+                                  "eps-string", "eps-null", "eps-nan", "eps-zero",
+                                  "eps-negative", "eps-bool", "lmax-bool", "lmax-float"])
 def test_container_rejects_bad_tables(tmp_path, case):
     path, buf = _small_container(tmp_path)
     lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
@@ -371,12 +407,56 @@ def test_container_rejects_bad_tables(tmp_path, case):
         "metadata-missing-key": lambda: buf[:9] + json.dumps(
             {k: v for k, v in json.loads(buf[9:9 + meta_len]).items() if k != "l_max"}
         ).encode().ljust(meta_len) + buf[9 + meta_len:],
+        "eps-string": lambda: _with_meta(buf, lambda m: m.update(eps="1e-6")),
+        "eps-null": lambda: _with_meta(buf, lambda m: m.update(eps=None)),
+        "eps-nan": lambda: _with_meta(buf, lambda m: m.update(eps=float("nan"))),
+        "eps-zero": lambda: _with_meta(buf, lambda m: m.update(eps=0)),
+        "eps-negative": lambda: _with_meta(buf, lambda m: m.update(eps=-1)),
+        "eps-bool": lambda: _with_meta(buf, lambda m: m.update(eps=True)),
+        "lmax-bool": lambda: _with_meta(buf, lambda m: m.update(l_max=True)),
+        "lmax-float": lambda: _with_meta(buf, lambda m: m.update(l_max=2.0)),
     }
     bad = tmp_path / "bad.hlrd"
     bad.write_bytes(edits[case]())
     assert bad.read_bytes() != buf
     with pytest.raises(ValueError):
         load_hmatrix(bad)
+
+
+def test_load_builds_no_scheme_regions(tmp_path):
+    path, _ = _small_container(tmp_path)
+    g = load_hmatrix(path)
+    assert "blocks" not in vars(g.scheme) and "dense_cells" not in vars(g.scheme)
+    # built on first use, equal to those of the scheme the matrix was compressed over
+    h = compress(BinomialFamily(n=16), 1e-6, leaf_size=4)
+    assert g.scheme.blocks == h.scheme.blocks and g.scheme.dense_cells == h.scheme.dense_cells
+
+
+@pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
+@pytest.mark.parametrize("spec", SMALL_FAMILIES)
+def test_container_keeps_file_order(spec, builder, tmp_path):
+    h = compress(spec, 1e-6, builder=builder, leaf_size=8)
+    path = tmp_path / "h.hlrd"
+    save_hmatrix(h, path)
+    buf = path.read_bytes()
+    lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
+    table = np.frombuffer(buf, dtype=LOWRANK_RECORD, count=n_lr, offset=lr_at)
+    sizes = 8 * table["rank"].astype(int) * (table["row_hi"].astype(int) - table["row_lo"]
+                                             + table["col_hi"] - table["col_lo"])
+    ends = dn_at + 25 * n_dn + np.cumsum(sizes)
+    payloads = [buf[end - size:end] for size, end in zip(sizes, ends)]
+    order = np.random.default_rng(2).permutation(n_lr)
+    permuted = (buf[:lr_at] + table[order].tobytes() + buf[dn_at:ends[0] - sizes[0]]
+                + b"".join(payloads[k] for k in order) + buf[ends[-1]:])
+    assert permuted != buf and len(permuted) == len(buf)
+    path.write_bytes(permuted)
+    g = load_hmatrix(path)
+    assert np.array_equal(g.lowrank, table[order])
+    again = tmp_path / "again.hlrd"
+    save_hmatrix(g, again)
+    assert again.read_bytes() == permuted
+    x = np.linspace(0.5, 1.5, spec.shape[1])
+    assert np.array_equal(matvec(g, x), matvec(h, x))
 
 
 def test_container_bytes_deterministic(tmp_path):
@@ -397,13 +477,7 @@ def test_container_magic_check(tmp_path):
 
 def _rewrite_family_meta(src, dst, edit):
     """Copy a container, applying ``edit`` to its family metadata."""
-    buf = src.read_bytes()
-    (meta_len,) = struct.unpack_from("<I", buf, 5)
-    meta = json.loads(buf[9:9 + meta_len])
-    edit(meta["family_spec"])
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    dst.write_bytes(buf[:5] + struct.pack("<I", len(meta_bytes)) + meta_bytes
-                    + buf[9 + meta_len:])
+    dst.write_bytes(_with_meta(src.read_bytes(), lambda meta: edit(meta["family_spec"])))
 
 
 @pytest.mark.parametrize("edit", [
@@ -422,3 +496,28 @@ def test_container_rejects_bad_family_meta(tmp_path, edit):
     _rewrite_family_meta(path, bad, edit)
     with pytest.raises(ValueError):
         load_hmatrix(bad)
+
+
+# ---------------------------------------------------------------------------
+# properties over small matrices
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["binomial", "poisson", "chisq"]), n=st.integers(5, 80),
+       leaf=st.sampled_from([2, 3, 5, 8, 16, 32]), eps=st.sampled_from([1e-3, 1e-6, 1e-9, 1.0]),
+       builder=st.sampled_from(list(Builder)))
+def test_tables_tile_count_and_round_trip(tmp_path_factory, name, n, leaf, eps, builder):
+    spec = _family(name, n)
+    h = compress(spec, eps, builder=builder, leaf_size=leaf)
+    counts = np.zeros(spec.shape, dtype=int)
+    for table in (h.lowrank, h.dense):
+        for r0, r1, c0, c1 in table[["row_lo", "row_hi", "col_lo", "col_hi"]].tolist():
+            counts[r0:r1, c0:c1] += 1
+    assert np.all(counts == 1), f"ownership breaks at {np.argwhere(counts != 1)[:5]}"
+    assert h.stored_entries == sum(left.size + (0 if right is None else right.size)
+                                   for _, left, right in _pieces(h))
+    path = tmp_path_factory.mktemp("roundtrip") / "h.hlrd"
+    save_hmatrix(h, path)
+    again = path.with_name("again.hlrd")
+    save_hmatrix(load_hmatrix(path), again)
+    assert again.read_bytes() == path.read_bytes()
