@@ -5,7 +5,7 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
     offset  size  field
     0       5     magic bytes "HLRD1"
     5       4     u32 meta length M
-    9       M     UTF-8 JSON metadata: family spec, eps, builder, l_max
+    9       M     UTF-8 JSON metadata: family spec, eps, builder, l_max, extent
     .       4     u32 rows
     .       4     u32 cols
     .       4     u32 number of low-rank pieces  NL
@@ -31,7 +31,11 @@ Writing is deterministic: identical HMatrix content produces identical
 bytes.  The format is versioned through the magic string; readers reject
 anything else.  The reader checks the header and both tables against the
 file's size before it allocates the matrix, so a truncated or
-inconsistent file raises ValueError.
+inconsistent file raises ValueError.  It reads metadata only in the form
+the writer writes (``_meta_bytes``): the family and the partition check
+their own fields, and metadata that does not encode back to the file's
+bytes raises ValueError, so a container that loads re-saves byte for
+byte.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from .families import FAMILIES, FamilySpec
 from .hmatrix import (DENSE_RECORD, DENSE_TAGS, LOWRANK_RECORD, Builder, HMatrix,
                       payload_arrays, stack_pieces, table_boxes)
-from .partition import QuarterPlane, UnitSquare, build_scheme
+from .partition import PartitionScheme, QuarterPlane, build_scheme
 
 __all__ = ["MAGIC", "load_hmatrix", "save_hmatrix"]
 
@@ -77,16 +81,21 @@ def family_from_meta(meta: dict) -> FamilySpec:
     return cls(**fields)
 
 
+def _meta_bytes(spec: FamilySpec, eps: float, builder: Builder, scheme: PartitionScheme) -> bytes:
+    """The JSON metadata as the writer encodes it; the loader accepts nothing else."""
+    meta = {
+        "family_spec": _family_meta(spec),
+        "eps": eps,
+        "builder": builder.value,
+        "l_max": scheme.l_max,
+        "extent": scheme.extent,
+    }
+    return json.dumps(meta, sort_keys=True).encode("utf-8")
+
+
 def save_hmatrix(h: HMatrix, path: Union[str, Path]) -> None:
     path = Path(path)
-    meta = {
-        "family_spec": _family_meta(h.spec),
-        "eps": h.eps,
-        "builder": h.builder.value,
-        "l_max": h.scheme.l_max,
-        "extent": h.scheme.extent,
-    }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    meta_bytes = _meta_bytes(h.spec, h.eps, h.builder, h.scheme)
     rows, cols = h.shape
 
     # one joined buffer and one write: a write per piece costs more than the copy
@@ -117,24 +126,25 @@ def _read_into(f, target: np.ndarray) -> None:
 
 
 def _read_meta(buf: bytes):
-    """(spec, domain, eps, builder) from the JSON metadata; ValueError when malformed."""
+    """(spec, scheme, eps, builder) from the JSON metadata; ValueError when malformed.
+
+    Metadata that ``_meta_bytes`` does not give back byte for byte is
+    malformed too, so a loaded matrix re-saves to the bytes it was read from.
+    """
     meta = json.loads(buf.decode("utf-8"))
     try:
         spec = family_from_meta(meta["family_spec"])
         builder = Builder(meta["builder"])
-        eps, l_max, extent = meta["eps"], meta["l_max"], meta["extent"]
+        eps, domain = meta["eps"], QuarterPlane(extent=meta["extent"], l_max=meta["l_max"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed container metadata: {exc!r}") from exc
     # the eps that compress accepts; JSON true and false are Python ints
     if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not eps > 0.0:
         raise ValueError(f"container eps {eps!r} is not a positive number")
-    if isinstance(l_max, bool) or not isinstance(l_max, int):
-        raise ValueError(f"container l_max {l_max!r} is not an integer")
-    if extent == 1.0:
-        domain = UnitSquare(l_max=l_max)
-    else:
-        domain = QuarterPlane(extent=extent, l_max=l_max)
-    return spec, domain, eps, builder
+    scheme = build_scheme(domain)
+    if _meta_bytes(spec, eps, builder, scheme) != buf:
+        raise ValueError("container metadata is not in the form the writer writes")
+    return spec, scheme, eps, builder
 
 
 def load_hmatrix(path: Union[str, Path]) -> HMatrix:
@@ -154,7 +164,7 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         (meta_len,) = struct.unpack_from("<I", head, 5)
         _need(size, 9, meta_len + 16, "the metadata and dimensions")
         meta = _read(f, meta_len + 16)
-        spec, domain, eps, builder = _read_meta(meta[:meta_len])
+        spec, scheme, eps, builder = _read_meta(meta[:meta_len])
         rows, cols, n_lr, n_dn = struct.unpack_from("<IIII", meta, meta_len)
         if spec.shape != (rows, cols):
             raise ValueError("container dimensions do not match its family spec")
@@ -187,10 +197,6 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
             raise ValueError(f"container holds {size - off} payload bytes; "
                              f"its tables describe {8 * floats}")
 
-        try:
-            scheme = build_scheme(domain)
-        except TypeError as exc:
-            raise ValueError(f"malformed container metadata: {exc}") from exc
         layout = stack_pieces((rows, cols), lowrank, dense)
         for target in payload_arrays(layout, lowrank, dense):
             _read_into(f, target)

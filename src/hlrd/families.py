@@ -70,8 +70,8 @@ class KernelMap:
     ``exp(exact_log_prefactor) * exp(-n_eff * divergence(kind, p, q))``
     where the exact prefactor depends only on the ``prefactor_axis``
     index.  ``stirling_prefactor`` is the classical approximation of that
-    prefactor; it is what ``entry_stirling`` uses.  Singular rows/columns
-    are where both prefactor forms break down and are stored dense by the
+    prefactor, per index of the same axis; ``entry_stirling`` uses it.
+    Singular rows/columns are where both prefactor forms break down and are stored dense by the
     hierarchical assembly.  A family instance builds its map once and
     hands the same one to every caller, so the arrays are read-only.
     """
@@ -81,18 +81,25 @@ class KernelMap:
     q_of_col: np.ndarray
     n_eff: float
     prefactor_axis: str  # "row" or "col"
-    stirling_prefactor: Callable[[np.ndarray], np.ndarray]
+    stirling_prefactor: np.ndarray
     exact_log_prefactor: np.ndarray
     singular_rows: tuple[int, ...]
     singular_cols: tuple[int, ...]
 
     def __post_init__(self):
-        for a in (self.p_of_row, self.q_of_col, self.exact_log_prefactor):
+        for a in (self.p_of_row, self.q_of_col, self.stirling_prefactor,
+                  self.exact_log_prefactor):
             a.flags.writeable = False
 
 
+# JSON true and false are Python ints, and a container's fields come through here
+def _is_count(x, least: int = 1) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
 def _positive_finite(x: float) -> bool:
-    return math.isfinite(x) and x > 0
+    return (not isinstance(x, bool) and isinstance(x, (int, float))
+            and math.isfinite(x) and x > 0)
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,11 @@ class BinomialFamily:
     cols: int = 0  # 0 means: match n
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("binomial needs n >= 1")
-        if self.cols < 0:
-            raise ValueError("binomial needs cols >= 0 (0 means: match n)")
+        if not _is_count(self.n):
+            raise ValueError(f"binomial needs an integer n >= 1, got {self.n!r}")
+        if not _is_count(self.cols, 0):
+            raise ValueError(f"binomial needs an integer cols >= 0 (0 means: match n), "
+                             f"got {self.cols!r}")
         if self.cols == 0:
             object.__setattr__(self, "cols", self.n)
 
@@ -151,12 +159,9 @@ class BinomialFamily:
             # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
             # singular ends excluded
             log_pref = self._log_entry(self._row_terms, self._col_terms_at(p))
+            stirling_pref = 1.0 / np.sqrt(2.0 * math.pi * n * p * (1.0 - p))
         log_pref[0] = np.nan
         log_pref[-1] = np.nan
-
-        def stirling_pref(idx, _n=n):
-            pp = np.asarray(idx, dtype=np.float64) / _n
-            return 1.0 / np.sqrt(2.0 * math.pi * _n * pp * (1.0 - pp))
 
         return KernelMap(
             kind=DivergenceKind.BERNOULLI,
@@ -180,9 +185,10 @@ class PoissonFamily:
     lambda_grid: int
 
     def __post_init__(self):
-        if self.k_max < 1 or self.lambda_grid < 1 or not _positive_finite(self.lambda_max):
-            raise ValueError("invalid Poisson family parameters: need k_max >= 1, "
-                             "lambda_grid >= 1 and a finite lambda_max > 0")
+        if not (_is_count(self.k_max) and _is_count(self.lambda_grid)
+                and _positive_finite(self.lambda_max)):
+            raise ValueError("invalid Poisson family parameters: need integers k_max >= 1 "
+                             "and lambda_grid >= 1 and a finite lambda_max > 0")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -222,11 +228,8 @@ class PoissonFamily:
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
             log_pref = self._log_entry(self._row_terms, self._col_terms_at(k))
+            stirling_pref = 1.0 / np.sqrt(2.0 * math.pi * k)
         log_pref[0] = np.nan
-
-        def stirling_pref(idx):
-            kk = np.asarray(idx, dtype=np.float64)
-            return 1.0 / np.sqrt(2.0 * math.pi * kk)
 
         return KernelMap(
             kind=DivergenceKind.RATE,
@@ -250,9 +253,9 @@ class ChiSquaredFamily:
     k_max: int
 
     def __post_init__(self):
-        if self.k_max < 1 or self.x_grid < 1 or not _positive_finite(self.x_max):
-            raise ValueError("invalid chi-squared family parameters: need k_max >= 1, "
-                             "x_grid >= 1 and a finite x_max > 0")
+        if not (_is_count(self.k_max) and _is_count(self.x_grid) and _positive_finite(self.x_max)):
+            raise ValueError("invalid chi-squared family parameters: need integers k_max >= 1 "
+                             "and x_grid >= 1 and a finite x_max > 0")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,13 +296,10 @@ class ChiSquaredFamily:
             # mode x = 2q: that rounds differently in the last bit for about
             # half the columns and would change the constructive factors.
             log_pref = qc * np.log(qc) - qc - math.log(2.0) - gammaln(qc + 1.0)
+            stirling_pref = 1.0 / (2.0 * np.sqrt(2.0 * math.pi * qc))
         singular = tuple(int(j) for j in np.nonzero(kcol <= 2.0)[0])
         for j in singular:
             log_pref[j] = np.nan
-
-        def stirling_pref(idx, _k=kcol):
-            qq = 0.5 * np.asarray(_k[np.asarray(idx, dtype=np.intp)], dtype=np.float64) - 1.0
-            return 1.0 / (2.0 * np.sqrt(2.0 * math.pi * qq))
 
         return KernelMap(
             kind=DivergenceKind.RATE_DUAL,
@@ -402,8 +402,5 @@ def entry_stirling(spec: FamilySpec, row: int, col: int) -> float:
     p = kmap.p_of_row[row]
     q = kmap.q_of_col[col]
     div = divergence(kmap.kind, p, q)
-    if kmap.prefactor_axis == "row":
-        pref = float(kmap.stirling_prefactor(np.asarray([row]))[0])
-    else:
-        pref = float(kmap.stirling_prefactor(np.asarray([col]))[0])
+    pref = float(kmap.stirling_prefactor[row if kmap.prefactor_axis == "row" else col])
     return pref * math.exp(-kmap.n_eff * div)

@@ -349,21 +349,18 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
     int_rows = _interior(kmap.singular_rows, n_rows)
     int_cols = _interior(kmap.singular_cols, n_cols)
 
-    block_ranges = []
-    for blk in scheme.blocks:
-        (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
-        r = _interior_clip(_interval_to_range(kmap.p_of_row, plo, phi, extent), int_rows)
-        c = _interior_clip(_interval_to_range(kmap.q_of_col, qlo, qhi, extent), int_cols)
-        if r[1] > r[0] and c[1] > c[0]:
-            block_ranges.append((blk, (r[0], r[1], c[0], c[1])))
+    def ranges(regions, intervals) -> list:
+        out = []
+        for region in regions:
+            (plo, phi), (qlo, qhi) = intervals(region)
+            r = _interior_clip(_interval_to_range(kmap.p_of_row, plo, phi, extent), int_rows)
+            c = _interior_clip(_interval_to_range(kmap.q_of_col, qlo, qhi, extent), int_cols)
+            if r[1] > r[0] and c[1] > c[0]:
+                out.append((region, (r[0], r[1], c[0], c[1])))
+        return out
 
-    cell_ranges = []
-    for cell in scheme.dense_cells:
-        lo, hi = cell.interval
-        r = _interior_clip(_interval_to_range(kmap.p_of_row, lo, hi, extent), int_rows)
-        c = _interior_clip(_interval_to_range(kmap.q_of_col, lo, hi, extent), int_cols)
-        if r[1] > r[0] and c[1] > c[0]:
-            cell_ranges.append((cell, (r[0], r[1], c[0], c[1])))
+    block_ranges = ranges(scheme.blocks, lambda blk: (blk.p_interval, blk.q_interval))
+    cell_ranges = ranges(scheme.dense_cells, lambda cell: (cell.interval, cell.interval))
 
     strips = []
     if int_rows[0] > 0:
@@ -419,7 +416,7 @@ def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
 
 
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
-             leaf_size: int = DEFAULT_LEAF, scheme: Optional[PartitionScheme] = None) -> HMatrix:
+             leaf_size: int = DEFAULT_LEAF) -> HMatrix:
     """Compress a family matrix into hierarchical low-rank form.
 
     Off-diagonal blocks are approximated to accuracy eps against the
@@ -432,7 +429,7 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
         raise ValueError("family matrix must be at least 4x4")
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, scheme, leaf_size)
+    scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, leaf_size=leaf_size)
 
     # Each level's blocks go into their stacks as soon as the level is
     # built, so the factors are never held twice over more than one level.

@@ -1,18 +1,17 @@
 """Dyadic staircase partition of the off-diagonal region.
 
-The (p, q) domain is tiled by square blocks that touch the diagonal at
-exactly one corner and double in size away from it.  At level ``l`` the
-block with index ``k`` spans ``[k, k+1] x [k+1, k+2]`` in units of
-``2**-l`` when k is even (above the diagonal) and ``[k, k+1] x [k-1, k]``
-when k is odd (below).  Two domains are supported:
-
-* the open unit square, levels ``1..l_max`` with ``2**l`` blocks per
-  level, used by the Bernoulli-KL kernel;
-* a quarter-plane truncated to ``[0, A]^2`` with A a power of two, levels
-  ``-log2(A)+1 .. l_max``, used by the rate kernels.  The untruncated
-  decomposition extends to arbitrarily coarse levels; a finite matrix
-  only ever meets the blocks inside its extent, so truncation loses
-  nothing.
+The (p, q) domain is the square ``[0, A]^2`` with A a power of two, tiled
+by square blocks that touch the diagonal at exactly one corner and double
+in size away from it.  At level ``l`` the block with index ``k`` spans
+``[k, k+1] x [k+1, k+2]`` in units of ``2**-l`` when k is even (above the
+diagonal) and ``[k, k+1] x [k-1, k]`` when k is odd (below).  Levels run
+from ``1 - log2(A)``, the coarsest that fits inside the extent, to the
+finest level ``l_max``, with ``A * 2**l`` blocks per level.  The
+untruncated quarter-plane decomposition extends to arbitrarily coarse
+levels; a finite matrix only ever meets the blocks inside its extent, so
+truncation loses nothing.  The Bernoulli-KL kernel lives on the unit
+square, A = 1 (``UnitSquare``); the rate kernels on the smallest power of
+two that covers their coordinates.
 
 What the blocks do not cover is the strip of finest-level squares along
 the diagonal; those are kept as an explicit dense remainder.
@@ -23,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -113,13 +113,6 @@ class DenseCell:
 
 
 @dataclass(frozen=True)
-class UnitSquare:
-    """Unit-square domain descriptor; requires l_max >= 1."""
-
-    l_max: int
-
-
-@dataclass(frozen=True)
 class QuarterPlane:
     """Quarter-plane truncated to [0, extent]^2; extent a power of two.
 
@@ -131,7 +124,9 @@ class QuarterPlane:
     l_max: int
 
 
-Domain = Union[UnitSquare, QuarterPlane]
+def UnitSquare(l_max: int) -> QuarterPlane:
+    """The unit square: the quarter-plane of extent 1, levels 1..l_max."""
+    return QuarterPlane(extent=1.0, l_max=l_max)
 
 
 @dataclass(frozen=True)
@@ -142,37 +137,30 @@ class TilingReport:
 
 
 def _extent_exponent(extent: float) -> int:
-    if not (extent > 0.0) or not math.isfinite(extent):
-        raise ValueError("extent must be a positive power of two")
-    a = math.log2(extent)
-    a_int = round(a)
-    if 2.0 ** a_int != extent:
+    """log2 of a power-of-two extent; ValueError for anything else."""
+    # JSON true and false are Python ints
+    if (isinstance(extent, bool) or not isinstance(extent, (int, float))
+            or not 0.0 < extent <= sys.float_info.max):
+        raise ValueError(f"extent {extent!r} is not a positive power of two")
+    mantissa, exponent = math.frexp(extent)
+    if mantissa != 0.5:
         raise ValueError(f"extent {extent!r} is not a power of two; the dyadic structure requires it")
-    return a_int
+    return exponent - 1
 
 
 class PartitionScheme:
     """Immutable collection of staircase blocks plus the dense remainder."""
 
-    def __init__(self, domain: Domain):
-        if isinstance(domain, UnitSquare):
-            if domain.l_max < 1:
-                raise ValueError("unit-square partition needs l_max >= 1")
-            levels = range(1, domain.l_max + 1)
-            self.extent = 1.0
-        elif isinstance(domain, QuarterPlane):
-            a = _extent_exponent(domain.extent)
-            if domain.l_max < -a + 1:
-                raise ValueError(
-                    f"l_max={domain.l_max} is coarser than the extent allows (needs >= {-a + 1})")
-            levels = range(-a + 1, domain.l_max + 1)
-            self.extent = float(domain.extent)
-        else:
-            raise TypeError(f"unsupported domain descriptor {domain!r}")
-
-        self.domain = domain
-        self.l_max = domain.l_max
-        self._levels = levels
+    def __init__(self, domain: QuarterPlane):
+        a = _extent_exponent(domain.extent)
+        l_max = domain.l_max
+        if isinstance(l_max, bool) or not isinstance(l_max, int):
+            raise ValueError(f"l_max {l_max!r} is not an integer")
+        if l_max < 1 - a:
+            raise ValueError(f"l_max={l_max} is coarser than the extent allows (needs >= {1 - a})")
+        self.extent = float(domain.extent)
+        self.l_max = l_max
+        self._levels = range(1 - a, l_max + 1)
 
     # built on first use: loading a container builds the scheme but reads neither
     @functools.cached_property
@@ -186,12 +174,12 @@ class PartitionScheme:
         return tuple(DenseCell(self.l_max, k) for k in range(n_cells))
 
     def __repr__(self) -> str:
-        return (f"PartitionScheme({self.domain!r}, blocks={len(self.blocks)}, "
-                f"dense_cells={len(self.dense_cells)})")
+        return (f"PartitionScheme(extent={self.extent}, l_max={self.l_max}, "
+                f"blocks={len(self.blocks)}, dense_cells={len(self.dense_cells)})")
 
 
-def build_scheme(domain: Domain) -> PartitionScheme:
-    """Build the full staircase partition for a domain descriptor."""
+def build_scheme(domain: QuarterPlane) -> PartitionScheme:
+    """Build the staircase partition of a domain; ValueError on a malformed one."""
     return PartitionScheme(domain)
 
 
@@ -206,8 +194,7 @@ def locate(scheme: PartitionScheme, p: float, q: float) -> Union[Block, DenseCel
     if not (0.0 <= p <= A and 0.0 <= q <= A):
         raise OutOfDomainError(f"point ({p!r}, {q!r}) outside [0, {A}]^2")
 
-    first_level = scheme.blocks[0].level if scheme.blocks else scheme.l_max
-    for lvl in range(first_level, scheme.l_max + 1):
+    for lvl in scheme._levels:
         w = 2.0 ** (-lvl)
         count = int(round(A * 2.0 ** lvl))
         k = min(int(p / w), count - 1)

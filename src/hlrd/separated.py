@@ -69,12 +69,12 @@ class RankConvention(enum.Enum):
 
 @dataclass
 class SeparatedApprox:
-    """Rank-r factorization sum_i alpha[:, i] * beta[:, i] over sample grids."""
+    """Rank-r factorization sum_i alpha[:, i] * beta[:, i]; ACA keeps no grids."""
 
-    p_grid: np.ndarray
-    q_grid: np.ndarray
-    alpha: np.ndarray  # (len(p_grid), rank)
-    beta: np.ndarray   # (len(q_grid), rank)
+    p_grid: Optional[np.ndarray]
+    q_grid: Optional[np.ndarray]
+    alpha: np.ndarray  # (rows, rank)
+    beta: np.ndarray   # (cols, rank)
 
     @property
     def rank(self) -> int:
@@ -386,7 +386,6 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
 
     # row-major factors, as the HLRD1 container stores and loads them, so a
     # loaded matrix multiplies bit for bit like the one that was saved
-    return SeparatedApprox(p_grid=all_rows.astype(np.float64),
-                           q_grid=all_cols.astype(np.float64),
+    return SeparatedApprox(p_grid=None, q_grid=None,
                            alpha=np.ascontiguousarray(alpha),
                            beta=np.ascontiguousarray(beta))

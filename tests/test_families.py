@@ -124,8 +124,22 @@ def test_block_oracle_rejects_box_outside_or_empty(box):
     lambda: ChiSquaredFamily(x_max=math.inf, x_grid=64, k_max=64),
     lambda: ChiSquaredFamily(x_max=-math.inf, x_grid=64, k_max=64),
     lambda: ChiSquaredFamily(x_max=0.0, x_grid=64, k_max=64),
+    lambda: BinomialFamily(n=16.0),
+    lambda: BinomialFamily(n=True),
+    lambda: BinomialFamily(n=16, cols=16.0),
+    lambda: BinomialFamily(n=16, cols=False),
+    lambda: PoissonFamily(k_max=64.0, lambda_max=64.0, lambda_grid=64),
+    lambda: PoissonFamily(k_max=64, lambda_max=64.0, lambda_grid=64.0),
+    lambda: PoissonFamily(k_max=64, lambda_max=True, lambda_grid=64),
+    lambda: PoissonFamily(k_max=64, lambda_max="64", lambda_grid=64),
+    lambda: ChiSquaredFamily(x_max=64.0, x_grid=64.0, k_max=64),
+    lambda: ChiSquaredFamily(x_max=64.0, x_grid=64, k_max=True),
+    lambda: ChiSquaredFamily(x_max=True, x_grid=64, k_max=64),
 ], ids=["binomial-n0", "binomial-cols-neg", "poisson-inf", "poisson-nan", "poisson-neg",
-        "poisson-zero", "chisq-inf", "chisq-neg-inf", "chisq-zero"])
+        "poisson-zero", "chisq-inf", "chisq-neg-inf", "chisq-zero", "binomial-n-float",
+        "binomial-n-bool", "binomial-cols-float", "binomial-cols-bool", "poisson-kmax-float",
+        "poisson-grid-float", "poisson-lambda-bool", "poisson-lambda-str", "chisq-grid-float",
+        "chisq-kmax-bool", "chisq-x-bool"])
 def test_degenerate_family_parameters_rejected(make):
     with pytest.raises(ValueError):
         make()

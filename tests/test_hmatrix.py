@@ -1,6 +1,7 @@
 """Hierarchical assembly: ownership, accuracy, matvec, storage, container."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -386,7 +387,8 @@ def _edit_u32(buf, offset, value):
                                   "unknown-tag", "trailing-byte", "too-many-pieces",
                                   "metadata-not-json", "metadata-missing-key",
                                   "eps-string", "eps-null", "eps-nan", "eps-zero",
-                                  "eps-negative", "eps-bool", "lmax-bool", "lmax-float"])
+                                  "eps-negative", "eps-bool", "lmax-bool", "lmax-float",
+                                  "extent-true", "extent-int", "unknown-key", "cols-zero"])
 def test_container_rejects_bad_tables(tmp_path, case):
     path, buf = _small_container(tmp_path)
     lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
@@ -415,6 +417,11 @@ def test_container_rejects_bad_tables(tmp_path, case):
         "eps-bool": lambda: _with_meta(buf, lambda m: m.update(eps=True)),
         "lmax-bool": lambda: _with_meta(buf, lambda m: m.update(l_max=True)),
         "lmax-float": lambda: _with_meta(buf, lambda m: m.update(l_max=2.0)),
+        # each of these loads a matrix that re-saves to other bytes
+        "extent-true": lambda: _with_meta(buf, lambda m: m.update(extent=True)),
+        "extent-int": lambda: _with_meta(buf, lambda m: m.update(extent=1)),
+        "unknown-key": lambda: _with_meta(buf, lambda m: m.update(comment="")),
+        "cols-zero": lambda: _with_meta(buf, lambda m: m["family_spec"].update(cols=0)),
     }
     bad = tmp_path / "bad.hlrd"
     bad.write_bytes(edits[case]())
@@ -485,7 +492,11 @@ def _rewrite_family_meta(src, dst, edit):
     lambda fam: fam.pop("family"),
     lambda fam: fam.pop("cols"),
     lambda fam: fam.update(lambda_max=64.0),
-], ids=["unknown-name", "missing-name", "missing-field", "extra-field"])
+    lambda fam: fam.update(n=64.0),
+    lambda fam: fam.update(cols=64.0),
+    lambda fam: fam.update(cols=False),
+], ids=["unknown-name", "missing-name", "missing-field", "extra-field", "n-float", "cols-float",
+        "cols-false"])
 def test_container_rejects_bad_family_meta(tmp_path, edit):
     spec = BinomialFamily(n=64)
     path = tmp_path / "m.hlrd"
@@ -496,6 +507,56 @@ def test_container_rejects_bad_family_meta(tmp_path, edit):
     _rewrite_family_meta(path, bad, edit)
     with pytest.raises(ValueError):
         load_hmatrix(bad)
+
+
+# values a metadata edit sets a key to: wrong types, JSON look-alikes of
+# the written values, out-of-range numbers
+_META_POOL = (None, True, False, 0, 1, -1, 2, 16, 16.0, 1.0, 0.5, 2.0 ** -20, 2 ** 40,
+              math.nan, math.inf, "", "16", "aca", [], {}, {"n": 16})
+_META_EDITS = [("delete", None), ("add", None)] + [("set", v) for v in _META_POOL]
+
+
+@pytest.fixture(scope="module")
+def meta_fuzz(tmp_path_factory):
+    """Per family: a directory, the bytes of a small container and its product with ``x``."""
+    where = tmp_path_factory.mktemp("meta-fuzz")
+    out = {}
+    for name in ("binomial", "poisson", "chisq"):
+        h = compress(_family(name, 16), 1e-6, leaf_size=4)
+        save_hmatrix(h, where / "h.hlrd")
+        out[name] = (where, (where / "h.hlrd").read_bytes(), matvec(h, np.arange(1.0, 17.0)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["binomial", "poisson", "chisq"]), data=st.data())
+def test_metadata_edit_raises_value_error_or_round_trips(meta_fuzz, name, data):
+    where, buf, y = meta_fuzz[name]
+    (meta_len,) = struct.unpack_from("<I", buf, 5)
+    meta = json.loads(buf[9:9 + meta_len])
+    keys = [(k,) for k in meta] + [("family_spec", k) for k in meta["family_spec"]]
+    *parents, key = data.draw(st.sampled_from(keys))
+    op, value = data.draw(st.sampled_from(_META_EDITS))
+
+    def edit(m):
+        for k in parents:
+            m = m[k]
+        if op == "delete":
+            del m[key]
+        elif op == "add":
+            m[key + "_extra"] = m[key]
+        else:
+            m[key] = value
+
+    path = where / "edited.hlrd"
+    path.write_bytes(_with_meta(buf, edit))
+    try:
+        g = load_hmatrix(path)
+    except ValueError:
+        return
+    save_hmatrix(g, where / "again.hlrd")
+    assert (where / "again.hlrd").read_bytes() == path.read_bytes()
+    assert np.array_equal(matvec(g, np.arange(1.0, 17.0)), y)
 
 
 # ---------------------------------------------------------------------------

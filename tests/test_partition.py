@@ -1,5 +1,7 @@
 """Staircase partition geometry, locate queries, tiling checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,22 @@ def test_extent_must_be_power_of_two():
 def test_unit_square_needs_positive_levels():
     with pytest.raises(ValueError):
         build_scheme(UnitSquare(l_max=0))
+
+
+def test_unit_square_is_the_extent_one_quarter_plane():
+    for l_max in range(1, 9):
+        unit, quarter = build_scheme(UnitSquare(l_max)), build_scheme(QuarterPlane(1.0, l_max))
+        assert unit.blocks == quarter.blocks
+        assert unit.dense_cells == quarter.dense_cells
+
+
+@pytest.mark.parametrize("extent,l_max", [(True, 2), ("8", 2), (math.nan, 2), (8.0, True),
+                                          (8.0, 2.0)],
+                         ids=["extent-bool", "extent-str", "extent-nan", "lmax-bool",
+                              "lmax-float"])
+def test_scheme_rejects_malformed_domain(extent, l_max):
+    with pytest.raises(ValueError):
+        build_scheme(QuarterPlane(extent=extent, l_max=l_max))
 
 
 def test_locate_examples():
