@@ -265,6 +265,17 @@ def _cmd_verify_tiling(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _leaf_size(text: str) -> int:
+    """The --leaf value: an integer >= 1, else a usage error."""
+    try:
+        leaf = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if leaf < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {leaf}")
+    return leaf
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--n", type=int, default=1024, help="binomial trial count")
@@ -272,7 +283,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-max", type=float, default=0.0, dest="lambda_max")
     p.add_argument("--xmax", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=0, help="column grid size (0: family default)")
-    p.add_argument("--leaf", type=int, default=32, help="target indices per finest diagonal cell")
+    p.add_argument("--leaf", type=_leaf_size, default=32,
+                   help="target indices per finest diagonal cell (>= 1)")
 
 
 class _StoreOnce(argparse.Action):

@@ -35,7 +35,9 @@ inconsistent file raises ValueError.  It reads metadata only in the form
 the writer writes (``_meta_bytes``): the family and the partition check
 their own fields, and metadata that does not encode back to the file's
 bytes raises ValueError, so a container that loads re-saves byte for
-byte.
+byte.  An ``l_max`` finer than ``compress`` writes for the family at one
+index per diagonal cell (``scheme_for(spec, leaf_size=1)``) raises
+ValueError too.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .families import FAMILIES, FamilySpec
 from .hmatrix import (DENSE_RECORD, DENSE_TAGS, LOWRANK_RECORD, Builder, HMatrix,
-                      payload_arrays, stack_pieces, table_boxes)
+                      payload_arrays, scheme_for, stack_pieces, table_boxes)
 from .partition import PartitionScheme, QuarterPlane, build_scheme
 
 __all__ = ["MAGIC", "load_hmatrix", "save_hmatrix"]
@@ -131,7 +133,10 @@ def _read_meta(buf: bytes):
     Metadata that ``_meta_bytes`` does not give back byte for byte is
     malformed too, so a loaded matrix re-saves to the bytes it was read from.
     """
-    meta = json.loads(buf.decode("utf-8"))
+    try:
+        meta = json.loads(buf.decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError("container metadata nests too deeply") from exc
     try:
         spec = family_from_meta(meta["family_spec"])
         builder = Builder(meta["builder"])
@@ -168,6 +173,10 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         rows, cols, n_lr, n_dn = struct.unpack_from("<IIII", meta, meta_len)
         if spec.shape != (rows, cols):
             raise ValueError("container dimensions do not match its family spec")
+        finest = scheme_for(spec, leaf_size=1).l_max
+        if scheme.l_max > finest:
+            raise ValueError(f"container l_max {scheme.l_max} is finer than the level "
+                             f"{finest} that one index per diagonal cell gives its family")
 
         off = 9 + meta_len + 16
         lr_size, dn_size = LOWRANK_RECORD.itemsize * n_lr, DENSE_RECORD.itemsize * n_dn

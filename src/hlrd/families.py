@@ -26,7 +26,9 @@ at q = p.  ``entry_stirling`` exposes the Stirling reduction
 ``prefactor * exp(-n_eff * divergence)`` that explains why the matrices
 compress; ``kernel_map`` returns the full identification (divergence
 kind, coordinate maps, prefactors) that the compression machinery uses,
-also built once per family instance.
+also built once per family instance.  Each family class names its
+divergence kind (``kind``), and ``kernel_coordinates`` gives the
+coordinate maps alone, which is all a partition needs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -53,6 +55,7 @@ __all__ = [
     "dense_matrix",
     "entry_exact",
     "entry_stirling",
+    "kernel_coordinates",
     "kernel_map",
 ]
 
@@ -150,11 +153,16 @@ class BinomialFamily:
         return lc + k * log_q + n_minus_k * log_1mq
 
     # Bernoulli KL with p = k/n, n_eff = n
+    kind: ClassVar[DivergenceKind] = DivergenceKind.BERNOULLI
+
+    @cached_property
+    def _coordinates(self) -> tuple:
+        return self.row_values() / self.n, self.col_values()
+
     @cached_property
     def _kernel_map(self) -> KernelMap:
         n = self.n
-        k = self.row_values()
-        p = k / n
+        p, q = self._coordinates
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
             # singular ends excluded
@@ -164,9 +172,9 @@ class BinomialFamily:
         log_pref[-1] = np.nan
 
         return KernelMap(
-            kind=DivergenceKind.BERNOULLI,
+            kind=self.kind,
             p_of_row=p,
-            q_of_col=self.col_values(),
+            q_of_col=q,
             n_eff=float(n),
             prefactor_axis="row",
             stirling_prefactor=stirling_pref,
@@ -222,9 +230,15 @@ class PoissonFamily:
         return k * log_lam - lam - log_k_factorial
 
     # rate divergence with p = k, q = lambda, n_eff = 1
+    kind: ClassVar[DivergenceKind] = DivergenceKind.RATE
+
+    @cached_property
+    def _coordinates(self) -> tuple:
+        return self.row_values(), self.col_values()
+
     @cached_property
     def _kernel_map(self) -> KernelMap:
-        k = self.row_values()
+        k, q = self._coordinates
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
             log_pref = self._log_entry(self._row_terms, self._col_terms_at(k))
@@ -232,9 +246,9 @@ class PoissonFamily:
         log_pref[0] = np.nan
 
         return KernelMap(
-            kind=DivergenceKind.RATE,
+            kind=self.kind,
             p_of_row=k,
-            q_of_col=self.col_values(),
+            q_of_col=q,
             n_eff=1.0,
             prefactor_axis="row",
             stirling_prefactor=stirling_pref,
@@ -286,10 +300,16 @@ class ChiSquaredFamily:
         return half_minus_1 * log_x - half_x - half_log_2 - log_gamma_half
 
     # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
+    kind: ClassVar[DivergenceKind] = DivergenceKind.RATE_DUAL
+
+    @cached_property
+    def _coordinates(self) -> tuple:
+        return 0.5 * self.row_values(), 0.5 * self.col_values() - 1.0
+
     @cached_property
     def _kernel_map(self) -> KernelMap:
+        p, qc = self._coordinates
         kcol = self.col_values()
-        qc = 0.5 * kcol - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact column prefactor: q^q e^{-q} / (2 Gamma(q+1)) with q = k/2 - 1.
             # Kept in the q coordinate rather than taken from the model at the
@@ -302,8 +322,8 @@ class ChiSquaredFamily:
             log_pref[j] = np.nan
 
         return KernelMap(
-            kind=DivergenceKind.RATE_DUAL,
-            p_of_row=0.5 * self.row_values(),
+            kind=self.kind,
+            p_of_row=p,
             q_of_col=qc,
             n_eff=1.0,
             prefactor_axis="col",
@@ -380,9 +400,18 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
     Poisson   -> rate divergence with p = k, q = lambda, n_eff = 1
     chi^2     -> dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
     """
+    return _family(spec)._kernel_map
+
+
+def kernel_coordinates(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_of_row, q_of_col)`` of ``kernel_map(spec)``, without the prefactors."""
+    return _family(spec)._coordinates
+
+
+def _family(spec: FamilySpec) -> FamilySpec:
     if not isinstance(spec, tuple(FAMILIES.values())):
         raise TypeError(f"unsupported family {spec!r}")
-    return spec._kernel_map
+    return spec
 
 
 def entry_stirling(spec: FamilySpec, row: int, col: int) -> float:

@@ -42,7 +42,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .divergence import DivergenceKind
-from .families import FamilySpec, block_oracle, entry_exact, kernel_map, KernelMap
+from .families import (FamilySpec, KernelMap, block_oracle, entry_exact, kernel_coordinates,
+                       kernel_map)
 from .partition import Block, PartitionScheme, QuarterPlane, UnitSquare, build_scheme
 from .separated import SeparatedApprox, aca_build, build_constructive, build_product, BuilderError
 
@@ -315,18 +316,21 @@ def scheme_for(spec: FamilySpec, leaf_size: int = DEFAULT_LEAF) -> PartitionSche
 
     The finest level is chosen so a diagonal cell holds on the order of
     ``leaf_size`` indices per side; the quarter-plane extent is the
-    smallest power of two covering both coordinate ranges.
+    smallest power of two covering both coordinate ranges.  ``leaf_size``
+    below 1 raises ValueError.
     """
-    kmap = kernel_map(spec)
-    if kmap.kind is DivergenceKind.BERNOULLI:
+    if not leaf_size >= 1:
+        raise ValueError(f"leaf_size must be >= 1, got {leaf_size!r}")
+    if spec.kind is DivergenceKind.BERNOULLI:
         rows = spec.shape[0]
         l_max = max(1, int(round(math.log2(max(2.0, rows / leaf_size)))))
         return build_scheme(UnitSquare(l_max=l_max))
-    p_max = float(np.max(kmap.p_of_row))
-    q_max = float(np.max(kmap.q_of_col))
+    p_of_row, q_of_col = kernel_coordinates(spec)
+    p_max = float(np.max(p_of_row))
+    q_max = float(np.max(q_of_col))
     a = max(0, int(math.ceil(math.log2(max(p_max, q_max)))))
     extent = 2.0 ** a
-    spacing = min(float(np.min(np.diff(kmap.p_of_row))), float(np.min(np.diff(kmap.q_of_col))))
+    spacing = min(float(np.min(np.diff(p_of_row))), float(np.min(np.diff(q_of_col))))
     l_max = int(round(-math.log2(max(leaf_size * spacing, spacing))))
     l_max = max(l_max, -a + 1)
     return build_scheme(QuarterPlane(extent=extent, l_max=l_max))

@@ -111,18 +111,29 @@ def numerical_rank(matrix: np.ndarray, eps: float,
 # ---------------------------------------------------------------------------
 
 def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize the factor pair and truncate singular values <= threshold.
+    """Truncate the factor pair's singular values <= threshold, without forming Q.
+
+    With the Householder QRs ``alpha = Qa Ra``, ``beta = Qb Rb`` and the
+    SVD ``Ra Rb^T = U S V^T``, the kept terms are ``Qa U_r S_r`` and
+    ``Qb V_r``.  Since ``U_r S_r = Ra Rb^T V_r`` and
+    ``V_r = Rb Ra^T U_r / S_r``, they equal ``alpha Rb^T V_r`` and
+    ``beta Ra^T U_r / S_r``.  So only R and the SVD are computed:
+    ``qr(mode="r")`` is the reduced QR's factorization and returns the same
+    R bits, and the SVD is the same call; the m x w Q, whose explicit
+    formation costs about as much as the factorization, never is.  alpha
+    carries the singular values, and an exactly zero factor row stays
+    exactly zero.
 
     The discarded spectral tail is at most the threshold, so the entrywise
     reconstruction error added here is at most the threshold as well.
     """
     if alpha.shape[1] == 0:
         return alpha, beta
-    qa, ra = np.linalg.qr(alpha)
-    qb, rb = np.linalg.qr(beta)
+    ra = np.linalg.qr(alpha, mode="r")
+    rb = np.linalg.qr(beta, mode="r")
     u, s, vt = np.linalg.svd(ra @ rb.T)
     r = int(np.sum(s > threshold))
-    return qa @ (u[:, :r] * s[:r]), qb @ vt[:r].T
+    return alpha @ (rb.T @ vt[:r].T), beta @ ((ra.T @ u[:, :r]) / s[:r])
 
 
 # ---------------------------------------------------------------------------

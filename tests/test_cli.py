@@ -170,6 +170,16 @@ def test_verify_tiling_command(tmp_path, capsys):
     assert "covered=1.0 overlaps=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compress", "rank-map"])
+@pytest.mark.parametrize("leaf", ["0", "-4"])
+def test_leaf_below_one_is_usage_error(tmp_path, command, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "binomial", "--n", "64", "--eps", "1e-6", "--leaf", leaf,
+              "--out", str(tmp_path / "x.out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rank-map", "--family", "nosuch", "--eps", "1e-6", "--out", "x.csv"])

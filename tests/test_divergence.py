@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlrd.divergence import (
     DivergenceDomainError,
@@ -107,6 +108,22 @@ def test_bernoulli_decomposes_into_rate_plus_reflected():
     kl = divergence(K.BERNOULLI, P, Q)
     split = divergence(K.RATE, P, Q) + divergence(K.RATE_REFLECTED, P, Q)
     assert np.max(np.abs(kl - split) / (1.0 + np.abs(kl))) <= 1e-12
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(odd=st.booleans(), u=st.floats(0.0, 1.0),
+       v=st.floats(np.finfo(np.float64).tiny, 1.0))
+def test_rate_separation_identity(odd, u, v):
+    # the constructive builder's split on the unit configurations:
+    # odd p in [1, 2], q in (0, 1]; even p in [0, 1], q in [1, 2]
+    p, q = (1.0 + u, v) if odd else (u, 2.0 - v)
+    one_sided_p = divergence(K.RATE, p, 1.0)     # rate(p || 1)
+    one_sided_q = divergence(K.RATE, 1.0, q)     # rate(1 || q)
+    cross = (p - 1.0) * -math.log(q)
+    assert one_sided_p >= 0.0 and one_sided_q >= 0.0 and cross >= 0.0
+    total = one_sided_p + one_sided_q + cross
+    # every term of either side is at most total + 2 in magnitude
+    assert abs(divergence(K.RATE, p, q) - total) <= 8 * np.finfo(np.float64).eps * (total + 2.0)
 
 
 def test_convexity_along_segments():

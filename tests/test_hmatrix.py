@@ -18,6 +18,7 @@ from hlrd.hmatrix import (
     index_layout,
     matvec,
     reconstruct_entries,
+    scheme_for,
     storage_report,
     verify,
 )
@@ -388,7 +389,8 @@ def _edit_u32(buf, offset, value):
                                   "metadata-not-json", "metadata-missing-key",
                                   "eps-string", "eps-null", "eps-nan", "eps-zero",
                                   "eps-negative", "eps-bool", "lmax-bool", "lmax-float",
-                                  "extent-true", "extent-int", "unknown-key", "cols-zero"])
+                                  "extent-true", "extent-int", "unknown-key", "cols-zero",
+                                  "metadata-nested", "lmax-huge"])
 def test_container_rejects_bad_tables(tmp_path, case):
     path, buf = _small_container(tmp_path)
     lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
@@ -422,12 +424,41 @@ def test_container_rejects_bad_tables(tmp_path, case):
         "extent-int": lambda: _with_meta(buf, lambda m: m.update(extent=1)),
         "unknown-key": lambda: _with_meta(buf, lambda m: m.update(comment="")),
         "cols-zero": lambda: _with_meta(buf, lambda m: m["family_spec"].update(cols=0)),
+        "metadata-nested": lambda: (buf[:5] + struct.pack("<I", 100_000) + b"[" * 100_000
+                                    + buf[9 + meta_len:]),
+        "lmax-huge": lambda: _with_meta(buf, lambda m: m.update(l_max=2**40)),
     }
     bad = tmp_path / "bad.hlrd"
     bad.write_bytes(edits[case]())
     assert bad.read_bytes() != buf
     with pytest.raises(ValueError):
         load_hmatrix(bad)
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILIES + [BinomialFamily(n=16)])
+def test_container_l_max_at_most_one_index_per_cell(spec, tmp_path):
+    # leaf size 1 writes the finest level; one level finer does not load
+    finest = scheme_for(spec, leaf_size=1).l_max
+    h = compress(spec, 1e-6, leaf_size=1)
+    assert h.scheme.l_max == finest
+    path = tmp_path / "finest.hlrd"
+    save_hmatrix(h, path)
+    buf = path.read_bytes()
+    assert load_hmatrix(path).scheme.l_max == finest
+    path.write_bytes(_with_meta(buf, lambda m: m.update(l_max=finest + 1)))
+    with pytest.raises(ValueError, match="l_max"):
+        load_hmatrix(path)
+
+
+@pytest.mark.parametrize("leaf", [0, -4])
+def test_leaf_size_below_one_rejected(leaf):
+    spec = BinomialFamily(n=64)
+    with pytest.raises(ValueError, match="leaf_size"):
+        scheme_for(spec, leaf)
+    with pytest.raises(ValueError, match="leaf_size"):
+        index_layout(spec, leaf_size=leaf)
+    with pytest.raises(ValueError, match="leaf_size"):
+        compress(spec, 1e-6, builder=Builder.CONSTRUCTIVE, leaf_size=leaf)
 
 
 def test_load_builds_no_scheme_regions(tmp_path):

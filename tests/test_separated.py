@@ -257,6 +257,133 @@ def test_product_builds_bernoulli_kernel(blk):
 
 
 # ---------------------------------------------------------------------------
+# recompression
+# ---------------------------------------------------------------------------
+
+def _recompress_explicit_q(alpha, beta, threshold):
+    """Reference recompression: the reduced QR's explicit Q factors times the SVD."""
+    if alpha.shape[1] == 0:
+        return alpha, beta
+    qa, ra = np.linalg.qr(alpha)
+    qb, rb = np.linalg.qr(beta)
+    u, s, vt = np.linalg.svd(ra @ rb.T)
+    r = int(np.sum(s > threshold))
+    return qa @ (u[:, :r] * s[:r]), qb @ vt[:r].T
+
+
+# |alpha beta^T - reference| <= RECOMPRESS_ULPS * eps_mach * ||alpha||_2 * ||beta||_2,
+# entry by entry.  Over the 1260 recompressions of the six n = 2^11 constructive
+# builds of the benchmark (three families, eps 1e-6 and 1e-9) the largest is 6.7.
+RECOMPRESS_ULPS = 16.0
+
+
+def _check_recompress(alpha, beta, threshold):
+    """``_recompress`` against the reference: same rank, products within the bound."""
+    a, b = separated._recompress(alpha, beta, threshold)
+    ref_a, ref_b = _recompress_explicit_q(alpha, beta, threshold)
+    assert a.shape == ref_a.shape and b.shape == ref_b.shape
+    unit = np.finfo(np.float64).eps * np.linalg.norm(alpha, 2) * np.linalg.norm(beta, 2)
+    assert np.max(np.abs(a @ b.T - ref_a @ ref_b.T), initial=0.0) <= RECOMPRESS_ULPS * unit
+    # alpha carries the singular values, as the reference's does
+    assert np.max(np.abs(np.linalg.norm(a, axis=0) - np.linalg.norm(ref_a, axis=0)),
+                  initial=0.0) <= RECOMPRESS_ULPS * unit
+    return a, b
+
+
+def _builder_inputs(monkeypatch, spec, eps):
+    """Every (alpha, beta, threshold) a constructive compress of ``spec`` recompresses."""
+    seen = []
+    recompress = separated._recompress
+
+    def spy(alpha, beta, threshold):
+        seen.append((alpha.copy(), beta.copy(), threshold))
+        return recompress(alpha, beta, threshold)
+
+    monkeypatch.setattr(separated, "_recompress", spy)
+    compress(spec, eps, builder=Builder.CONSTRUCTIVE, leaf_size=8)
+    monkeypatch.setattr(separated, "_recompress", recompress)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-12])
+@pytest.mark.parametrize("spec", [
+    BinomialFamily(n=256),
+    PoissonFamily(k_max=256, lambda_max=256.0, lambda_grid=256),
+    ChiSquaredFamily(x_max=256.0, x_grid=256, k_max=256),
+], ids=["binomial", "poisson", "chisq"])
+def test_recompress_matches_explicit_q_on_builder_inputs(monkeypatch, spec, eps):
+    inputs = _builder_inputs(monkeypatch, spec, eps)
+    assert len(inputs) > 20
+    for alpha, beta, threshold in inputs:
+        _check_recompress(alpha, beta, threshold)
+
+
+def test_recompress_matches_explicit_q_on_random_low_rank():
+    rng = np.random.default_rng(11)
+    for m, c, w in [(40, 30, 12), (5, 60, 9), (64, 64, 64), (1, 1, 3), (200, 7, 7)]:
+        # column scales spanning 1 .. 1e-14: a spread of kept and dropped values
+        scales = np.logspace(0, -14, w)
+        alpha = rng.standard_normal((m, w)) * scales
+        beta = rng.standard_normal((c, w))
+        for threshold in (1e-3, 1e-9, 0.0):
+            _check_recompress(alpha, beta, threshold)
+
+
+def test_recompress_width_zero():
+    alpha, beta = np.zeros((7, 0)), np.zeros((5, 0))
+    a, b = _check_recompress(alpha, beta, 1e-6)
+    assert a.shape == (7, 0) and b.shape == (5, 0)
+
+
+def test_recompress_threshold_above_sigma1_keeps_nothing():
+    rng = np.random.default_rng(3)
+    alpha, beta = rng.standard_normal((9, 4)), rng.standard_normal((6, 4))
+    sigma1 = np.linalg.norm(alpha @ beta.T, 2)
+    a, b = _check_recompress(alpha, beta, 2.0 * sigma1)
+    assert a.shape == (9, 0) and b.shape == (6, 0)
+
+
+def test_recompress_fewer_rows_than_columns():
+    rng = np.random.default_rng(5)
+    # R is m x w when m < w; on either side, and on both
+    for m, c, w in [(3, 20, 8), (20, 3, 8), (2, 4, 10)]:
+        alpha, beta = rng.standard_normal((m, w)), rng.standard_normal((c, w))
+        a, b = _check_recompress(alpha, beta, 1e-12)
+        assert a.shape[1] == b.shape[1] == min(m, c)
+        np.testing.assert_allclose(a @ b.T, alpha @ beta.T, atol=1e-12 * np.abs(alpha @ beta.T).max())
+
+
+def test_recompress_keeps_zero_rows_exactly_zero():
+    rng = np.random.default_rng(9)
+    alpha, beta = rng.standard_normal((30, 10)), rng.standard_normal((25, 10))
+    # leading rows too: the Householder QR's Q need not vanish on those
+    zero_a, zero_b = [0, 1, 7, 29], [0, 12, 13, 24]
+    alpha[zero_a] = 0.0
+    beta[zero_b] = 0.0
+    a, b = _check_recompress(alpha, beta, 1e-10)
+    assert a.shape[1] > 0
+    assert not a[zero_a].any() and not b[zero_b].any()
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("spec", [
+    BinomialFamily(n=256),
+    PoissonFamily(k_max=256, lambda_max=256.0, lambda_grid=256),
+    ChiSquaredFamily(x_max=256.0, x_grid=256, k_max=256),
+], ids=["binomial", "poisson", "chisq"])
+def test_constructive_tables_match_explicit_q_recompression(monkeypatch, spec, eps):
+    h = compress(spec, eps, builder=Builder.CONSTRUCTIVE, leaf_size=8)
+    monkeypatch.setattr(separated, "_recompress", _recompress_explicit_q)
+    ref = compress(spec, eps, builder=Builder.CONSTRUCTIVE, leaf_size=8)
+    # the same ranks and boxes, so the same container tables
+    assert h.lowrank.tobytes() == ref.lowrank.tobytes()
+    assert h.dense.tobytes() == ref.dense.tobytes()
+    exact = dense_matrix(spec)
+    assert np.max(np.abs(h.to_dense() - exact)) <= 10.0 * eps
+    assert np.max(np.abs(ref.to_dense() - exact)) <= 10.0 * eps
+
+
+# ---------------------------------------------------------------------------
 # adaptive cross approximation
 # ---------------------------------------------------------------------------
 
