@@ -16,8 +16,6 @@ from .divergence import (
     ThresholdPair,
     divergence,
     divergence_ratio,
-    solve_p_threshold,
-    solve_q_threshold,
     solve_thresholds,
 )
 from .partition import (

@@ -265,15 +265,26 @@ def _cmd_verify_tiling(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _leaf_size(text: str) -> int:
-    """The --leaf value: an integer >= 1, else a usage error."""
+def _positive_int(text: str) -> int:
+    """A count flag's value: an integer >= 1, else a usage error."""
     try:
-        leaf = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if leaf < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {leaf}")
-    return leaf
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A level flag's value: a finite number > 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
@@ -283,7 +294,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-max", type=float, default=0.0, dest="lambda_max")
     p.add_argument("--xmax", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=0, help="column grid size (0: family default)")
-    p.add_argument("--leaf", type=_leaf_size, default=32,
+    p.add_argument("--leaf", type=_positive_int, default=32,
                    help="target indices per finest diagonal cell (>= 1)")
 
 
@@ -327,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eps_sweep)
 
     p = sub.add_parser("ratio-scan", help="threshold points and divergence ratio over a level grid")
-    p.add_argument("--m-min", type=float, default=1e-8)
-    p.add_argument("--m-max", type=float, default=1e8)
-    p.add_argument("--m-points", type=int, default=33)
+    p.add_argument("--m-min", type=_positive_float, default=1e-8)
+    p.add_argument("--m-max", type=_positive_float, default=1e8)
+    p.add_argument("--m-points", type=_positive_int, default=33)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ratio_scan)
@@ -339,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_flag(p)
     p.add_argument("--builder", choices=["constructive", "aca"], default="aca")
     _add_common_flags(p)
-    p.add_argument("--samples", type=int, default=10000, help="verification sample count")
+    p.add_argument("--samples", type=_positive_int, default=10000,
+                   help="verification sample count (>= 1)")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("matvec-bench", help="compressed vs dense matvec timing and error")
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=["unit", "quarter"], default="unit")
     p.add_argument("--extent", type=float, default=8.0)
     p.add_argument("--lmax", type=int, default=6)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_verify_tiling)

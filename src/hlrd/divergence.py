@@ -8,7 +8,7 @@ Four closely related divergences drive everything here:
 * its reflection with both parameters complemented, ``(1-p, 1-q)``,
 * the Bernoulli KL divergence, which is exactly rate + reflected rate.
 
-For a level ``m > 0`` the threshold solvers find the points on the edges
+For a level ``m > 0`` ``solve_thresholds`` finds the points on the edges
 of an off-diagonal square where the one-sided divergences against the
 diagonal corner reach ``m``.  The two-sided divergence at that threshold
 pair stays within a uniform constant factor of ``m`` (it tends to 4 as
@@ -17,8 +17,8 @@ pair stays within a uniform constant factor of ``m`` (it tends to 4 as
 keeps the separated-approximation degree poly-logarithmic in the target
 accuracy.
 
-All solvers use bracketed bisection: each defining equation is strictly
-monotone on its bracket, so bisection is guaranteed and the cost is
+It solves by bracketed bisection: each of its four defining equations is
+strictly monotone on its bracket, so bisection is guaranteed and the cost is
 irrelevant at setup time.
 
 Caution for extreme levels: the lower-regime threshold ``q_m`` behaves
@@ -45,8 +45,6 @@ __all__ = [
     "ThresholdPair",
     "divergence",
     "divergence_ratio",
-    "solve_p_threshold",
-    "solve_q_threshold",
     "solve_thresholds",
     "P_CLAMP_LEVEL",
     "Q_CLAMP_LEVEL",
@@ -195,61 +193,39 @@ def _rate_against_one(p: float) -> float:
     return p * math.log(p) - p + 1.0
 
 
-def _neg_log_q_lower(m: float, tol: float) -> float:
-    # solve t - 1 + e^{-t} = m for t = -ln q on (0, oo); strictly increasing
-    return _bisect_increasing(lambda t: t - 1.0 + math.exp(-t), 0.0, m + 1.0, m, tol)
-
-
-def solve_q_threshold(m: float, regime: Regime = Regime.LOWER, tol: float = 1e-12) -> float:
-    """Solve the q-edge threshold equation at level m.
-
-    Lower regime: the unique q in (0, 1) with ``ln(1/q) - (1 - q) = m``
-    (returned value may underflow to 0.0 for m beyond ~708; use
-    ``solve_thresholds`` for the exact log form).  Upper regime:
-    ``min(2, q')`` with ``q' - 1 - ln(q') = m``.
-    """
-    if not (m > 0.0):
-        raise ValueError("level m must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if regime is Regime.LOWER:
-        return math.exp(-_neg_log_q_lower(m, tol))
-    if m >= Q_CLAMP_LEVEL:
-        return 2.0
-    return _bisect_increasing(lambda q: q - 1.0 - math.log(q), 1.0, 2.0, m, tol)
-
-
-def solve_p_threshold(m: float, regime: Regime = Regime.LOWER, tol: float = 1e-12) -> float:
-    """Solve the p-edge threshold equation at level m.
-
-    Lower regime: ``min(2, p')`` where p' > 1 solves
-    ``p' ln p' - (p' - 1) = m``; the clamp is active exactly when
-    m >= 2 ln 2 - 1.  Upper regime: the smallest p >= 0 with
-    ``p ln p - (p - 1) <= m``, which is 0 exactly when m >= 1.
-    """
-    if not (m > 0.0):
-        raise ValueError("level m must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if regime is Regime.LOWER:
-        if m >= P_CLAMP_LEVEL:
-            return 2.0
-        return _bisect_increasing(_rate_against_one, 1.0, 2.0, m, tol)
-    if m >= 1.0:
-        return 0.0
-    # rate(p || 1) decreases from 1 to 0 on (0, 1); flip sign to bisect
-    return _bisect_increasing(lambda p: -_rate_against_one(p), 0.0, 1.0, -m, tol)
-
-
 def solve_thresholds(m: float, regime: Regime, tol: float = 1e-12) -> ThresholdPair:
-    """Both threshold points at level m, with the underflow-safe log form."""
+    """Both threshold points at level m, with the underflow-safe log form.
+
+    The four defining equations, each solved by bisection on a bracket
+    where it is strictly monotone:
+
+    * lower p-edge: ``min(2, p')`` where p' > 1 solves
+      ``p' ln p' - (p' - 1) = m``; clamped to 2 exactly when
+      ``m >= 2 ln 2 - 1`` (``P_CLAMP_LEVEL``);
+    * lower q-edge: the q in (0, 1) with ``ln(1/q) - (1 - q) = m``, solved
+      for ``t = -ln q`` as ``t - 1 + e^{-t} = m``, so ``neg_log_q_m`` stays
+      exact where ``q_m`` underflows (m beyond ~708);
+    * upper p-edge: the smallest p >= 0 with ``p ln p - (p - 1) <= m``;
+      clamped to 0 exactly when m >= 1;
+    * upper q-edge: ``min(2, q')`` where q' > 1 solves
+      ``q' - 1 - ln q' = m``; clamped to 2 exactly when ``m >= 1 - ln 2``
+      (``Q_CLAMP_LEVEL``).
+
+    Raises ValueError unless m > 0 and tol > 0.
+    """
+    if not (m > 0.0):
+        raise ValueError("level m must be positive")
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
     if regime is Regime.LOWER:
-        t = _neg_log_q_lower(m, tol)
-        return ThresholdPair(m=m, p_m=solve_p_threshold(m, regime, tol),
-                             q_m=math.exp(-t), regime=regime, neg_log_q_m=t)
-    q_m = solve_q_threshold(m, regime, tol)
-    return ThresholdPair(m=m, p_m=solve_p_threshold(m, regime, tol),
-                         q_m=q_m, regime=regime, neg_log_q_m=-math.log(q_m))
+        p_m = 2.0 if m >= P_CLAMP_LEVEL else _bisect_increasing(_rate_against_one, 1.0, 2.0, m, tol)
+        t = _bisect_increasing(lambda t: t - 1.0 + math.exp(-t), 0.0, m + 1.0, m, tol)
+        return ThresholdPair(m=m, p_m=p_m, q_m=math.exp(-t), regime=regime, neg_log_q_m=t)
+    # rate(p || 1) decreases from 1 to 0 on (0, 1); flip sign to bisect
+    p_m = 0.0 if m >= 1.0 else _bisect_increasing(lambda p: -_rate_against_one(p), 0.0, 1.0, -m, tol)
+    q_m = (2.0 if m >= Q_CLAMP_LEVEL
+           else _bisect_increasing(lambda q: q - 1.0 - math.log(q), 1.0, 2.0, m, tol))
+    return ThresholdPair(m=m, p_m=p_m, q_m=q_m, regime=regime, neg_log_q_m=-math.log(q_m))
 
 
 def threshold_residual(pair: ThresholdPair) -> tuple[float, float]:

@@ -21,14 +21,22 @@ calls it on the full terms; ``block_oracle`` checks a block's box once
 and returns the core on views of the terms sliced to the box, so a
 builder's row, column or grid requests inside the block cost only the
 gather and ``exp``.  ``dense_matrix`` is ``entry_exact`` on the full
-index grid, and the binomial and Poisson exact prefactors are the model
-at q = p.  ``entry_stirling`` exposes the Stirling reduction
+index grid.
+
+``entry_stirling`` exposes the Stirling reduction
 ``prefactor * exp(-n_eff * divergence)`` that explains why the matrices
 compress; ``kernel_map`` returns the full identification (divergence
 kind, coordinate maps, prefactors) that the compression machinery uses,
-also built once per family instance.  Each family class names its
-divergence kind (``kind``), and ``kernel_coordinates`` gives the
-coordinate maps alone, which is all a partition needs.
+built once per family instance by one derivation shared by the three
+families.  Each family states only what is its own: the model, its
+divergence ``kind``, coordinates, prefactor axis, ``n_eff``, its ridge
+(where the divergence is zero: binomial q = k/n, Poisson lambda = k,
+chi-squared x = k - 2) and its Stirling prefactor.  The exact prefactor
+is the model evaluated on the ridge, for all three families, and the
+singular rows or columns are derived, not listed: the ridge points where
+that prefactor is not finite (binomial k in {0, n}, Poisson k = 0,
+chi-squared k <= 2).  ``kernel_coordinates`` gives the coordinate maps
+alone, which is all a partition needs.
 """
 
 from __future__ import annotations
@@ -74,8 +82,8 @@ class KernelMap:
     where the exact prefactor depends only on the ``prefactor_axis``
     index.  ``stirling_prefactor`` is the classical approximation of that
     prefactor, per index of the same axis; ``entry_stirling`` uses it.
-    Singular rows/columns are where both prefactor forms break down and are stored dense by the
-    hierarchical assembly.  A family instance builds its map once and
+    Singular rows/columns are where the exact prefactor is not finite; the
+    hierarchical assembly stores them dense.  A family instance builds its map once and
     hands the same one to every caller, so the arrays are read-only.
     """
 
@@ -105,8 +113,35 @@ def _positive_finite(x: float) -> bool:
             and math.isfinite(x) and x > 0)
 
 
+class _LogEntryFamily:
+    """The kernel map, derived from a family's log-entry model.
+
+    ``_ridge()`` gives, per index of the prefactor axis, the other axis's
+    value where the divergence is zero; the model's terms at it come from
+    ``_col_terms_at`` (row prefactor) or ``_row_terms_at`` (column prefactor).
+    """
+
+    @cached_property
+    def _kernel_map(self) -> KernelMap:
+        p, q = self._coordinates
+        by_row = self.prefactor_axis == "row"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the exact prefactor is the entry on the ridge, where exp(-n_eff * divergence) = 1
+            if by_row:
+                log_pref = self._log_entry(self._row_terms, self._col_terms_at(self._ridge()))
+            else:
+                log_pref = self._log_entry(self._row_terms_at(self._ridge()), self._col_terms)
+            stirling_pref = self._stirling_prefactor()
+        # singular: the ridge leaves the model's domain, and the prefactor is not finite
+        singular = tuple(np.flatnonzero(~np.isfinite(log_pref)).tolist())
+        return KernelMap(kind=self.kind, p_of_row=p, q_of_col=q, n_eff=self.n_eff,
+                         prefactor_axis=self.prefactor_axis, stirling_prefactor=stirling_pref,
+                         exact_log_prefactor=log_pref, singular_rows=singular if by_row else (),
+                         singular_cols=() if by_row else singular)
+
+
 @dataclass(frozen=True)
-class BinomialFamily:
+class BinomialFamily(_LogEntryFamily):
     """Binomial(n) matrix: rows k = 0..n, columns q_j = (j + 1/2)/cols."""
 
     n: int
@@ -152,40 +187,28 @@ class BinomialFamily:
         log_q, log_1mq = col
         return lc + k * log_q + n_minus_k * log_1mq
 
-    # Bernoulli KL with p = k/n, n_eff = n
+    # Bernoulli KL with p = k/n, n_eff = n; row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k)
     kind: ClassVar[DivergenceKind] = DivergenceKind.BERNOULLI
+    prefactor_axis: ClassVar[str] = "row"
+
+    @property
+    def n_eff(self) -> float:
+        return float(self.n)
 
     @cached_property
     def _coordinates(self) -> tuple:
         return self.row_values() / self.n, self.col_values()
 
-    @cached_property
-    def _kernel_map(self) -> KernelMap:
-        n = self.n
-        p, q = self._coordinates
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k): the model at q = p;
-            # singular ends excluded
-            log_pref = self._log_entry(self._row_terms, self._col_terms_at(p))
-            stirling_pref = 1.0 / np.sqrt(2.0 * math.pi * n * p * (1.0 - p))
-        log_pref[0] = np.nan
-        log_pref[-1] = np.nan
+    def _ridge(self) -> np.ndarray:
+        return self._coordinates[0]   # q = k/n
 
-        return KernelMap(
-            kind=self.kind,
-            p_of_row=p,
-            q_of_col=q,
-            n_eff=float(n),
-            prefactor_axis="row",
-            stirling_prefactor=stirling_pref,
-            exact_log_prefactor=log_pref,
-            singular_rows=(0, n),
-            singular_cols=(),
-        )
+    def _stirling_prefactor(self) -> np.ndarray:
+        p = self._coordinates[0]
+        return 1.0 / np.sqrt(2.0 * math.pi * self.n * p * (1.0 - p))
 
 
 @dataclass(frozen=True)
-class PoissonFamily:
+class PoissonFamily(_LogEntryFamily):
     """Poisson matrix: rows k = 0..k_max, columns lambda on (0, lambda_max]."""
 
     k_max: int
@@ -229,37 +252,24 @@ class PoissonFamily:
         log_lam, lam = col
         return k * log_lam - lam - log_k_factorial
 
-    # rate divergence with p = k, q = lambda, n_eff = 1
+    # rate divergence with p = k, q = lambda, n_eff = 1; row prefactor k^k e^{-k} / k!
     kind: ClassVar[DivergenceKind] = DivergenceKind.RATE
+    prefactor_axis: ClassVar[str] = "row"
+    n_eff: ClassVar[float] = 1.0
 
     @cached_property
     def _coordinates(self) -> tuple:
         return self.row_values(), self.col_values()
 
-    @cached_property
-    def _kernel_map(self) -> KernelMap:
-        k, q = self._coordinates
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact row prefactor k^k e^{-k} / k!: the model at lambda = k
-            log_pref = self._log_entry(self._row_terms, self._col_terms_at(k))
-            stirling_pref = 1.0 / np.sqrt(2.0 * math.pi * k)
-        log_pref[0] = np.nan
+    def _ridge(self) -> np.ndarray:
+        return self._coordinates[0]   # lambda = k
 
-        return KernelMap(
-            kind=self.kind,
-            p_of_row=k,
-            q_of_col=q,
-            n_eff=1.0,
-            prefactor_axis="row",
-            stirling_prefactor=stirling_pref,
-            exact_log_prefactor=log_pref,
-            singular_rows=(0,),
-            singular_cols=(),
-        )
+    def _stirling_prefactor(self) -> np.ndarray:
+        return 1.0 / np.sqrt(2.0 * math.pi * self._coordinates[0])
 
 
 @dataclass(frozen=True)
-class ChiSquaredFamily:
+class ChiSquaredFamily(_LogEntryFamily):
     """Chi-squared matrix: rows x on (0, x_max], columns k = 1..k_max."""
 
     x_max: float
@@ -285,7 +295,10 @@ class ChiSquaredFamily:
     # log-entry model: (k/2 - 1) ln x - x/2 - (k/2) ln 2 - ln Gamma(k/2)
     @cached_property
     def _row_terms(self) -> tuple:
-        x = self.row_values()
+        return self._row_terms_at(self.row_values())
+
+    @staticmethod
+    def _row_terms_at(x: np.ndarray) -> tuple:
         return np.log(x), 0.5 * x
 
     @cached_property
@@ -299,39 +312,21 @@ class ChiSquaredFamily:
         half_minus_1, half_log_2, log_gamma_half = col
         return half_minus_1 * log_x - half_x - half_log_2 - log_gamma_half
 
-    # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
+    # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1; column
+    # prefactor q^q e^{-q} / (2 Gamma(q+1))
     kind: ClassVar[DivergenceKind] = DivergenceKind.RATE_DUAL
+    prefactor_axis: ClassVar[str] = "col"
+    n_eff: ClassVar[float] = 1.0
 
     @cached_property
     def _coordinates(self) -> tuple:
         return 0.5 * self.row_values(), 0.5 * self.col_values() - 1.0
 
-    @cached_property
-    def _kernel_map(self) -> KernelMap:
-        p, qc = self._coordinates
-        kcol = self.col_values()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact column prefactor: q^q e^{-q} / (2 Gamma(q+1)) with q = k/2 - 1.
-            # Kept in the q coordinate rather than taken from the model at the
-            # mode x = 2q: that rounds differently in the last bit for about
-            # half the columns and would change the constructive factors.
-            log_pref = qc * np.log(qc) - qc - math.log(2.0) - gammaln(qc + 1.0)
-            stirling_pref = 1.0 / (2.0 * np.sqrt(2.0 * math.pi * qc))
-        singular = tuple(int(j) for j in np.nonzero(kcol <= 2.0)[0])
-        for j in singular:
-            log_pref[j] = np.nan
+    def _ridge(self) -> np.ndarray:
+        return self.col_values() - 2.0   # x = k - 2, the mode
 
-        return KernelMap(
-            kind=self.kind,
-            p_of_row=p,
-            q_of_col=qc,
-            n_eff=1.0,
-            prefactor_axis="col",
-            stirling_prefactor=stirling_pref,
-            exact_log_prefactor=log_pref,
-            singular_rows=(),
-            singular_cols=singular,
-        )
+    def _stirling_prefactor(self) -> np.ndarray:
+        return 1.0 / (2.0 * np.sqrt(2.0 * math.pi * self._coordinates[1]))
 
 
 FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]

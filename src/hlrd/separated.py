@@ -90,6 +90,9 @@ class SeparatedApprox:
 
 def rank_from_singular_values(s: np.ndarray, eps: float,
                               convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
+    """Number of the descending singular values ``s`` above the eps threshold (eps > 0)."""
+    if not (eps > 0.0):
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if s.size == 0:
         return 0
     threshold = eps * s[0] if convention is RankConvention.RELATIVE_TO_SIGMA1 else eps
@@ -395,8 +398,4 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
         alpha = uu[:, :r] * s[:r]
         beta = vt[:r].T
 
-    # row-major factors, as the HLRD1 container stores and loads them, so a
-    # loaded matrix multiplies bit for bit like the one that was saved
-    return SeparatedApprox(p_grid=None, q_grid=None,
-                           alpha=np.ascontiguousarray(alpha),
-                           beta=np.ascontiguousarray(beta))
+    return SeparatedApprox(p_grid=None, q_grid=None, alpha=alpha, beta=beta)

@@ -180,6 +180,45 @@ def test_leaf_below_one_is_usage_error(tmp_path, command, leaf):
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compress", "--family", "binomial", "--n", "64", "--eps", "1e-6", "--samples", "0"],
+    ["compress", "--family", "binomial", "--n", "64", "--eps", "1e-6", "--samples", "-3"],
+    ["verify-tiling", "--samples", "0"],
+    ["ratio-scan", "--m-points", "0"],
+    ["ratio-scan", "--m-points", "1.5"],
+    ["ratio-scan", "--m-min", "-1"],
+    ["ratio-scan", "--m-min", "0"],
+    ["ratio-scan", "--m-min", "nan"],
+    ["ratio-scan", "--m-max", "inf"],
+    ["ratio-scan", "--m-max", "-inf"],
+], ids=["compress-samples-0", "compress-samples-neg", "tiling-samples-0", "ratio-points-0",
+        "ratio-points-float", "ratio-min-neg", "ratio-min-0", "ratio-min-nan", "ratio-max-inf",
+        "ratio-max-neg-inf"])
+def test_count_or_level_out_of_range_is_usage_error(tmp_path, argv):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["eps-sweep", "--eps", "nan"],
+    ["eps-sweep", "--eps", "-1"],
+    ["eps-sweep", "--eps", "0"],
+    ["eps-sweep", "--eps", "nan", "--eps", "-1", "--eps", "0"],
+    ["eps-sweep", "--eps", "1e-6", "--eps", "0"],
+    ["rank-map", "--eps", "0"],
+    ["rank-map", "--eps", "nan"],
+], ids=["sweep-nan", "sweep-negative", "sweep-zero", "sweep-all-three", "sweep-one-of-two",
+        "rank-map-zero", "rank-map-nan"])
+def test_eps_not_positive_is_numerical_failure(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--family", "binomial", "--n", "64", "--out", str(out)]) == 3
+    assert "eps must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rank-map", "--family", "nosuch", "--eps", "1e-6", "--out", "x.csv"])

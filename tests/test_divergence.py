@@ -15,8 +15,6 @@ from hlrd.divergence import (
     ThresholdPair,
     divergence,
     divergence_ratio,
-    solve_p_threshold,
-    solve_q_threshold,
     solve_thresholds,
     threshold_residual,
 )
@@ -144,7 +142,7 @@ def test_convexity_along_segments():
 def test_q_threshold_lower_forward_value():
     # forward-evaluated defining equation at q = 0.1
     m = -math.log(0.1) - 0.9
-    assert solve_q_threshold(m, Regime.LOWER) == pytest.approx(0.1, rel=1e-10)
+    assert solve_thresholds(m, Regime.LOWER).q_m == pytest.approx(0.1, rel=1e-10)
 
 
 def test_q_threshold_lower_large_m_asymptote():
@@ -155,19 +153,20 @@ def test_q_threshold_lower_large_m_asymptote():
 
 def test_q_threshold_lower_small_m_asymptote():
     m = 1e-10
-    q = solve_q_threshold(m, Regime.LOWER)
+    q = solve_thresholds(m, Regime.LOWER).q_m
     assert q == pytest.approx(1.0 - math.sqrt(2.0 * m), abs=1e-7)
 
 
 def test_p_threshold_lower_clamp():
-    assert solve_p_threshold(0.5, Regime.LOWER) == 2.0
-    assert solve_p_threshold(P_CLAMP_LEVEL, Regime.LOWER) == 2.0
-    assert solve_p_threshold(P_CLAMP_LEVEL - 1e-9, Regime.LOWER) < 2.0
+    assert solve_thresholds(0.5, Regime.LOWER).p_m == 2.0
+    assert solve_thresholds(P_CLAMP_LEVEL, Regime.LOWER).p_m == 2.0
+    assert solve_thresholds(P_CLAMP_LEVEL - 1e-9, Regime.LOWER).p_m < 2.0
 
 
 def test_p_threshold_lower_small_m_asymptote():
     m = 1e-10
-    assert solve_p_threshold(m, Regime.LOWER) == pytest.approx(1.0 + math.sqrt(2.0 * m), abs=1e-7)
+    assert solve_thresholds(m, Regime.LOWER).p_m == pytest.approx(1.0 + math.sqrt(2.0 * m),
+                                                                  abs=1e-7)
 
 
 def test_thresholds_upper_forward_values():
@@ -206,12 +205,12 @@ def test_root_consistency_over_level_grid():
 
 
 def test_invalid_levels_rejected():
-    with pytest.raises(ValueError):
-        solve_q_threshold(0.0, Regime.LOWER)
-    with pytest.raises(ValueError):
-        solve_p_threshold(-1.0, Regime.UPPER)
-    with pytest.raises(ValueError):
-        solve_q_threshold(1.0, Regime.LOWER, tol=0.0)
+    # checked before any equation is solved, in both regimes alike
+    for regime in Regime:
+        for m, tol in ((0.0, 1e-12), (-1.0, 1e-12), (math.nan, 1e-12),
+                       (1.0, 0.0), (1.0, -1e-12), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                solve_thresholds(m, regime, tol=tol)
 
 
 # ---------------------------------------------------------------------------

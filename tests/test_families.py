@@ -290,6 +290,46 @@ def test_kernel_map_chisq():
     assert km.prefactor_axis == "col"
 
 
+@pytest.mark.parametrize("n", [5, 64, 1448, 2**14])
+def test_exact_prefactor_is_the_distribution_on_the_ridge(n):
+    # exp(exact prefactor) is the entry where the divergence is zero:
+    # binomial q = k/n, Poisson lambda = k, chi-squared x = k - 2
+    cases = [
+        (BinomialFamily(n=n, cols=3), lambda k: scipy.stats.binom.pmf(k, n, k / n)),
+        (PoissonFamily(k_max=n, lambda_max=2.0, lambda_grid=3),
+         lambda k: scipy.stats.poisson.pmf(k, k)),
+        (ChiSquaredFamily(x_max=2.0, x_grid=3, k_max=n),
+         lambda k: scipy.stats.chi2.pdf(k - 2.0, k)),
+    ]
+    for spec, pdf in cases:
+        km = kernel_map(spec)
+        if km.prefactor_axis == "row":
+            k, singular = spec.row_values(), km.singular_rows
+        else:
+            k, singular = spec.col_values(), km.singular_cols
+        regular = np.setdiff1d(np.arange(k.size), singular)
+        np.testing.assert_allclose(np.exp(km.exact_log_prefactor[regular]), pdf(k[regular]),
+                                   rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("spec, rows, cols", [
+    *[(BinomialFamily(n=n, cols=c), (0, n), ()) for n in (1, 5, 64, 1448) for c in (0, 3, 2 * n + 1)],
+    *[(PoissonFamily(k_max=k, lambda_max=float(k), lambda_grid=g), (0,), ())
+      for k in (1, 4, 1024) for g in (1, k, 3 * k)],
+    (ChiSquaredFamily(x_max=1.0, x_grid=5, k_max=1), (), (0,)),
+    (ChiSquaredFamily(x_max=2.0, x_grid=1, k_max=2), (), (0, 1)),
+    (ChiSquaredFamily(x_max=3.0, x_grid=7, k_max=3), (), (0, 1)),
+    (ChiSquaredFamily(x_max=1024.0, x_grid=333, k_max=1024), (), (0, 1)),
+])
+def test_singular_indices_are_the_non_finite_prefactors(spec, rows, cols):
+    # binomial k in {0, n}, Poisson k = 0, chi-squared k <= 2, whatever the other grid
+    km = kernel_map(spec)
+    assert (km.singular_rows, km.singular_cols) == (rows, cols)
+    singular = list(rows or cols)
+    assert np.all(np.isnan(km.exact_log_prefactor[singular]))
+    assert np.isfinite(np.delete(km.exact_log_prefactor, singular)).all()
+
+
 def test_exact_prefactor_factorizes_the_matrix():
     # entry = exp(log_prefactor) * exp(-n_eff * divergence) on regular rows/cols
     from hlrd.divergence import divergence

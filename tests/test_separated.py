@@ -24,6 +24,7 @@ from hlrd.separated import (
     build_constructive,
     build_product,
     numerical_rank,
+    rank_from_singular_values,
 )
 from hlrd import separated
 
@@ -95,6 +96,17 @@ def test_numerical_rank_rejects_nonfinite():
     m[1, 1] = np.inf
     with pytest.raises(ValueError):
         numerical_rank(m, 1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_rank_rejects_eps_not_positive(eps):
+    # checked before anything else, the empty spectrum included
+    for s in (np.array([1.0, 0.5]), np.zeros(0)):
+        for convention in RankConvention:
+            with pytest.raises(ValueError):
+                rank_from_singular_values(s, eps, convention)
+    with pytest.raises(ValueError):
+        numerical_rank(np.eye(3), eps)
 
 
 def test_rank_grows_at_most_linearly_in_log_accuracy():
