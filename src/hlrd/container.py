@@ -23,6 +23,12 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
                   beta factor (cols x rank, row-major f64); then for each
                   dense piece its values (row-major f64)
 
+A low-rank record's box is the support of its factors inside its scheme
+block (level, index): ``compress`` cuts off the leading and trailing zero
+rows of alpha and beta, and a piece whose product is zero keeps its
+block's box.  A dense record's box is its whole cell or strip.  The
+reader ties no box to the scheme; it checks each box against the matrix.
+
 Both tables are read and written whole, as numpy record arrays of this
 layout (``hmatrix.LOWRANK_RECORD`` and ``hmatrix.DENSE_RECORD``), and an
 ``HMatrix`` keeps them as they are in the file.

@@ -8,7 +8,7 @@ Four closely related divergences drive everything here:
 * its reflection with both parameters complemented, ``(1-p, 1-q)``,
 * the Bernoulli KL divergence, which is exactly rate + reflected rate.
 
-For a level ``m > 0`` ``solve_thresholds`` finds the points on the edges
+For a finite level ``m > 0`` ``solve_thresholds`` finds the points on the edges
 of an off-diagonal square where the one-sided divergences against the
 diagonal corner reach ``m``.  The two-sided divergence at that threshold
 pair stays within a uniform constant factor of ``m`` (it tends to 4 as
@@ -211,10 +211,10 @@ def solve_thresholds(m: float, regime: Regime, tol: float = 1e-12) -> ThresholdP
       ``q' - 1 - ln q' = m``; clamped to 2 exactly when ``m >= 1 - ln 2``
       (``Q_CLAMP_LEVEL``).
 
-    Raises ValueError unless m > 0 and tol > 0.
+    Raises ValueError unless m is finite and > 0, and tol > 0.
     """
-    if not (m > 0.0):
-        raise ValueError("level m must be positive")
+    if not (0.0 < m < math.inf):
+        raise ValueError(f"level m must be finite and positive, got {m!r}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if regime is Regime.LOWER:

@@ -12,11 +12,17 @@ coordinate space, builds the staircase partition there, and stores
   Poisson k = 0 row, chi-squared columns with k <= 2) exactly as dense
   strips.
 
-Every matrix index pair is owned by exactly one block: geometric regions
-are converted to index ranges half-open on the right, closed at the
-domain's upper edge.  The result supports fast matvec (each low-rank
-block costs rank * (rows + cols) operations), storage accounting and
-randomized verification against the exact entries.
+The scheme's blocks, diagonal cells and strips tile the matrix: geometric
+regions are converted to index ranges half-open on the right, closed at
+the domain's upper edge.  A dense piece stores its whole region.  A
+low-rank piece stores only the support of its factors inside its block:
+rows from the first through the last nonzero alpha row, columns likewise
+for beta (the builders leave exact zeros outside the threshold box, or
+where entries underflow).  So each index pair is owned by at most one
+piece, and a pair no piece owns reads 0.  The result supports fast
+matvec (each low-rank piece costs rank * (rows + cols) operations),
+storage accounting and randomized verification against the exact
+entries.
 
 A compressed matrix is two record tables and the stacks their arrays
 live in.  ``HMatrix.lowrank`` and ``HMatrix.dense`` hold one record per
@@ -419,6 +425,24 @@ def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
             f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
 
 
+def _support(approx: SeparatedApprox, box: tuple[int, int, int, int]):
+    """(alpha, beta, box) of a block's piece, cut to the support of its factors.
+
+    Rows run from the first through the last nonzero row of alpha, columns
+    from the first through the last nonzero row of beta; the rank stays.
+    A piece whose product is zero (rank 0, or a factor with no nonzero
+    row) keeps its box.
+    """
+    alpha, beta = approx.alpha, approx.beta
+    rows = np.flatnonzero(alpha.any(axis=1))
+    cols = np.flatnonzero(beta.any(axis=1))
+    if not (rows.size and cols.size):
+        return alpha, beta, box
+    i0, i1, j0, j1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    r0, _, c0, _ = box
+    return alpha[i0:i1], beta[j0:j1], (r0 + i0, r0 + i1, c0 + j0, c0 + j1)
+
+
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
              leaf_size: int = DEFAULT_LEAF) -> HMatrix:
     """Compress a family matrix into hierarchical low-rank form.
@@ -444,16 +468,16 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
         block_ranges = sorted(block_ranges, key=lambda br: (br[0].level, br[0].index))
         for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0].level):
             level_ranges = list(level_ranges)
-            approxs = [_compress_block(spec, kmap, builder, blk, box, eps)
-                       for blk, box in level_ranges]
-            table = np.array([(blk.level, blk.index, a.alpha.shape[1], *box)
-                              for (blk, box), a in zip(level_ranges, approxs)],
+            pieces = [_support(_compress_block(spec, kmap, builder, blk, box, eps), box)
+                      for blk, box in level_ranges]
+            table = np.array([(blk.level, blk.index, alpha.shape[1], *box)
+                              for (blk, _), (alpha, _, box) in zip(level_ranges, pieces)],
                              dtype=LOWRANK_RECORD)
             layout = stack_pieces(spec.shape, table, _NO_DENSE)
             arrays = payload_arrays(layout, table, _NO_DENSE)
-            for a, alpha, beta in zip(approxs, arrays[0::2], arrays[1::2]):
-                alpha[...] = a.alpha
-                beta[...] = a.beta
+            for (alpha, beta, _), alpha_slot, beta_slot in zip(pieces, arrays[0::2], arrays[1::2]):
+                alpha_slot[...] = alpha
+                beta_slot[...] = beta
             tables.append(table)
             layouts.append(layout)
     records = ([("diagonal", region.level, region.index, *box) for region, box in diagonal]

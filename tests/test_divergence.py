@@ -205,9 +205,10 @@ def test_root_consistency_over_level_grid():
 
 
 def test_invalid_levels_rejected():
-    # checked before any equation is solved, in both regimes alike
+    # checked before any equation is solved, in both regimes alike (an
+    # infinite level would bisect [0, inf] in one regime and clamp in the other)
     for regime in Regime:
-        for m, tol in ((0.0, 1e-12), (-1.0, 1e-12), (math.nan, 1e-12),
+        for m, tol in ((math.inf, 1e-12), (0.0, 1e-12), (-1.0, 1e-12), (math.nan, 1e-12),
                        (1.0, 0.0), (1.0, -1e-12), (1.0, math.nan)):
             with pytest.raises(ValueError):
                 solve_thresholds(m, regime, tol=tol)

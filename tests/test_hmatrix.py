@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlrd import hmatrix
 from hlrd.container import load_hmatrix, save_hmatrix
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from hlrd.hmatrix import (
     DENSE_RECORD,
+    DENSE_TAGS,
     LOWRANK_RECORD,
     Builder,
     compress,
@@ -20,8 +22,10 @@ from hlrd.hmatrix import (
     reconstruct_entries,
     scheme_for,
     storage_report,
+    table_boxes,
     verify,
 )
+from hlrd.separated import SeparatedApprox
 
 SMALL_FAMILIES = [
     BinomialFamily(n=48),
@@ -600,12 +604,16 @@ def test_metadata_edit_raises_value_error_or_round_trips(meta_fuzz, name, data):
        builder=st.sampled_from(list(Builder)))
 def test_tables_tile_count_and_round_trip(tmp_path_factory, name, n, leaf, eps, builder):
     spec = _family(name, n)
+    # the scheme's blocks, cells and strips tile the matrix; the pieces cut
+    # to their support own each pair at most once
+    tiles = _coverage_counts(spec, leaf)
+    assert np.all(tiles == 1), f"tiling breaks at {np.argwhere(tiles != 1)[:5]}"
     h = compress(spec, eps, builder=builder, leaf_size=leaf)
     counts = np.zeros(spec.shape, dtype=int)
     for table in (h.lowrank, h.dense):
         for r0, r1, c0, c1 in table[["row_lo", "row_hi", "col_lo", "col_hi"]].tolist():
             counts[r0:r1, c0:c1] += 1
-    assert np.all(counts == 1), f"ownership breaks at {np.argwhere(counts != 1)[:5]}"
+    assert np.all(counts <= 1), f"ownership breaks at {np.argwhere(counts > 1)[:5]}"
     assert h.stored_entries == sum(left.size + (0 if right is None else right.size)
                                    for _, left, right in _pieces(h))
     path = tmp_path_factory.mktemp("roundtrip") / "h.hlrd"
@@ -613,3 +621,104 @@ def test_tables_tile_count_and_round_trip(tmp_path_factory, name, n, leaf, eps, 
     again = path.with_name("again.hlrd")
     save_hmatrix(load_hmatrix(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# low-rank pieces on their factors' support
+# ---------------------------------------------------------------------------
+
+def test_support_cuts_zero_rows_and_keeps_the_rank():
+    alpha = np.zeros((6, 2))
+    alpha[[1, 3]] = [[1.0, 0.0], [0.0, -2.0]]
+    beta = np.zeros((5, 2))
+    beta[[0, 2]] = [[3.0, 1.0], [0.0, 5e-324]]
+    a, b, box = hmatrix._support(SeparatedApprox(None, None, alpha, beta), (10, 16, 20, 25))
+    assert box == (11, 14, 20, 23)
+    assert np.array_equal(a, alpha[1:4]) and np.array_equal(b, beta[0:3])
+    # a piece that stores a zero product keeps its block's box
+    for alpha, beta in ((np.zeros((6, 0)), np.zeros((5, 0))), (np.zeros((6, 1)), np.ones((5, 1)))):
+        a, b, box = hmatrix._support(SeparatedApprox(None, None, alpha, beta), (10, 16, 20, 25))
+        assert box == (10, 16, 20, 25) and a is alpha and b is beta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["binomial", "poisson", "chisq"]), n=st.integers(5, 64),
+       leaf=st.sampled_from([2, 8]), eps=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+       builder=st.sampled_from(list(Builder)))
+def test_pieces_sit_on_their_support_inside_their_blocks(name, n, leaf, eps, builder):
+    spec = _family(name, n)
+    h = compress(spec, eps, builder=builder, leaf_size=leaf)
+    counts = np.zeros(spec.shape, dtype=int)
+    for rec, _, _ in _pieces(h):
+        r0, r1, c0, c1 = _box(rec)
+        counts[r0:r1, c0:c1] += 1
+    assert np.all(counts <= 1), f"pairs owned twice at {np.argwhere(counts > 1)[:5]}"
+
+    _, _, block_ranges, cell_ranges, strips = index_layout(spec, leaf_size=leaf)
+    cells = ([(0, cell.level, cell.index, *box) for cell, box in cell_ranges]
+             + [(DENSE_TAGS.index(tag), 0, 0, *box) for tag, box in strips])
+    assert sorted(h.dense.tolist()) == sorted(cells)
+    block_box = {(blk.level, blk.index): box for blk, box in block_ranges}
+    assert len(h.lowrank) == len(block_box)
+    for rec, left, right in _pieces(h):
+        if right is None:
+            continue
+        r0, r1, c0, c1 = _box(rec)
+        b0, b1, d0, d1 = block = block_box[int(rec["level"]), int(rec["index"])]
+        assert b0 <= r0 < r1 <= b1 and d0 <= c0 < c1 <= d1
+        if left.any() and right.any():
+            # tight: the first and last row of each factor are nonzero
+            assert left[[0, -1]].any(axis=1).all() and right[[0, -1]].any(axis=1).all()
+        else:   # stores a zero product (rank 0 among them): the block's box
+            assert (r0, r1, c0, c1) == block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmatrix, "_support", lambda approx, box: (approx.alpha, approx.beta, box))
+        whole = compress(spec, eps, builder=builder, leaf_size=leaf)
+    assert [tuple(b) for b in table_boxes(whole.lowrank).tolist()] == [
+        block_box[key] for key in zip(whole.lowrank["level"].tolist(),
+                                      whole.lowrank["index"].tolist())]
+    assert np.array_equal(whole.lowrank["rank"], h.lowrank["rank"])
+    assert np.array_equal(whole.to_dense(), h.to_dense())
+    assert h.stored_entries <= whole.stored_entries
+
+
+@pytest.fixture(scope="module")
+def byte_fuzz(tmp_path_factory):
+    """A directory, the bytes of a small container with cut pieces, and its u32 field offsets."""
+    spec = BinomialFamily(n=16)
+    h = compress(spec, 1e-6, builder=Builder.CONSTRUCTIVE, leaf_size=4)
+    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=4)
+    assert {tuple(b) for b in table_boxes(h.lowrank).tolist()} - {b for _, b in block_ranges}
+    where = tmp_path_factory.mktemp("byte-fuzz")
+    save_hmatrix(h, where / "h.hlrd")
+    buf = (where / "h.hlrd").read_bytes()
+    lr_at, n_lr, dn_at, n_dn = _table_offsets(buf)
+    # the metadata length, the header counts, and every field of both tables
+    fields = ([5] + list(range(lr_at - 16, lr_at, 4))
+              + [lr_at + 28 * i + 4 * k for i in range(n_lr) for k in range(7)]
+              + [dn_at + 25 * i + 1 + 4 * k for i in range(n_dn) for k in range(6)])
+    return where, buf, fields
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_edit_or_truncation_raises_value_error_or_round_trips(byte_fuzz, data):
+    where, buf, fields = byte_fuzz
+    edited = bytearray(buf)
+    for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(buf) - 1),
+                                                  st.integers(0, 255)), max_size=3)):
+        edited[at] = value
+    values = st.one_of(st.integers(0, 40), st.sampled_from([2**31 - 1, 2**31, 2**32 - 1]))
+    for at, value in data.draw(st.lists(st.tuples(st.sampled_from(fields), values), max_size=3)):
+        struct.pack_into("<I", edited, at, value)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(buf) - 1)))
+    edited = bytes(edited[:cut]) + data.draw(st.binary(max_size=16))
+    path = where / "edited.hlrd"
+    path.write_bytes(edited)
+    try:
+        g = load_hmatrix(path)
+    except ValueError:
+        return
+    save_hmatrix(g, where / "again.hlrd")
+    assert (where / "again.hlrd").read_bytes() == edited
