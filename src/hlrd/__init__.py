@@ -20,14 +20,12 @@ from .divergence import (
 )
 from .partition import (
     Block,
-    DenseCell,
-    OutOfDomainError,
     Parity,
     PartitionScheme,
     QuarterPlane,
     UnitSquare,
+    block_intervals,
     build_scheme,
-    locate,
     verify_tiling,
 )
 from .separated import (

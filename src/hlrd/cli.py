@@ -100,9 +100,9 @@ def _block_singular_values(spec, leaf: int):
     _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
     full = dense_matrix(spec)
     out = []
-    for blk, (r0, r1, c0, c1) in block_ranges:
+    for region, (r0, r1, c0, c1) in block_ranges:
         s = np.linalg.svd(full[r0:r1, c0:c1], compute_uv=False)
-        out.append((blk, (r0, r1, c0, c1), s))
+        out.append((region, (r0, r1, c0, c1), s))
     return out
 
 
@@ -116,10 +116,10 @@ def _cmd_rank_map(args) -> int:
     convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
                   else RankConvention.ABSOLUTE)
     rows = []
-    for blk, (r0, r1, c0, c1), s in _block_singular_values(spec, args.leaf):
+    for (level, index), (r0, r1, c0, c1), s in _block_singular_values(spec, args.leaf):
         svd_rank = rank_from_singular_values(s, eps, convention)
         aca_rank = aca_build(block_oracle(spec, r0, r1, c0, c1), r1 - r0, c1 - c0, eps).rank
-        rows.append([blk.level, blk.index, r0, r1, c0, c1, svd_rank, aca_rank])
+        rows.append([level, index, r0, r1, c0, c1, svd_rank, aca_rank])
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
     _write_csv(out, ["level", "index", "row_lo", "row_hi", "col_lo", "col_hi",

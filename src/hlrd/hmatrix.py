@@ -14,7 +14,8 @@ coordinate space, builds the staircase partition there, and stores
 
 The scheme's blocks, diagonal cells and strips tile the matrix: geometric
 regions are converted to index ranges half-open on the right, closed at
-the domain's upper edge.  A dense piece stores its whole region.  A
+the domain's upper edge, all in one pass over the finest grid's edges
+(``index_layout``).  A dense piece stores its whole region.  A
 low-rank piece stores only the support of its factors inside its block:
 rows from the first through the last nonzero alpha row, columns likewise
 for beta (the builders leave exact zeros outside the threshold box, or
@@ -50,7 +51,8 @@ import numpy as np
 from .divergence import DivergenceKind
 from .families import (FamilySpec, KernelMap, block_oracle, entry_exact, kernel_coordinates,
                        kernel_map)
-from .partition import Block, PartitionScheme, QuarterPlane, UnitSquare, build_scheme
+from .partition import (Block, PartitionScheme, QuarterPlane, UnitSquare, block_intervals,
+                        build_scheme)
 from .separated import SeparatedApprox, aca_build, build_constructive, build_product, BuilderError
 
 __all__ = [
@@ -292,20 +294,6 @@ class HMatrix:
 # index layout: map scheme geometry to matrix index ranges
 # ---------------------------------------------------------------------------
 
-def _interval_to_range(coords: np.ndarray, lo: float, hi: float, extent: float) -> tuple[int, int]:
-    """Indices with coordinate in [lo, hi), closed at the domain's top edge."""
-    i0 = int(np.searchsorted(coords, lo, side="left"))
-    side = "right" if hi >= extent else "left"
-    i1 = int(np.searchsorted(coords, hi, side=side))
-    return i0, i1
-
-
-def _interior_clip(rng: tuple[int, int], interior: tuple[int, int]) -> tuple[int, int]:
-    lo = max(rng[0], interior[0])
-    hi = min(rng[1], interior[1])
-    return (lo, hi) if hi > lo else (lo, lo)
-
-
 def _interior(singular: tuple[int, ...], n: int) -> tuple[int, int]:
     """Index range [lo, hi) of 0..n-1 left after peeling singular indices off both ends."""
     lo = 0
@@ -346,31 +334,52 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
                  leaf_size: int = DEFAULT_LEAF):
     """Index ranges for every region of the scheme over a family's grids.
 
-    Returns (scheme, kmap, block_ranges, cell_ranges, strips) where
-    block_ranges / cell_ranges pair each nonempty region with its
-    (row_lo, row_hi, col_lo, col_hi) and strips is the list of dense
-    singular-strip boxes.
+    Returns (scheme, kmap, block_ranges, cell_ranges, strips).
+    block_ranges and cell_ranges pair each nonempty block or dense cell,
+    named by its ``(level, index)``, with its ``(row_lo, row_hi, col_lo,
+    col_hi)``: the interior rows whose ``p_of_row`` lies in the region's
+    p-interval and the interior columns whose ``q_of_col`` lies in its
+    q-interval, half-open on the right and closed at the extent.  Blocks
+    come by level, coarsest first, then by index; cells by index.  strips
+    pairs ``"rows"`` or ``"cols"`` with the box of each dense singular
+    strip.
+
+    Every region's edges are edges of the finest grid, so one
+    ``searchsorted`` per axis over those edges gives every box: a block at
+    level l reads them at multiples of ``2**(l_max - l)``.
     """
     kmap = kernel_map(spec)
     if scheme is None:
         scheme = scheme_for(spec, leaf_size)
     n_rows, n_cols = spec.shape
-    extent = scheme.extent
     int_rows = _interior(kmap.singular_rows, n_rows)
     int_cols = _interior(kmap.singular_cols, n_cols)
+    finest = 2.0 ** scheme.l_max
+    edges = np.arange(scheme.cells(scheme.l_max) + 1) / finest
 
-    def ranges(regions, intervals) -> list:
-        out = []
-        for region in regions:
-            (plo, phi), (qlo, qhi) = intervals(region)
-            r = _interior_clip(_interval_to_range(kmap.p_of_row, plo, phi, extent), int_rows)
-            c = _interior_clip(_interval_to_range(kmap.q_of_col, qlo, qhi, extent), int_cols)
-            if r[1] > r[0] and c[1] > c[0]:
-                out.append((region, (r[0], r[1], c[0], c[1])))
-        return out
+    def edge_bounds(coords, interior):
+        at = np.searchsorted(coords, edges, side="left")
+        at[-1] = np.searchsorted(coords, scheme.extent, side="right")
+        return np.clip(at, *interior)
 
-    block_ranges = ranges(scheme.blocks, lambda blk: (blk.p_interval, blk.q_interval))
-    cell_ranges = ranges(scheme.dense_cells, lambda cell: (cell.interval, cell.interval))
+    row_at = edge_bounds(kmap.p_of_row, int_rows)
+    col_at = edge_bounds(kmap.q_of_col, int_cols)
+
+    def ranges(level, index, r0, r1, c0, c1) -> list:
+        """Regions with edges at finest-grid positions r0, r1 (p) and c0, c1 (q)."""
+        box = np.stack([row_at[r0], row_at[r1], col_at[c0], col_at[c1]], axis=-1)
+        keep = (box[:, 1] > box[:, 0]) & (box[:, 3] > box[:, 2])
+        return list(zip(zip(level[keep].tolist(), index[keep].tolist()),
+                        map(tuple, box[keep].tolist())))
+
+    counts = [scheme.cells(level) for level in scheme.levels]
+    level = np.repeat(scheme.levels, counts)
+    index = np.arange(level.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # dyadic edges times 2**l_max are exact integers
+    at = (np.stack(block_intervals(level, index)) * finest).astype(np.intp)
+    block_ranges = ranges(level, index, *at)
+    cell = np.arange(scheme.cells(scheme.l_max))
+    cell_ranges = ranges(np.full_like(cell, scheme.l_max), cell, cell, cell + 1, cell, cell + 1)
 
     strips = []
     if int_rows[0] > 0:
@@ -413,15 +422,17 @@ def _constructive_block(spec: FamilySpec, kmap: KernelMap, blk: Block,
 
 
 def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
-                    blk: Block, rng: tuple[int, int, int, int], eps: float) -> SeparatedApprox:
+                    region: tuple[int, int], rng: tuple[int, int, int, int],
+                    eps: float) -> SeparatedApprox:
     r0, r1, c0, c1 = rng
     try:
         if builder is Builder.ACA:
             return aca_build(block_oracle(spec, *rng), r1 - r0, c1 - c0, eps)
-        return _constructive_block(spec, kmap, blk, rng, eps)
+        return _constructive_block(spec, kmap, Block(*region), rng, eps)
     except BuilderError as exc:
+        level, index = region
         raise BuilderError(
-            f"builder failed on block level={blk.level} index={blk.index} "
+            f"builder failed on block level={level} index={index} "
             f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
 
 
@@ -465,13 +476,13 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     if eps >= 1.0:
         diagonal = block_ranges + cell_ranges
     else:
-        block_ranges = sorted(block_ranges, key=lambda br: (br[0].level, br[0].index))
-        for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0].level):
+        # block_ranges come by level, then index
+        for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0][0]):
             level_ranges = list(level_ranges)
-            pieces = [_support(_compress_block(spec, kmap, builder, blk, box, eps), box)
-                      for blk, box in level_ranges]
-            table = np.array([(blk.level, blk.index, alpha.shape[1], *box)
-                              for (blk, _), (alpha, _, box) in zip(level_ranges, pieces)],
+            pieces = [_support(_compress_block(spec, kmap, builder, region, box, eps), box)
+                      for region, box in level_ranges]
+            table = np.array([(*region, alpha.shape[1], *box)
+                              for (region, _), (alpha, _, box) in zip(level_ranges, pieces)],
                              dtype=LOWRANK_RECORD)
             layout = stack_pieces(spec.shape, table, _NO_DENSE)
             arrays = payload_arrays(layout, table, _NO_DENSE)
@@ -480,7 +491,7 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
                 beta_slot[...] = beta
             tables.append(table)
             layouts.append(layout)
-    records = ([("diagonal", region.level, region.index, *box) for region, box in diagonal]
+    records = ([("diagonal", *region, *box) for region, box in diagonal]
                + [(tag, 0, 0, *box) for tag, box in strips])
     # container order: by tag name, then by first row and column
     records.sort(key=lambda r: (r[0], r[3], r[5]))

@@ -2,11 +2,14 @@
 
 The (p, q) domain is the square ``[0, A]^2`` with A a power of two, tiled
 by square blocks that touch the diagonal at exactly one corner and double
-in size away from it.  At level ``l`` the block with index ``k`` spans
-``[k, k+1] x [k+1, k+2]`` in units of ``2**-l`` when k is even (above the
-diagonal) and ``[k, k+1] x [k-1, k]`` when k is odd (below).  Levels run
-from ``1 - log2(A)``, the coarsest that fits inside the extent, to the
-finest level ``l_max``, with ``A * 2**l`` blocks per level.  The
+in size away from it.  The staircase is index arithmetic: at level ``l``
+the block with index ``k`` spans p-cell ``k`` and q-cell ``k ^ 1``, in
+cells of width ``2**-l`` -- one step above the diagonal when k is even,
+one below when k is odd -- and touches the diagonal at
+``(k | 1) * 2**-l`` (``block_intervals``).  Levels run from
+``1 - log2(A)``, the coarsest that fits inside the extent, to the finest
+level ``l_max``, with ``A * 2**l`` blocks per level; a scheme is just
+those levels, and no region is built as an object.  The
 untruncated quarter-plane decomposition extends to arbitrarily coarse
 levels; a finite matrix only ever meets the blocks inside its extent, so
 truncation loses nothing.  The Bernoulli-KL kernel lives on the unit
@@ -14,43 +17,48 @@ square, A = 1 (``UnitSquare``); the rate kernels on the smallest power of
 two that covers their coordinates.
 
 What the blocks do not cover is the strip of finest-level squares along
-the diagonal; those are kept as an explicit dense remainder.
+the diagonal, cell ``k`` spanning ``[k, k+1]^2`` in units of
+``2**-l_max``; those are kept as an explicit dense remainder.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Block",
-    "DenseCell",
-    "OutOfDomainError",
     "Parity",
     "PartitionScheme",
     "QuarterPlane",
     "TilingReport",
     "UnitSquare",
+    "block_intervals",
     "build_scheme",
     "claim_counts",
-    "locate",
     "verify_tiling",
 ]
-
-
-class OutOfDomainError(ValueError):
-    """Point outside the partition's domain."""
 
 
 class Parity(enum.Enum):
     EVEN = "even"   # above the diagonal (q > p)
     ODD = "odd"     # below the diagonal (q < p)
+
+
+def block_intervals(level, index):
+    """(p_lo, p_hi, q_lo, q_hi) of the blocks (level, index), elementwise over arrays.
+
+    Block k of level l spans p-cell k and q-cell ``k ^ 1`` in cells of
+    width ``2**-l``.
+    """
+    level, index = np.asarray(level), np.asarray(index)
+    w = np.ldexp(1.0, -level)
+    q = index ^ 1
+    return index * w, (index + 1) * w, q * w, (q + 1) * w
 
 
 @dataclass(frozen=True)
@@ -65,51 +73,23 @@ class Block:
             raise ValueError("block index must be non-negative")
 
     @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.index % 2 == 0 else Parity.ODD
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
     def p_interval(self) -> tuple[float, float]:
-        w = self.side
-        return (self.index * w, (self.index + 1) * w)
+        p_lo, p_hi, _, _ = block_intervals(self.level, self.index)
+        return (float(p_lo), float(p_hi))
 
     @property
     def q_interval(self) -> tuple[float, float]:
-        w = self.side
-        if self.index % 2 == 0:
-            return ((self.index + 1) * w, (self.index + 2) * w)
-        return ((self.index - 1) * w, self.index * w)
+        _, _, q_lo, q_hi = block_intervals(self.level, self.index)
+        return (float(q_lo), float(q_hi))
+
+    @property
+    def parity(self) -> Parity:
+        return Parity.EVEN if self.q_interval[0] > self.p_interval[0] else Parity.ODD
 
     @property
     def corner(self) -> float:
-        """Coordinate of the single corner that touches the diagonal."""
-        w = self.side
-        return self.index * w if self.index % 2 == 1 else (self.index + 1) * w
-
-    def contains(self, p: float, q: float) -> bool:
-        (plo, phi), (qlo, qhi) = self.p_interval, self.q_interval
-        return plo <= p <= phi and qlo <= q <= qhi
-
-
-@dataclass(frozen=True)
-class DenseCell:
-    """Finest-level diagonal square [k, k+1]^2 / 2^l, kept dense."""
-
-    level: int
-    index: int
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        w = 2.0 ** (-self.level)
-        return (self.index * w, (self.index + 1) * w)
-
-    def contains(self, p: float, q: float) -> bool:
-        lo, hi = self.interval
-        return lo <= p <= hi and lo <= q <= hi
+        """Coordinate of the corner on the diagonal: ``(index | 1) * 2**-level``."""
+        return max(self.p_interval[0], self.q_interval[0])
 
 
 @dataclass(frozen=True)
@@ -149,7 +129,11 @@ def _extent_exponent(extent: float) -> int:
 
 
 class PartitionScheme:
-    """Immutable collection of staircase blocks plus the dense remainder."""
+    """The staircase over [0, extent]^2: block levels, coarsest first, down to l_max.
+
+    Level l holds ``cells(l)`` blocks, indices 0 up; the dense cells are
+    the ``cells(l_max)`` diagonal squares of the finest level.
+    """
 
     def __init__(self, domain: QuarterPlane):
         a = _extent_exponent(domain.extent)
@@ -158,24 +142,19 @@ class PartitionScheme:
             raise ValueError(f"l_max {l_max!r} is not an integer")
         if l_max < 1 - a:
             raise ValueError(f"l_max={l_max} is coarser than the extent allows (needs >= {1 - a})")
+        if a + l_max > 62:
+            # cell indices, up to extent * 2**l_max, must fit int64
+            raise ValueError(f"l_max={l_max} is finer than the extent allows (needs <= {62 - a})")
         self.extent = float(domain.extent)
         self.l_max = l_max
-        self._levels = range(1 - a, l_max + 1)
+        self.levels = tuple(range(1 - a, l_max + 1))
 
-    # built on first use: loading a container builds the scheme but reads neither
-    @functools.cached_property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(Block(lvl, k) for lvl in self._levels
-                     for k in range(int(round(self.extent * 2.0 ** lvl))))
-
-    @functools.cached_property
-    def dense_cells(self) -> tuple[DenseCell, ...]:
-        n_cells = int(round(self.extent * 2.0 ** self.l_max))
-        return tuple(DenseCell(self.l_max, k) for k in range(n_cells))
+    def cells(self, level: int) -> int:
+        """Number of cells of width ``2**-level`` across the extent."""
+        return int(round(self.extent * 2.0 ** level))
 
     def __repr__(self) -> str:
-        return (f"PartitionScheme(extent={self.extent}, l_max={self.l_max}, "
-                f"blocks={len(self.blocks)}, dense_cells={len(self.dense_cells)})")
+        return f"PartitionScheme(extent={self.extent}, l_max={self.l_max}, levels={self.levels})"
 
 
 def build_scheme(domain: QuarterPlane) -> PartitionScheme:
@@ -183,65 +162,27 @@ def build_scheme(domain: QuarterPlane) -> PartitionScheme:
     return PartitionScheme(domain)
 
 
-def locate(scheme: PartitionScheme, p: float, q: float) -> Union[Block, DenseCell]:
-    """Find the region containing (p, q).
-
-    Points on shared boundaries resolve to the block with the smaller
-    (level, index) pair; dense cells are only reached when no block
-    contains the point.  Raises OutOfDomainError outside the domain.
-    """
-    A = scheme.extent
-    if not (0.0 <= p <= A and 0.0 <= q <= A):
-        raise OutOfDomainError(f"point ({p!r}, {q!r}) outside [0, {A}]^2")
-
-    for lvl in scheme._levels:
-        w = 2.0 ** (-lvl)
-        count = int(round(A * 2.0 ** lvl))
-        k = min(int(p / w), count - 1)
-        # a point exactly on a grid line also lies in the block to its left
-        candidates = [k - 1, k] if (k > 0 and p == k * w) else [k]
-        for cand in candidates:
-            blk = Block(lvl, cand)
-            if blk.contains(p, q):
-                return blk
-    w = 2.0 ** (-scheme.l_max)
-    count = int(round(A * 2.0 ** scheme.l_max))
-    kp = min(int(p / w), count - 1)
-    for cand in ([kp - 1, kp] if (kp > 0 and p == kp * w) else [kp]):
-        cell = DenseCell(scheme.l_max, cand)
-        if cell.contains(p, q):
-            return cell
-    raise OutOfDomainError(f"point ({p!r}, {q!r}) not covered; this indicates a scheme bug")
-
-
 def claim_counts(scheme: PartitionScheme, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """How many regions of the scheme claim each point (p, q), closed intervals.
 
-    Per level of width w, a point's p lies in grid cell k = floor(p / w),
-    and also in cell k - 1 when it sits on their shared edge; each of the
-    two candidates claims the point when its q-interval holds q, once per
-    copy of that (level, index) in the scheme's block or cell list.
+    Per level of width w, a point's p lies in p-cell k = floor(p / w), and
+    also in cell k - 1 when it sits on their shared edge; each of the two
+    candidate blocks (``block_intervals``) claims the point when its
+    q-interval holds q, and so does each candidate dense cell, whose
+    q-interval is its p-interval.  A level listed twice in
+    ``scheme.levels`` claims twice.
     """
     ps = np.asarray(ps, dtype=np.float64)
     qs = np.asarray(qs, dtype=np.float64)
     counts = np.zeros(ps.shape, dtype=np.int64)
-    for regions, is_block in ((scheme.blocks, True), (scheme.dense_cells, False)):
-        copies: dict = {}
-        for r in regions:
-            level_copies = copies.setdefault(r.level, {})
-            level_copies[r.index] = level_copies.get(r.index, 0) + 1
-        for level, by_index in copies.items():
-            w = 2.0 ** (-level)
-            table = np.zeros(max(by_index) + 1, dtype=np.int64)
-            table[list(by_index)] = list(by_index.values())
-            k = np.floor(ps / w).astype(np.int64)
-            for idx in (k - 1, k):
-                # a block's q-interval sits one step above (even index) or below (odd)
-                q0 = (np.where(idx % 2 == 0, idx + 1, idx - 1) if is_block else idx)
-                inside = ((idx >= 0) & (idx < len(table))
-                          & (ps >= idx * w) & (ps <= (idx + 1) * w)
-                          & (qs >= q0 * w) & (qs <= (q0 + 1) * w))
-                counts += np.where(inside, table[np.clip(idx, 0, len(table) - 1)], 0)
+    for level, diagonal in [(lvl, False) for lvl in scheme.levels] + [(scheme.l_max, True)]:
+        k = np.floor(ps / 2.0 ** (-level)).astype(np.int64)
+        for idx in (k - 1, k):
+            p_lo, p_hi, q_lo, q_hi = block_intervals(level, idx)
+            if diagonal:
+                q_lo, q_hi = p_lo, p_hi
+            counts += ((idx >= 0) & (idx < scheme.cells(level))
+                       & (ps >= p_lo) & (ps <= p_hi) & (qs >= q_lo) & (qs <= q_hi))
     return counts
 
 

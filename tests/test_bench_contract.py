@@ -1,8 +1,10 @@
-"""The package names the benchmark in ``perfbench/`` patches or reads.
+"""The package names and return shapes the benchmark in ``perfbench/`` relies on.
 
-``perfbench/tracing.py`` wraps functions by module attribute and
+``perfbench/tracing.py`` wraps functions by module attribute,
 ``perfbench/run.py`` reads ``hlrd._kernels.USE_NUMBA`` for its environment
-block; renaming any of them breaks the benchmark, not the package.  Only
+block, and ``perfbench/checks.py`` and ``perfbench/workloads.py`` unpack
+what ``index_layout`` returns; changing any of them breaks the benchmark,
+not the package.  Only
 ``tracing`` is imported here: importing ``run`` sets environment variables
 and changes the allocator's settings.
 """
@@ -33,3 +35,20 @@ def test_environment_flag_exists():
     from hlrd import _kernels
 
     assert isinstance(_kernels.USE_NUMBA, bool)
+
+
+def test_index_layout_returns_what_the_benchmark_unpacks():
+    # perfbench/checks.py and perfbench/workloads.py unpack the 5-tuple
+    # and each entry of its region and strip lists
+    from hlrd.families import BinomialFamily
+    from hlrd.hmatrix import index_layout, scheme_for
+
+    spec = BinomialFamily(n=64)
+    out = index_layout(spec, scheme_for(spec, 8))
+    assert len(out) == 5
+    _, _, blocks, cells, strips = out
+    assert blocks and cells and strips
+    for region, (r0, r1, c0, c1) in blocks + cells:
+        assert all(type(b) is int for b in (r0, r1, c0, c1)) and r0 < r1 and c0 < c1
+    for tag, (r0, r1, c0, c1) in strips:
+        assert isinstance(tag, str)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlrd import hmatrix
+from hlrd import families, hmatrix
 from hlrd.container import load_hmatrix, save_hmatrix
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from hlrd.hmatrix import (
@@ -109,6 +109,53 @@ def _family(name, n):
     return ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n)
 
 
+def _on_interval(coords, lo, hi, extent):
+    """Mask of coords in [lo, hi), closed at the extent."""
+    return (coords >= lo) & ((coords < hi) | ((hi >= extent) & (coords <= hi)))
+
+
+@pytest.mark.parametrize("spec,leaf", [(_family(name, 100), leaf)
+                                       for name in ("binomial", "poisson", "chisq")
+                                       for leaf in (1, 4, 32)]
+                         + [(spec, 4) for spec in (
+                             BinomialFamily(n=255, cols=193), BinomialFamily(n=5),
+                             PoissonFamily(k_max=101, lambda_max=90.0, lambda_grid=90),
+                             PoissonFamily(k_max=100, lambda_max=77.0, lambda_grid=119),
+                             ChiSquaredFamily(x_max=333.0, x_grid=64, k_max=333),
+                             ChiSquaredFamily(x_max=200.0, x_grid=128, k_max=256))])
+def test_layout_boxes_follow_the_region_definition(spec, leaf):
+    # rows: the interior rows whose p lies in the region's p-interval;
+    # columns likewise in q.  Regions left out of the layout hold no pair.
+    scheme, kmap, block_ranges, cell_ranges, _ = index_layout(spec, leaf_size=leaf)
+    n_rows, n_cols = spec.shape
+    interior_rows = ~np.isin(np.arange(n_rows), kmap.singular_rows)
+    interior_cols = ~np.isin(np.arange(n_cols), kmap.singular_cols)
+    extent = scheme.extent
+    regions = {}
+    for level in scheme.levels:
+        w = 2.0 ** -level
+        for k in range(round(extent / w)):
+            q = k + 1 if k % 2 == 0 else k - 1
+            regions["block", level, k] = (k * w, (k + 1) * w, q * w, (q + 1) * w)
+    w = 2.0 ** -scheme.l_max
+    for k in range(round(extent / w)):
+        regions["cell", scheme.l_max, k] = (k * w, (k + 1) * w, k * w, (k + 1) * w)
+    boxes = {("block", *region): box for region, box in block_ranges}
+    boxes.update({("cell", *region): box for region, box in cell_ranges})
+    assert len(boxes) == len(block_ranges) + len(cell_ranges)
+    assert set(boxes) <= set(regions)
+    for name, (p_lo, p_hi, q_lo, q_hi) in regions.items():
+        rows = interior_rows & _on_interval(kmap.p_of_row, p_lo, p_hi, extent)
+        cols = interior_cols & _on_interval(kmap.q_of_col, q_lo, q_hi, extent)
+        if name not in boxes:
+            assert not (rows.any() and cols.any()), name
+            continue
+        r0, r1, c0, c1 = boxes[name]
+        assert all(type(b) is int for b in (r0, r1, c0, c1))
+        assert np.array_equal(rows, (np.arange(n_rows) >= r0) & (np.arange(n_rows) < r1)), name
+        assert np.array_equal(cols, (np.arange(n_cols) >= c0) & (np.arange(n_cols) < c1)), name
+
+
 @pytest.mark.parametrize("leaf", [8, 32])
 @pytest.mark.parametrize("spec", [_family(name, n) for name in ("binomial", "poisson", "chisq")
                                   for n in (5, 48, 1024)] + [BinomialFamily(n=255, cols=193)])
@@ -116,8 +163,8 @@ def test_block_ranges_disjoint_within_level(spec, leaf):
     # the stacked layout relies on it: one stack per (level, rank) has disjoint rows
     _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
     by_level = {}
-    for blk, box in block_ranges:
-        by_level.setdefault(blk.level, []).append(box)
+    for (level, _), box in block_ranges:
+        by_level.setdefault(level, []).append(box)
     for boxes in by_level.values():
         for lo, hi in ((0, 1), (2, 3)):
             spans = sorted((b[lo], b[hi]) for b in boxes)
@@ -465,13 +512,19 @@ def test_leaf_size_below_one_rejected(leaf):
         compress(spec, 1e-6, builder=Builder.CONSTRUCTIVE, leaf_size=leaf)
 
 
-def test_load_builds_no_scheme_regions(tmp_path):
+def test_load_builds_no_scheme_regions(tmp_path, monkeypatch):
     path, _ = _small_container(tmp_path)
-    g = load_hmatrix(path)
-    assert "blocks" not in vars(g.scheme) and "dense_cells" not in vars(g.scheme)
-    # built on first use, equal to those of the scheme the matrix was compressed over
     h = compress(BinomialFamily(n=16), 1e-6, leaf_size=4)
-    assert g.scheme.blocks == h.scheme.blocks and g.scheme.dense_cells == h.scheme.dense_cells
+
+    def fail(*args, **kwargs):
+        raise AssertionError("load_hmatrix laid out the scheme")
+
+    for module, name in ((hmatrix, "index_layout"), (hmatrix, "kernel_map"),
+                         (families, "kernel_map")):
+        monkeypatch.setattr(module, name, fail)
+    g = load_hmatrix(path)
+    assert ((g.scheme.extent, g.scheme.l_max, g.scheme.levels)
+            == (h.scheme.extent, h.scheme.l_max, h.scheme.levels))
 
 
 @pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
@@ -655,10 +708,10 @@ def test_pieces_sit_on_their_support_inside_their_blocks(name, n, leaf, eps, bui
     assert np.all(counts <= 1), f"pairs owned twice at {np.argwhere(counts > 1)[:5]}"
 
     _, _, block_ranges, cell_ranges, strips = index_layout(spec, leaf_size=leaf)
-    cells = ([(0, cell.level, cell.index, *box) for cell, box in cell_ranges]
+    cells = ([(0, *cell, *box) for cell, box in cell_ranges]
              + [(DENSE_TAGS.index(tag), 0, 0, *box) for tag, box in strips])
     assert sorted(h.dense.tolist()) == sorted(cells)
-    block_box = {(blk.level, blk.index): box for blk, box in block_ranges}
+    block_box = dict(block_ranges)
     assert len(h.lowrank) == len(block_box)
     for rec, left, right in _pieces(h):
         if right is None:

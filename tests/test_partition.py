@@ -1,4 +1,4 @@
-"""Staircase partition geometry, locate queries, tiling checks."""
+"""Staircase partition geometry and tiling checks."""
 
 import math
 
@@ -7,16 +7,19 @@ import pytest
 
 from hlrd.partition import (
     Block,
-    DenseCell,
-    OutOfDomainError,
     Parity,
     QuarterPlane,
     UnitSquare,
+    block_intervals,
     build_scheme,
     claim_counts,
-    locate,
     verify_tiling,
 )
+
+
+def _blocks(scheme):
+    """Every block of the scheme, by level, then index."""
+    return [Block(level, k) for level in scheme.levels for k in range(scheme.cells(level))]
 
 
 def test_block_intervals_by_parity():
@@ -36,38 +39,49 @@ def test_block_touches_diagonal_at_one_corner():
         corners = [(plo, qlo), (plo, qhi), (phi, qlo), (phi, qhi)]
         on_diag = [c for c in corners if c[0] == c[1]]
         assert len(on_diag) == 1
-        assert on_diag[0][0] == blk.corner
+        assert on_diag[0][0] == blk.corner == (blk.index | 1) * 2.0 ** -blk.level
+
+
+def test_block_intervals_vectorize_the_scalar_block():
+    level = np.array([-3, -3, 0, 0, 2, 2, 5])
+    index = np.array([0, 1, 0, 1, 2, 3, 31])
+    p_lo, p_hi, q_lo, q_hi = block_intervals(level, index)
+    for i, blk in enumerate(Block(lv, k) for lv, k in zip(level.tolist(), index.tolist())):
+        assert blk.p_interval == (p_lo[i], p_hi[i])
+        assert blk.q_interval == (q_lo[i], q_hi[i])
 
 
 def test_unit_square_block_count():
     s = build_scheme(UnitSquare(l_max=2))
-    assert [(b.level, b.index) for b in s.blocks] == [
+    assert s.levels == (1, 2)
+    assert [(b.level, b.index) for b in _blocks(s)] == [
         (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3)]
-    assert len(s.dense_cells) == 4
+    assert s.cells(s.l_max) == 4
 
     for l_max in range(1, 9):
         s = build_scheme(UnitSquare(l_max))
-        assert len(s.blocks) == 2 ** (l_max + 1) - 2
-        assert len(s.dense_cells) == 2 ** l_max
+        assert len(_blocks(s)) == 2 ** (l_max + 1) - 2
+        assert s.cells(s.l_max) == 2 ** l_max
 
 
 def test_unit_square_smallest_case():
     s = build_scheme(UnitSquare(1))
-    assert len(s.blocks) == 2
-    assert s.blocks[0].p_interval == (0.0, 0.5) and s.blocks[0].q_interval == (0.5, 1.0)
-    assert s.blocks[1].p_interval == (0.5, 1.0) and s.blocks[1].q_interval == (0.0, 0.5)
+    assert s.levels == (1,) and s.cells(1) == 2
+    assert Block(1, 0).p_interval == (0.0, 0.5) and Block(1, 0).q_interval == (0.5, 1.0)
+    assert Block(1, 1).p_interval == (0.5, 1.0) and Block(1, 1).q_interval == (0.0, 0.5)
 
 
 def test_quarter_plane_coarse_block():
     s = build_scheme(QuarterPlane(extent=16.0, l_max=0))
-    blk = next(b for b in s.blocks if b.level == -3 and b.index == 1)
+    assert s.levels == (-3, -2, -1, 0) and s.cells(-3) == 2
+    blk = Block(-3, 1)
     assert blk.p_interval == (8.0, 16.0)
     assert blk.q_interval == (0.0, 8.0)
 
 
 def test_quarter_plane_blocks_inside_extent():
     s = build_scheme(QuarterPlane(extent=8.0, l_max=3))
-    for blk in s.blocks:
+    for blk in _blocks(s):
         (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
         assert 0.0 <= plo < phi <= 8.0
         assert 0.0 <= qlo < qhi <= 8.0
@@ -88,71 +102,22 @@ def test_unit_square_needs_positive_levels():
 def test_unit_square_is_the_extent_one_quarter_plane():
     for l_max in range(1, 9):
         unit, quarter = build_scheme(UnitSquare(l_max)), build_scheme(QuarterPlane(1.0, l_max))
-        assert unit.blocks == quarter.blocks
-        assert unit.dense_cells == quarter.dense_cells
+        assert ((unit.extent, unit.l_max, unit.levels)
+                == (quarter.extent, quarter.l_max, quarter.levels))
 
 
 @pytest.mark.parametrize("extent,l_max", [(True, 2), ("8", 2), (math.nan, 2), (8.0, True),
-                                          (8.0, 2.0)],
+                                          (8.0, 2.0), (1.0, 63), (16.0, 59)],
                          ids=["extent-bool", "extent-str", "extent-nan", "lmax-bool",
-                              "lmax-float"])
+                              "lmax-float", "lmax-past-int64", "lmax-past-int64-extent16"])
 def test_scheme_rejects_malformed_domain(extent, l_max):
     with pytest.raises(ValueError):
         build_scheme(QuarterPlane(extent=extent, l_max=l_max))
 
 
-def test_locate_examples():
-    s16 = build_scheme(QuarterPlane(extent=16.0, l_max=0))
-    found = locate(s16, 10.0, 0.2)
-    assert isinstance(found, Block) and (found.level, found.index) == (-3, 1)
-
-    s3 = build_scheme(UnitSquare(3))
-    found = locate(s3, 0.3, 0.8)
-    assert isinstance(found, Block) and (found.level, found.index) == (1, 0)
-
-    found = locate(s3, 0.1, 0.1)
-    assert isinstance(found, DenseCell)
-    lo, hi = found.interval
-    assert lo <= 0.1 <= hi
-
-
-def test_locate_boundary_prefers_smaller_block():
-    s = build_scheme(UnitSquare(3))
-    # (0.5, 0.5) is a corner shared by blocks (1,0) and (1,1) and two cells
-    found = locate(s, 0.5, 0.5)
-    assert (found.level, found.index) == (1, 0)
-
-
-def test_locate_corner_quadrant_points():
-    # smallest unit-square scheme: one region per quadrant-center point
-    s = build_scheme(UnitSquare(1))
-    for p, q in ((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)):
-        found = locate(s, p, q)
-        assert found.contains(p, q)
-
-
-def test_locate_out_of_domain():
-    s = build_scheme(UnitSquare(2))
-    with pytest.raises(OutOfDomainError):
-        locate(s, 1.5, 0.5)
-    with pytest.raises(OutOfDomainError):
-        locate(s, -0.1, 0.5)
-
-
-def test_locate_agrees_with_membership():
-    rng = np.random.default_rng(3)
-    for scheme in (build_scheme(UnitSquare(4)), build_scheme(QuarterPlane(4.0, 2))):
-        for blk in scheme.blocks:
-            (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
-            ps = rng.uniform(plo, phi, 10)
-            qs = rng.uniform(qlo, qhi, 10)
-            for p, q in zip(ps, qs):
-                assert locate(scheme, p, q) == blk
-
-
 def test_parity_matches_side_of_diagonal():
     for scheme in (build_scheme(UnitSquare(5)), build_scheme(QuarterPlane(8.0, 2))):
-        for blk in scheme.blocks:
+        for blk in _blocks(scheme):
             (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
             if blk.parity is Parity.ODD:
                 assert qhi <= plo  # entirely below the diagonal
@@ -165,6 +130,11 @@ def test_tiling_unit_square(l_max):
     rep = verify_tiling(build_scheme(UnitSquare(l_max)), samples=20000, seed=l_max)
     assert rep.covered == 1.0
     assert rep.overlaps == 0
+
+
+def test_tiling_at_the_finest_level_int64_indexes():
+    rep = verify_tiling(build_scheme(QuarterPlane(extent=16.0, l_max=58)), samples=2000)
+    assert rep.covered == 1.0 and rep.overlaps == 0
 
 
 @pytest.mark.parametrize("l_max", range(-1, 5))
@@ -183,11 +153,14 @@ def test_tiling_rejects_bad_sample_count():
 def _brute_claim_counts(scheme, ps, qs):
     """Reference: test every block and cell of the scheme against every point."""
     counts = np.zeros(len(ps), dtype=np.int64)
-    for blk in scheme.blocks:
-        (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
-        counts += (ps >= plo) & (ps <= phi) & (qs >= qlo) & (qs <= qhi)
-    for cell in scheme.dense_cells:
-        lo, hi = cell.interval
+    for level in scheme.levels:
+        w = 2.0 ** -level
+        for k in range(round(scheme.extent / w)):
+            q = k + 1 if k % 2 == 0 else k - 1
+            counts += (ps >= k * w) & (ps <= (k + 1) * w) & (qs >= q * w) & (qs <= (q + 1) * w)
+    w = 2.0 ** -scheme.l_max
+    for k in range(round(scheme.extent / w)):
+        lo, hi = k * w, (k + 1) * w
         counts += (ps >= lo) & (ps <= hi) & (qs >= lo) & (qs <= hi)
     return counts
 
@@ -197,11 +170,11 @@ def _brute_claim_counts(scheme, ps, qs):
 @pytest.mark.parametrize("edit", ["none", "duplicate", "remove"])
 def test_claim_counts_match_brute_force(domain, edit):
     scheme = build_scheme(domain)
-    # the first block is a coarsest one, large enough for the sampled report to see
+    # the coarsest level has the largest blocks: the sampled report sees its edit
     if edit == "duplicate":
-        scheme.blocks = scheme.blocks + scheme.blocks[:1]
+        scheme.levels = scheme.levels[:1] + scheme.levels
     elif edit == "remove":
-        scheme.blocks = scheme.blocks[1:]
+        scheme.levels = scheme.levels[1:]
     rng = np.random.default_rng(3)
     extent = scheme.extent
     # uniform points plus points on the finest grid lines, where closed
