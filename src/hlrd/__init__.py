@@ -20,7 +20,6 @@ from .divergence import (
 )
 from .partition import (
     Block,
-    Parity,
     PartitionScheme,
     QuarterPlane,
     UnitSquare,

@@ -2,8 +2,10 @@
 
 Every command writes a CSV artifact (RFC-4180 style, header row, floats
 in scientific notation with 17 significant digits) plus a JSON provenance
-sidecar at ``<out>.json`` recording the command, its parameters, the seed
-and the package version.  Identical configuration and seed reproduce
+sidecar at ``<out>.json`` recording the command, its parameters, the seed,
+the package version and the environment that ran it (Python, numpy and
+scipy versions, the BLAS numpy was built against, the core counts and
+the BLAS thread variables).  Identical configuration and seed reproduce
 byte-identical CSV bodies.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
@@ -15,11 +17,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .container import save_hmatrix
@@ -57,15 +62,36 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _environment() -> dict:
+    """Versions, BLAS, core counts and BLAS thread variables of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 keeps no build-config dict
+        blas = {}
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "affinity_cpu_count": None if affinity is None else len(affinity),
+        "threads": {name: os.environ.get(name) for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _write_provenance(out: Path, command: str, params: dict, seed: int) -> None:
     doc = {
         "command": command,
         "parameters": params,
         "seed": seed,
         "artifact_version": __version__,
+        "environment": _environment(),
     }
-    Path(str(out) + ".json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+    # strict JSON: a non-finite number raises here, before the sidecar is written
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    Path(str(out) + ".json").write_text(text + "\n", encoding="utf-8")
 
 
 def _unit_grid(extent: float) -> int:
@@ -154,7 +180,10 @@ def _cmd_eps_sweep(args) -> int:
 
 
 def _cmd_ratio_scan(args) -> int:
-    ms = np.logspace(np.log10(args.m_min), np.log10(args.m_max), args.m_points)
+    with np.errstate(over="ignore"):
+        ms = np.logspace(np.log10(args.m_min), np.log10(args.m_max), args.m_points)
+    # 10**log10(M) can round past the largest double
+    ms = np.minimum(ms, sys.float_info.max)
     rows = []
     failures = 0
     for regime in (Regime.LOWER, Regime.UPPER):

@@ -5,7 +5,8 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
     offset  size  field
     0       5     magic bytes "HLRD1"
     5       4     u32 meta length M
-    9       M     UTF-8 JSON metadata: family spec, eps, builder, l_max, extent
+    9       M     UTF-8 JSON metadata (strict, finite numbers only): family
+                  spec, eps, builder, l_max, extent
     .       4     u32 rows
     .       4     u32 cols
     .       4     u32 number of low-rank pieces  NL
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -98,7 +100,8 @@ def _meta_bytes(spec: FamilySpec, eps: float, builder: Builder, scheme: Partitio
         "l_max": scheme.l_max,
         "extent": scheme.extent,
     }
-    return json.dumps(meta, sort_keys=True).encode("utf-8")
+    # strict JSON: a non-finite number raises rather than writing Infinity or NaN
+    return json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8")
 
 
 def save_hmatrix(h: HMatrix, path: Union[str, Path]) -> None:
@@ -150,8 +153,8 @@ def _read_meta(buf: bytes):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed container metadata: {exc!r}") from exc
     # the eps that compress accepts; JSON true and false are Python ints
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not eps > 0.0:
-        raise ValueError(f"container eps {eps!r} is not a positive number")
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < math.inf:
+        raise ValueError(f"container eps {eps!r} is not a positive finite number")
     scheme = build_scheme(domain)
     if _meta_bytes(spec, eps, builder, scheme) != buf:
         raise ValueError("container metadata is not in the form the writer writes")

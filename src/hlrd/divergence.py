@@ -57,6 +57,8 @@ P_CLAMP_LEVEL = 2.0 * math.log(2.0) - 1.0
 Q_CLAMP_LEVEL = 1.0 - math.log(2.0)
 
 _MAX_BISECT = 200
+# a root is accepted where |f(x) - m| <= _BISECT_TOL * max(1, m)
+_BISECT_TOL = 1e-12
 
 
 class DivergenceDomainError(ValueError):
@@ -166,23 +168,24 @@ def divergence(kind: DivergenceKind, p: ArrayLike, q: ArrayLike) -> ArrayLike:
 # threshold solvers
 # ---------------------------------------------------------------------------
 
-def _bisect_increasing(f, lo: float, hi: float, m: float, tol: float) -> float:
+def _bisect_increasing(f, lo: float, hi: float, m: float) -> float:
     """Root of the increasing function f(x) = m on [lo, hi] by bisection."""
     scale = max(1.0, abs(m))
-    x = 0.5 * (lo + hi)
+    x = lo
     for _ in range(_MAX_BISECT):
-        x = 0.5 * (lo + hi)
+        # halves first: lo + hi overflows on the bracket [0, m + 1] near the top of the range
+        x = 0.5 * lo + 0.5 * hi
         r = f(x) - m
-        if abs(r) <= tol * scale:
+        if abs(r) <= _BISECT_TOL * scale:
             return x
         if r < 0.0:
             lo = x
         else:
             hi = x
-    if abs(f(x) - m) <= 1e3 * tol * scale:
+    if abs(f(x) - m) <= 1e3 * _BISECT_TOL * scale:
         return x
     raise SolverError(
-        f"threshold equation not solved to tol={tol:g} within {_MAX_BISECT} iterations; "
+        f"threshold equation not solved to tol={_BISECT_TOL:g} within {_MAX_BISECT} iterations; "
         f"bracket [{lo!r}, {hi!r}], level m={m!r}")
 
 
@@ -193,7 +196,7 @@ def _rate_against_one(p: float) -> float:
     return p * math.log(p) - p + 1.0
 
 
-def solve_thresholds(m: float, regime: Regime, tol: float = 1e-12) -> ThresholdPair:
+def solve_thresholds(m: float, regime: Regime) -> ThresholdPair:
     """Both threshold points at level m, with the underflow-safe log form.
 
     The four defining equations, each solved by bisection on a bracket
@@ -211,20 +214,19 @@ def solve_thresholds(m: float, regime: Regime, tol: float = 1e-12) -> ThresholdP
       ``q' - 1 - ln q' = m``; clamped to 2 exactly when ``m >= 1 - ln 2``
       (``Q_CLAMP_LEVEL``).
 
-    Raises ValueError unless m is finite and > 0, and tol > 0.
+    Each root is accepted once its equation holds to ``1e-12 * max(1, m)``.
+    Raises ValueError unless m is finite and > 0.
     """
     if not (0.0 < m < math.inf):
         raise ValueError(f"level m must be finite and positive, got {m!r}")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
     if regime is Regime.LOWER:
-        p_m = 2.0 if m >= P_CLAMP_LEVEL else _bisect_increasing(_rate_against_one, 1.0, 2.0, m, tol)
-        t = _bisect_increasing(lambda t: t - 1.0 + math.exp(-t), 0.0, m + 1.0, m, tol)
+        p_m = 2.0 if m >= P_CLAMP_LEVEL else _bisect_increasing(_rate_against_one, 1.0, 2.0, m)
+        t = _bisect_increasing(lambda t: t - 1.0 + math.exp(-t), 0.0, m + 1.0, m)
         return ThresholdPair(m=m, p_m=p_m, q_m=math.exp(-t), regime=regime, neg_log_q_m=t)
     # rate(p || 1) decreases from 1 to 0 on (0, 1); flip sign to bisect
-    p_m = 0.0 if m >= 1.0 else _bisect_increasing(lambda p: -_rate_against_one(p), 0.0, 1.0, -m, tol)
+    p_m = 0.0 if m >= 1.0 else _bisect_increasing(lambda p: -_rate_against_one(p), 0.0, 1.0, -m)
     q_m = (2.0 if m >= Q_CLAMP_LEVEL
-           else _bisect_increasing(lambda q: q - 1.0 - math.log(q), 1.0, 2.0, m, tol))
+           else _bisect_increasing(lambda q: q - 1.0 - math.log(q), 1.0, 2.0, m))
     return ThresholdPair(m=m, p_m=p_m, q_m=q_m, regime=regime, neg_log_q_m=-math.log(q_m))
 
 
@@ -246,18 +248,21 @@ def threshold_residual(pair: ThresholdPair) -> tuple[float, float]:
     return p_res, q_res
 
 
-def divergence_ratio(m: float, regime: Regime, tol: float = 1e-12) -> float:
+def divergence_ratio(m: float, regime: Regime) -> float:
     """Two-sided divergence at the threshold pair, relative to the level m.
 
     Returns ``rate(p_m || q_m) / m``.  Tends to 4 as m -> 0 in both
     regimes; tends to 2 (lower) and 0 (upper) as m -> oo.
     """
-    pair = solve_thresholds(m, regime, tol)
+    pair = solve_thresholds(m, regime)
     if regime is Regime.LOWER:
         # rate(p||q) = p (ln p + t) - p + e^{-t} with t = -ln q; exact in t,
         # so no loss when q_m underflows
         p, t = pair.p_m, pair.neg_log_q_m
         value = p * (math.log(p) + t) - p + math.exp(-t)
+        if math.isinf(value):
+            # t ~ m overflows the product near the top of the range: divide by m first
+            return p * ((math.log(p) + t) / m) - (p - math.exp(-t)) / m
     else:
         value = divergence(DivergenceKind.RATE, pair.p_m, pair.q_m)
     return value / m

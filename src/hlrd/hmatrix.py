@@ -466,8 +466,8 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     n_rows, n_cols = spec.shape
     if min(n_rows, n_cols) < 4:
         raise ValueError("family matrix must be at least 4x4")
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, leaf_size=leaf_size)
 
     # Each level's blocks go into their stacks as soon as the level is

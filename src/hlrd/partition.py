@@ -9,7 +9,11 @@ one below when k is odd -- and touches the diagonal at
 ``(k | 1) * 2**-l`` (``block_intervals``).  Levels run from
 ``1 - log2(A)``, the coarsest that fits inside the extent, to the finest
 level ``l_max``, with ``A * 2**l`` blocks per level; a scheme is just
-those levels, and no region is built as an object.  The
+those levels, and no region is built as an object.  The side of the
+diagonal is not stored either: a kernel reads it from the intervals,
+after its own coordinate transform (``separated`` swaps the p and q
+intervals for the dual rate kernel and maps x -> 1 - x on both for the
+reflected one), as the side of the block's lower-left corner.  The
 untruncated quarter-plane decomposition extends to arbitrarily coarse
 levels; a finite matrix only ever meets the blocks inside its extent, so
 truncation loses nothing.  The Bernoulli-KL kernel lives on the unit
@@ -23,7 +27,6 @@ the diagonal, cell ``k`` spanning ``[k, k+1]^2`` in units of
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -32,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Block",
-    "Parity",
     "PartitionScheme",
     "QuarterPlane",
     "TilingReport",
@@ -42,11 +44,6 @@ __all__ = [
     "claim_counts",
     "verify_tiling",
 ]
-
-
-class Parity(enum.Enum):
-    EVEN = "even"   # above the diagonal (q > p)
-    ODD = "odd"     # below the diagonal (q < p)
 
 
 def block_intervals(level, index):
@@ -81,15 +78,6 @@ class Block:
     def q_interval(self) -> tuple[float, float]:
         _, _, q_lo, q_hi = block_intervals(self.level, self.index)
         return (float(q_lo), float(q_hi))
-
-    @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.q_interval[0] > self.p_interval[0] else Parity.ODD
-
-    @property
-    def corner(self) -> float:
-        """Coordinate of the corner on the diagonal: ``(index | 1) * 2**-level``."""
-        return max(self.p_interval[0], self.q_interval[0])
 
 
 @dataclass(frozen=True)

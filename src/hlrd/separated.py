@@ -5,8 +5,12 @@ expansion ``sum_i alpha_i(p) beta_i(q)``; its length is the block's rank.
 Three builders are provided:
 
 * ``build_constructive`` realizes the analytic pipeline for the rate
-  kernels ``exp(-n * divergence)``: rescale the block to the unit
-  configuration next to the diagonal corner, locate the threshold points
+  kernels ``exp(-n * divergence)``: map the block to the rate kernel's
+  coordinates (the dual swaps the p and q intervals, grids and factors;
+  the reflection maps x -> 1 - x on both intervals and grids), where it
+  touches the diagonal at ``max(p_lo, q_lo)`` and lies below it
+  (``Regime.LOWER``) when ``p_lo > q_lo``, above it otherwise; rescale
+  it by that corner to the unit configuration, locate the threshold points
   at level ``m = ln(1/eps)/n'``, truncate the kernel to zero outside the
   threshold box, and separate what remains.  The separation rests on the
   exact identity
@@ -42,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divergence import DivergenceKind, Regime, solve_thresholds
-from .partition import Block, Parity
+from .partition import Block
 
 __all__ = [
     "BuilderError",
@@ -90,9 +94,9 @@ class SeparatedApprox:
 
 def rank_from_singular_values(s: np.ndarray, eps: float,
                               convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
-    """Number of the descending singular values ``s`` above the eps threshold (eps > 0)."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    """Number of the descending singular values ``s`` above the eps threshold (0 < eps < inf)."""
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if s.size == 0:
         return 0
     threshold = eps * s[0] if convention is RankConvention.RELATIVE_TO_SIGMA1 else eps
@@ -185,35 +189,30 @@ def _rate_one_sided_p(p: np.ndarray) -> np.ndarray:
     return np.where(p > 0.0, p * np.log(p_safe) - p + 1.0, 1.0)
 
 
-def _unit_rate_factors(parity: Parity, n_scaled: float, eps: float,
+def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
                        p_hat: np.ndarray, q_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separated factors of exp(-n' * rate(p, q)) on the unit configuration.
 
-    Odd parity: p in [1, 2], q in [0, 1].  Even parity: p in [0, 1],
+    Lower regime: p in [1, 2], q in [0, 1].  Upper regime: p in [0, 1],
     q in [1, 2].  Returns (alpha, beta) sampled on the given grids; values
     outside the threshold box are zeroed (the kernel is below eps there).
+    The regime only sets the sign sigma = +1 (lower) or -1 (upper) that
+    keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative.
     """
     m = math.log(1.0 / eps) / n_scaled
-    if parity is Parity.ODD:
-        pair = solve_thresholds(m, Regime.LOWER)
-        s = n_scaled * (p_hat - 1.0)
-        s_max = n_scaled * (pair.p_m - 1.0)
-        mask_p = p_hat <= pair.p_m
-        with np.errstate(divide="ignore"):
-            t = -np.log(q_hat)
-        t_max = pair.neg_log_q_m
-    else:
-        pair = solve_thresholds(m, Regime.UPPER)
-        s = n_scaled * (1.0 - p_hat)
-        s_max = n_scaled * (1.0 - pair.p_m)
-        mask_p = p_hat >= pair.p_m
-        t = np.log(q_hat)
-        t_max = math.log(pair.q_m)
+    pair = solve_thresholds(m, regime)
+    sigma = 1.0 if regime is Regime.LOWER else -1.0
+    s = n_scaled * (sigma * (p_hat - 1.0))
+    s_max = n_scaled * (sigma * (pair.p_m - 1.0))
+    mask_p = sigma * (p_hat - pair.p_m) <= 0.0
+    with np.errstate(divide="ignore"):
+        t = -sigma * np.log(q_hat)
+    t_max = sigma * pair.neg_log_q_m
     mask_q = np.isfinite(t) & (t <= t_max)
 
     u = n_scaled * _rate_one_sided_p(p_hat)                     # n' rate(p || 1)
     with np.errstate(invalid="ignore"):
-        v = n_scaled * (q_hat - 1.0 + (t if parity is Parity.ODD else -t))  # n' rate(1 || q)
+        v = n_scaled * (q_hat - 1.0 + sigma * t)                # n' rate(1 || q)
 
     degree = _cross_degree(s_max * t_max, eps)
     nodes, weights = _cheb_nodes_weights(degree, s_max)
@@ -228,15 +227,31 @@ def _unit_rate_factors(parity: Parity, n_scaled: float, eps: float,
     return alpha, beta
 
 
-def _block_rate_factors(parity: Parity, corner: float, n: float, eps: float,
-                        p_vals: np.ndarray, q_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if corner <= 0.0:
-        raise BuilderError(f"block corner {corner!r} is not positive")
-    return _unit_rate_factors(parity, n * corner, eps, p_vals / corner, q_vals / corner)
+def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
+                      q_interval: tuple[float, float], p_grid: np.ndarray, q_grid: np.ndarray):
+    """A block's (p_interval, q_interval, p_grid, q_grid) in the rate kernel's coordinates.
+
+    The dual kernel exp(-n rate(q, p)) is the rate kernel with the axes
+    swapped; the reflected kernel exp(-n rate(1-p, 1-q)) is the rate
+    kernel under x -> 1 - x, which maps [lo, hi] to [1 - hi, 1 - lo].
+    """
+    if kind is DivergenceKind.RATE:
+        return p_interval, q_interval, p_grid, q_grid
+    if kind is DivergenceKind.RATE_DUAL:
+        return q_interval, p_interval, q_grid, p_grid
+    if kind is DivergenceKind.RATE_REFLECTED:
+        (plo, phi), (qlo, qhi) = p_interval, q_interval
+        if not (0.0 <= plo and phi <= 1.0 and 0.0 <= qlo and qhi <= 1.0):
+            raise BuilderError("reflected kernels need a unit-square block")
+        return (1.0 - phi, 1.0 - plo), (1.0 - qhi, 1.0 - qlo), 1.0 - p_grid, 1.0 - q_grid
+    raise ValueError(f"unknown divergence kind {kind!r}")  # pragma: no cover
 
 
-def _flip(parity: Parity) -> Parity:
-    return Parity.ODD if parity is Parity.EVEN else Parity.EVEN
+def _unit_configuration(p_interval: tuple[float, float],
+                        q_interval: tuple[float, float]) -> tuple[Regime, float]:
+    """(regime, corner) of a block in rate coordinates: below the diagonal when p starts past q."""
+    p_lo, q_lo = p_interval[0], q_interval[0]
+    return (Regime.LOWER if p_lo > q_lo else Regime.UPPER), max(p_lo, q_lo)
 
 
 def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
@@ -261,32 +276,22 @@ def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
         raise ValueError("eps must be in (0, 1)")
     if not (n > 0.0):
         raise ValueError("n must be positive")
+    p_interval, q_interval = block.p_interval, block.q_interval
     if p_grid is None or q_grid is None:
         if grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        (plo, phi), (qlo, qhi) = block.p_interval, block.q_interval
-        p_grid = np.linspace(plo, phi, grid_size) if p_grid is None else p_grid
-        q_grid = np.linspace(qlo, qhi, grid_size) if q_grid is None else q_grid
+        p_grid = np.linspace(*p_interval, grid_size) if p_grid is None else p_grid
+        q_grid = np.linspace(*q_interval, grid_size) if q_grid is None else q_grid
     p_grid = np.asarray(p_grid, dtype=np.float64)
     q_grid = np.asarray(q_grid, dtype=np.float64)
 
-    if kind is DivergenceKind.RATE:
-        alpha, beta = _block_rate_factors(block.parity, block.corner, n, eps, p_grid, q_grid)
-    elif kind is DivergenceKind.RATE_DUAL:
-        # exp(-n rate(q, p)): run the rate machinery with the axes swapped
-        beta, alpha = _block_rate_factors(_flip(block.parity), block.corner, n, eps,
-                                          q_grid, p_grid)
-    elif kind is DivergenceKind.RATE_REFLECTED:
-        # exp(-n rate(1-p, 1-q)): reflect through (1, 1); the reflected
-        # block is the opposite-parity staircase block with corner 1 - c
-        (plo, phi), (qlo, qhi) = block.p_interval, block.q_interval
-        if not (0.0 <= plo and phi <= 1.0 and 0.0 <= qlo and qhi <= 1.0):
-            raise BuilderError("reflected kernels need a unit-square block")
-        alpha, beta = _block_rate_factors(_flip(block.parity), 1.0 - block.corner, n, eps,
-                                          1.0 - p_grid, 1.0 - q_grid)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown divergence kind {kind!r}")
-
+    # rescaled by its corner, the block in rate coordinates is the unit configuration
+    p_interval, q_interval, p_vals, q_vals = _rate_coordinates(kind, p_interval, q_interval,
+                                                               p_grid, q_grid)
+    regime, corner = _unit_configuration(p_interval, q_interval)
+    alpha, beta = _unit_rate_factors(regime, n * corner, eps, p_vals / corner, q_vals / corner)
+    if kind is DivergenceKind.RATE_DUAL:
+        alpha, beta = beta, alpha
     alpha, beta = _recompress(alpha, beta, eps)
     return SeparatedApprox(p_grid=p_grid, q_grid=q_grid, alpha=alpha, beta=beta)
 
@@ -330,8 +335,8 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     limit = min(rows, cols)
     all_rows = np.arange(rows, dtype=np.intp)
     all_cols = np.arange(cols, dtype=np.intp)

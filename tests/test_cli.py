@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import sys
 
 import pytest
 
@@ -81,6 +83,18 @@ def test_ratio_scan_schema_and_values(tmp_path):
     assert abs(lo_first - 4.0) < 0.1 and abs(lo_last - 2.0) < 0.01
     up_first, up_last = float(upper[0][4]), float(upper[-1][4])
     assert abs(up_first - 4.0) < 0.1 and up_last <= 1e-7
+
+
+def test_ratio_scan_reaches_the_largest_double(tmp_path):
+    out = tmp_path / "ratio.csv"
+    assert run(["ratio-scan", "--m-min", "1e300", "--m-max", repr(sys.float_info.max),
+                "--m-points", "5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 10
+    assert float(rows[4][1]) == float(rows[9][1]) == sys.float_info.max
+    for regime, m, p_m, q_m, ratio in rows:
+        assert all(math.isfinite(float(v)) for v in (m, p_m, q_m, ratio)), (regime, m)
+        assert abs(float(ratio) - (2.0 if regime == "lower" else 0.0)) <= 1e-9, (regime, m)
 
 
 def test_csv_determinism(tmp_path):
@@ -210,13 +224,52 @@ def test_count_or_level_out_of_range_is_usage_error(tmp_path, argv):
     ["eps-sweep", "--eps", "1e-6", "--eps", "0"],
     ["rank-map", "--eps", "0"],
     ["rank-map", "--eps", "nan"],
+    ["eps-sweep", "--eps", "inf"],
+    ["eps-sweep", "--eps", "1e-6", "--eps", "inf"],
+    ["rank-map", "--eps", "inf"],
+    ["compress", "--eps", "inf"],
+    ["matvec-bench", "--eps", "inf"],
 ], ids=["sweep-nan", "sweep-negative", "sweep-zero", "sweep-all-three", "sweep-one-of-two",
-        "rank-map-zero", "rank-map-nan"])
+        "rank-map-zero", "rank-map-nan", "sweep-inf", "sweep-one-inf", "rank-map-inf",
+        "compress-inf", "matvec-bench-inf"])
 def test_eps_not_positive_is_numerical_failure(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert run([*argv, "--family", "binomial", "--n", "64", "--out", str(out)]) == 3
     assert "eps must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_ENVIRONMENT_KEYS = {"python", "numpy", "scipy", "blas", "cpu_count", "affinity_cpu_count",
+                     "threads"}
+_FAMILY = ["--family", "binomial", "--n", "64"]
+
+
+@pytest.mark.parametrize("argv,deterministic", [
+    (["rank-map", *_FAMILY, "--eps", "1e-6"], True),
+    (["eps-sweep", *_FAMILY, "--eps", "1e-6", "--eps", "1e-9"], True),
+    (["ratio-scan", "--m-points", "3"], True),
+    (["verify-tiling", "--lmax", "3", "--samples", "1000"], True),
+    (["compress", *_FAMILY, "--eps", "1e-6", "--samples", "500"], False),
+    (["matvec-bench", *_FAMILY, "--eps", "1e-6"], False),
+], ids=["rank-map", "eps-sweep", "ratio-scan", "verify-tiling", "compress", "matvec-bench"])
+def test_sidecar_records_the_environment(tmp_path, monkeypatch, argv, deterministic):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    sidecars = []
+    for name in ("a.out", "b.out"):
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        sidecars.append(json.loads((tmp_path / f"{name}.json").read_text()))
+    env = sidecars[0]["environment"]
+    assert set(env) == _ENVIRONMENT_KEYS
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["threads"]["OMP_NUM_THREADS"] == "1" and env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["cpu_count"] >= 1 and env["numpy"] and env["scipy"] and env["python"]
+    # timings differ from run to run; the environment and every other command do not
+    if deterministic:
+        assert sidecars[0] == sidecars[1]
+    else:
+        assert sidecars[0]["environment"] == sidecars[1]["environment"]
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 """Divergence evaluation, threshold solvers, ratio bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -193,11 +194,11 @@ def test_threshold_ranges():
 
 
 def test_root_consistency_over_level_grid():
-    # forward-evaluating each defining equation must reproduce m to tol
+    # forward-evaluating each defining equation must reproduce m to the solver's 1e-12
     tol = 1e-12
     for m in np.logspace(-8, 8, 33):
         for regime in (Regime.LOWER, Regime.UPPER):
-            pair = solve_thresholds(float(m), regime, tol=tol)
+            pair = solve_thresholds(float(m), regime)
             p_res, q_res = threshold_residual(pair)
             scale = max(1.0, float(m))
             assert abs(p_res) <= tol * scale
@@ -208,10 +209,9 @@ def test_invalid_levels_rejected():
     # checked before any equation is solved, in both regimes alike (an
     # infinite level would bisect [0, inf] in one regime and clamp in the other)
     for regime in Regime:
-        for m, tol in ((math.inf, 1e-12), (0.0, 1e-12), (-1.0, 1e-12), (math.nan, 1e-12),
-                       (1.0, 0.0), (1.0, -1e-12), (1.0, math.nan)):
+        for m in (math.inf, 0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                solve_thresholds(m, regime, tol=tol)
+                solve_thresholds(m, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,15 @@ def test_ratio_limits_lower():
 def test_ratio_limits_upper():
     assert divergence_ratio(1e-8, Regime.UPPER) == pytest.approx(4.0, rel=0.02)
     assert divergence_ratio(1e4, Regime.UPPER) <= 1e-3
+
+
+@pytest.mark.parametrize("m", [1e308, sys.float_info.max], ids=["1e308", "max-double"])
+def test_thresholds_and_ratio_at_the_top_of_the_double_range(m):
+    # the bisection midpoint and the lower ratio must not overflow there
+    for regime, limit in ((Regime.LOWER, 2.0), (Regime.UPPER, 0.0)):
+        pair = solve_thresholds(m, regime)
+        assert all(math.isfinite(v) for v in (pair.p_m, pair.q_m, pair.neg_log_q_m)), regime
+        assert abs(divergence_ratio(m, regime) - limit) <= 1e-9, regime
 
 
 def test_ratio_uniformly_bounded():

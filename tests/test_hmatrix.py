@@ -597,6 +597,26 @@ def test_container_rejects_bad_family_meta(tmp_path, edit):
         load_hmatrix(bad)
 
 
+def test_non_finite_eps_is_rejected_on_compress_save_and_load(tmp_path):
+    spec = BinomialFamily(n=64)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            compress(spec, eps, leaf_size=8)
+    h = compress(spec, 1e-6, leaf_size=8)
+    path = tmp_path / "m.hlrd"
+    save_hmatrix(h, path)
+    # a container whose metadata says "eps": Infinity
+    bad = tmp_path / "inf.hlrd"
+    bad.write_bytes(_with_meta(path.read_bytes(), lambda meta: meta.update(eps=math.inf)))
+    with pytest.raises(ValueError, match="eps"):
+        load_hmatrix(bad)
+    # nor does the writer emit one
+    h.eps = math.inf
+    with pytest.raises(ValueError):
+        save_hmatrix(h, tmp_path / "out.hlrd")
+    assert not (tmp_path / "out.hlrd").exists()
+
+
 # values a metadata edit sets a key to: wrong types, JSON look-alikes of
 # the written values, out-of-range numbers
 _META_POOL = (None, True, False, 0, 1, -1, 2, 16, 16.0, 1.0, 0.5, 2.0 ** -20, 2 ** 40,

@@ -7,7 +7,6 @@ import pytest
 
 from hlrd.partition import (
     Block,
-    Parity,
     QuarterPlane,
     UnitSquare,
     block_intervals,
@@ -23,23 +22,20 @@ def _blocks(scheme):
 
 
 def test_block_intervals_by_parity():
-    even = Block(3, 4)
-    assert even.parity is Parity.EVEN
-    assert even.p_interval == (4 / 8, 5 / 8)
-    assert even.q_interval == (5 / 8, 6 / 8)
-    odd = Block(3, 5)
-    assert odd.parity is Parity.ODD
-    assert odd.p_interval == (5 / 8, 6 / 8)
-    assert odd.q_interval == (4 / 8, 5 / 8)
+    # an even index steps above the diagonal, an odd one below
+    assert block_intervals(3, 4) == (4 / 8, 5 / 8, 5 / 8, 6 / 8)
+    assert block_intervals(3, 5) == (5 / 8, 6 / 8, 4 / 8, 5 / 8)
+    assert Block(3, 4).p_interval == (4 / 8, 5 / 8) and Block(3, 4).q_interval == (5 / 8, 6 / 8)
+    assert Block(3, 5).p_interval == (5 / 8, 6 / 8) and Block(3, 5).q_interval == (4 / 8, 5 / 8)
 
 
 def test_block_touches_diagonal_at_one_corner():
-    for blk in (Block(2, 1), Block(2, 2), Block(-3, 1), Block(0, 0)):
-        (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
+    for level, index in ((2, 1), (2, 2), (-3, 1), (0, 0)):
+        plo, phi, qlo, qhi = block_intervals(level, index)
         corners = [(plo, qlo), (plo, qhi), (phi, qlo), (phi, qhi)]
         on_diag = [c for c in corners if c[0] == c[1]]
         assert len(on_diag) == 1
-        assert on_diag[0][0] == blk.corner == (blk.index | 1) * 2.0 ** -blk.level
+        assert on_diag[0][0] == (index | 1) * 2.0 ** -level
 
 
 def test_block_intervals_vectorize_the_scalar_block():
@@ -118,8 +114,8 @@ def test_scheme_rejects_malformed_domain(extent, l_max):
 def test_parity_matches_side_of_diagonal():
     for scheme in (build_scheme(UnitSquare(5)), build_scheme(QuarterPlane(8.0, 2))):
         for blk in _blocks(scheme):
-            (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
-            if blk.parity is Parity.ODD:
+            plo, phi, qlo, qhi = block_intervals(blk.level, blk.index)
+            if blk.index % 2:
                 assert qhi <= plo  # entirely below the diagonal
             else:
                 assert qlo >= phi  # entirely above

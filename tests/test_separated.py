@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlrd.divergence import DivergenceKind, divergence
+from hlrd.divergence import DivergenceKind, Regime, divergence
 from hlrd.families import (
     BinomialFamily,
     ChiSquaredFamily,
@@ -15,7 +15,7 @@ from hlrd.families import (
     entry_exact,
 )
 from hlrd.hmatrix import Builder, compress, index_layout, table_boxes
-from hlrd.partition import Block, Parity
+from hlrd.partition import Block, QuarterPlane, UnitSquare, build_scheme
 from hlrd.separated import (
     BuilderError,
     RankConvention,
@@ -214,18 +214,44 @@ def test_constructive_degree_grows_like_log_accuracy():
     # recompression: non-decreasing, at most 3 ln(1/eps), and linear in ln(1/eps)
     eps_list = [10.0 ** -t for t in range(3, 13)]
     logs = np.array([math.log(1.0 / e) for e in eps_list])
-    grids = {Parity.ODD: (np.linspace(1.0, 2.0, 17), np.linspace(0.0, 1.0, 17)),
-             Parity.EVEN: (np.linspace(0.0, 1.0, 17), np.linspace(1.0, 2.0, 17))}
-    for parity, (pg, qg) in grids.items():
+    grids = {Regime.LOWER: (np.linspace(1.0, 2.0, 17), np.linspace(0.0, 1.0, 17)),
+             Regime.UPPER: (np.linspace(0.0, 1.0, 17), np.linspace(1.0, 2.0, 17))}
+    for regime in Regime:
+        pg, qg = grids[regime]
         for n_scaled in (1.0, 32.0, 1024.0, 2.0 ** 14):
-            widths = np.array([separated._unit_rate_factors(parity, n_scaled, e, pg, qg)[0].shape[1]
+            widths = np.array([separated._unit_rate_factors(regime, n_scaled, e, pg, qg)[0].shape[1]
                                for e in eps_list], dtype=float)
-            assert np.all(np.diff(widths) >= 0), (parity, n_scaled, widths)
-            assert np.all(widths <= 3.0 * logs), (parity, n_scaled, widths)
+            assert np.all(np.diff(widths) >= 0), (regime, n_scaled, widths)
+            assert np.all(widths <= 3.0 * logs), (regime, n_scaled, widths)
             A = np.vstack([logs, np.ones_like(logs)]).T
             _, res, *_ = np.linalg.lstsq(A, widths, rcond=None)
             r2 = 1.0 - res[0] / np.sum((widths - widths.mean()) ** 2)
-            assert r2 >= 0.95, (parity, n_scaled, widths, r2)
+            assert r2 >= 0.95, (regime, n_scaled, widths, r2)
+
+
+def test_unit_configuration_is_the_transformed_block_geometry():
+    # for each kernel kind: the rate kernel's block lies below the diagonal
+    # exactly when the kernel's divergence is rate(larger || smaller) on
+    # it, and it touches the diagonal at the image of the block's corner
+    for scheme in (build_scheme(UnitSquare(5)), build_scheme(QuarterPlane(8.0, 2))):
+        for level in scheme.levels:
+            for index in range(scheme.cells(level)):
+                blk = Block(level, index)
+                (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
+                below = qhi <= plo
+                corner = next(p for p, q in ((plo, qlo), (plo, qhi), (phi, qlo), (phi, qhi))
+                              if p == q)
+                expected = {K.RATE: (below, corner), K.RATE_DUAL: (not below, corner)}
+                if scheme.extent == 1.0:
+                    # rate(1-p || 1-q): 1-p exceeds 1-q where q > p
+                    expected[K.RATE_REFLECTED] = (not below, 1.0 - corner)
+                grid = np.linspace(0.0, 1.0, 3)
+                for kind, (lower, point) in expected.items():
+                    p_int, q_int, _, _ = separated._rate_coordinates(
+                        kind, blk.p_interval, blk.q_interval, grid, grid)
+                    regime, got = separated._unit_configuration(p_int, q_int)
+                    assert regime is (Regime.LOWER if lower else Regime.UPPER), (blk, kind)
+                    assert got == point, (blk, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -531,5 +557,6 @@ def test_aca_dense_fallback_on_hard_matrix():
 def test_aca_rejects_bad_arguments():
     with pytest.raises(ValueError):
         aca_build(lambda i, j: 0.0, 0, 4, 1e-6)
-    with pytest.raises(ValueError):
-        aca_build(lambda i, j: 0.0, 4, 4, 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            aca_build(lambda i, j: 0.0, 4, 4, eps)
