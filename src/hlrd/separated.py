@@ -33,6 +33,17 @@ Three builders are provided:
 * ``aca_build`` is adaptive cross approximation with partial pivoting,
   the practical route that needs only an entry oracle.
 
+``threshold_masks`` is the support rule both builders share.  In the
+unit configuration, with ``n' = n * corner``, a p-point lies in the
+threshold box when ``n' rate(p || 1) <= ln(1/eps)`` and a q-point when
+``n' rate(1 || q) <= ln(1/eps)``: by the identity above the kernel is
+below eps at every pair outside, so a builder may store zeros there.  The
+constructive builder masks its factors with it; ``hmatrix.compress``
+runs ACA on the box alone.  A family entry is the kernel times an exact
+prefactor, so the absolute error the box adds is eps times the largest
+prefactor on the ridge: at most eps/2 for the binomial, eps/e for the
+Poisson and 0.242 eps for the chi-squared.
+
 ``numerical_rank`` is the SVD oracle the builders are measured against.
 """
 
@@ -57,6 +68,7 @@ __all__ = [
     "build_product",
     "numerical_rank",
     "rank_from_singular_values",
+    "threshold_masks",
 ]
 
 
@@ -189,30 +201,42 @@ def _rate_one_sided_p(p: np.ndarray) -> np.ndarray:
     return np.where(p > 0.0, p * np.log(p_safe) - p + 1.0, 1.0)
 
 
+def _rate_to_one(n_scaled: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    """n' rate(p || 1) on the unit configuration: the p-side exponent of the threshold box."""
+    return n_scaled * _rate_one_sided_p(p_hat)
+
+
+def _rate_from_one(n_scaled: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
+    """n' rate(1 || q) = n' (q - 1 - ln q): the q-side exponent, +inf at q = 0."""
+    with np.errstate(divide="ignore"):
+        return n_scaled * (q_hat - 1.0 - np.log(q_hat))
+
+
 def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
                        p_hat: np.ndarray, q_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separated factors of exp(-n' * rate(p, q)) on the unit configuration.
 
     Lower regime: p in [1, 2], q in [0, 1].  Upper regime: p in [0, 1],
     q in [1, 2].  Returns (alpha, beta) sampled on the given grids; values
-    outside the threshold box are zeroed (the kernel is below eps there).
-    The regime only sets the sign sigma = +1 (lower) or -1 (upper) that
-    keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative.
+    outside the threshold box (``threshold_masks``' rule: a one-sided
+    exponent above ln(1/eps)) are zeroed, since the kernel is below eps
+    there.  The regime only sets the sign sigma = +1 (lower) or -1 (upper)
+    that keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative; the
+    Chebyshev interval of s and the degree come from ``solve_thresholds``.
     """
-    m = math.log(1.0 / eps) / n_scaled
-    pair = solve_thresholds(m, regime)
+    log_inv_eps = math.log(1.0 / eps)
+    pair = solve_thresholds(log_inv_eps / n_scaled, regime)
     sigma = 1.0 if regime is Regime.LOWER else -1.0
     s = n_scaled * (sigma * (p_hat - 1.0))
     s_max = n_scaled * (sigma * (pair.p_m - 1.0))
-    mask_p = sigma * (p_hat - pair.p_m) <= 0.0
     with np.errstate(divide="ignore"):
         t = -sigma * np.log(q_hat)
     t_max = sigma * pair.neg_log_q_m
-    mask_q = np.isfinite(t) & (t <= t_max)
 
-    u = n_scaled * _rate_one_sided_p(p_hat)                     # n' rate(p || 1)
-    with np.errstate(invalid="ignore"):
-        v = n_scaled * (q_hat - 1.0 + sigma * t)                # n' rate(1 || q)
+    u = _rate_to_one(n_scaled, p_hat)
+    v = _rate_from_one(n_scaled, q_hat)
+    mask_p = u <= log_inv_eps
+    mask_q = v <= log_inv_eps
 
     degree = _cross_degree(s_max * t_max, eps)
     nodes, weights = _cheb_nodes_weights(degree, s_max)
@@ -241,7 +265,7 @@ def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
         return q_interval, p_interval, q_grid, p_grid
     if kind is DivergenceKind.RATE_REFLECTED:
         (plo, phi), (qlo, qhi) = p_interval, q_interval
-        if not (0.0 <= plo and phi <= 1.0 and 0.0 <= qlo and qhi <= 1.0):
+        if not np.all((0.0 <= plo) & (phi <= 1.0) & (0.0 <= qlo) & (qhi <= 1.0)):
             raise BuilderError("reflected kernels need a unit-square block")
         return (1.0 - phi, 1.0 - plo), (1.0 - qhi, 1.0 - qlo), 1.0 - p_grid, 1.0 - q_grid
     raise ValueError(f"unknown divergence kind {kind!r}")  # pragma: no cover
@@ -252,6 +276,42 @@ def _unit_configuration(p_interval: tuple[float, float],
     """(regime, corner) of a block in rate coordinates: below the diagonal when p starts past q."""
     p_lo, q_lo = p_interval[0], q_interval[0]
     return (Regime.LOWER if p_lo > q_lo else Regime.UPPER), max(p_lo, q_lo)
+
+
+def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+                    p_grid: np.ndarray, p_block: np.ndarray,
+                    q_grid: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which grid points lie inside their block's threshold box, for many blocks at once.
+
+    ``intervals`` is ``(p_lo, p_hi, q_lo, q_hi)``, one array entry per
+    block (``partition.block_intervals``); grid point i of the p axis lies
+    in block ``p_block[i]``, and likewise for q.  In the block's unit
+    configuration (``_rate_coordinates``, then division by the corner of
+    ``_unit_configuration``) a rate-p point is inside when
+    ``n' rate(p || 1) <= ln(1/eps)`` and a rate-q point when
+    ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: these are
+    the left-hand sides of ``solve_thresholds``' equations, and the same
+    exponents ``_unit_rate_factors`` masks its factors with, bit for bit.
+    Since ``n' rate(p || q)`` is at least each of them, the kernel
+    ``exp(-n * divergence)`` is below eps at every pair outside the box.
+    The Bernoulli kernel is the product of the rate kernel and its
+    reflection; its box is the intersection of theirs.  Returns boolean
+    masks over ``p_grid`` and ``q_grid``.
+    """
+    if kind is DivergenceKind.BERNOULLI:
+        parts = [threshold_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
+                 for part in (DivergenceKind.RATE, DivergenceKind.RATE_REFLECTED)]
+        return parts[0][0] & parts[1][0], parts[0][1] & parts[1][1]
+    p_lo, p_hi, q_lo, q_hi = intervals
+    (p_lo, _), (q_lo, _), p_vals, q_vals = _rate_coordinates(kind, (p_lo, p_hi), (q_lo, q_hi),
+                                                             p_grid, q_grid)
+    corner = np.maximum(p_lo, q_lo)   # _unit_configuration's corner, per block
+    if kind is DivergenceKind.RATE_DUAL:
+        p_block, q_block = q_block, p_block
+    log_inv_eps = math.log(1.0 / eps)
+    p_in = _rate_to_one(n * corner[p_block], p_vals / corner[p_block]) <= log_inv_eps
+    q_in = _rate_from_one(n * corner[q_block], q_vals / corner[q_block]) <= log_inv_eps
+    return (q_in, p_in) if kind is DivergenceKind.RATE_DUAL else (p_in, q_in)
 
 
 def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,

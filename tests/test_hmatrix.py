@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hlrd import families, hmatrix
 from hlrd.container import load_hmatrix, save_hmatrix
+from hlrd.divergence import DivergenceKind, divergence
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
 from hlrd.hmatrix import (
     DENSE_RECORD,
@@ -19,12 +20,15 @@ from hlrd.hmatrix import (
     compress,
     index_layout,
     matvec,
+    payload_arrays,
     reconstruct_entries,
     scheme_for,
+    stack_pieces,
     storage_report,
     table_boxes,
     verify,
 )
+from hlrd.partition import Block
 from hlrd.separated import SeparatedApprox
 
 SMALL_FAMILIES = [
@@ -204,10 +208,33 @@ def test_stacks_hold_the_pieces(spec, leaf, eps):
         else:
             assert right.shape == (c1 - c0, rec["rank"]) and left.shape[1] == rec["rank"]
     for s in stacks:
-        g, m = s.left.shape[:2]
-        rows = h.layout.row_index[s.rows].reshape(g, m)
-        real = rows[rows < h.shape[0]]
-        assert len(np.unique(real)) == len(real)   # rows disjoint within a stack
+        # rows disjoint within a stack, and columns too
+        for index, at, size in ((h.layout.row_index, s.rows, h.shape[0]),
+                                (h.layout.col_index, s.cols, h.shape[1])):
+            real = index[at][index[at] < size]
+            assert len(np.unique(real)) == len(real)
+
+
+def test_pieces_sharing_columns_go_to_separate_stacks():
+    # three pieces of one (level, rank) with disjoint rows; the first and the
+    # last share their columns, and are no neighbours in row order
+    spec = BinomialFamily(n=63)
+    boxes = [(0, 10, 30, 40), (10, 20, 50, 60), (20, 30, 30, 40)]
+    table = np.array([(3, i, 2, *box) for i, box in enumerate(boxes)], dtype=LOWRANK_RECORD)
+    layout = stack_pieces(spec.shape, table, np.zeros(0, dtype=DENSE_RECORD))
+    rng = np.random.default_rng(4)
+    for alpha, beta in zip(*[iter(payload_arrays(layout, table, np.zeros(0, dtype=DENSE_RECORD)))] * 2):
+        alpha[...] = rng.uniform(size=alpha.shape)
+        beta[...] = rng.uniform(size=beta.shape)
+    for s in layout.stacks:
+        cols = layout.col_index[s.cols]
+        real = cols[cols < spec.shape[1]]
+        assert len(np.unique(real)) == len(real)
+    h = hmatrix.HMatrix(spec=spec, scheme=hmatrix.scheme_for(spec), eps=1e-6, builder=Builder.ACA,
+                        lowrank=table, dense=np.zeros(0, dtype=DENSE_RECORD), layout=layout)
+    ii, jj = np.meshgrid(np.arange(spec.shape[0]), np.arange(spec.shape[1]), indexing="ij")
+    assert np.array_equal(reconstruct_entries(h, ii, jj), _loop_entries(h, ii, jj))
+    assert np.count_nonzero(h.to_dense()) == 3 * 10 * 10
 
 
 @pytest.mark.parametrize("builder", [Builder.ACA, Builder.CONSTRUCTIVE])
@@ -320,8 +347,32 @@ def test_verify_matches_manual_sampling():
     spec = ChiSquaredFamily(x_max=64.0, x_grid=64, k_max=64)
     h = compress(spec, 1e-7, leaf_size=8)
     rep = verify(h, samples=4000, seed=9)
+    assert rep.samples == 4000
     assert rep.max_abs_error <= 10.0 * 1e-7
     assert rep.rms_error <= rep.max_abs_error
+    # every region of the tiling gets a sample, however few are asked for
+    _, _, blocks, cells, strips = index_layout(spec, h.scheme)
+    assert verify(h, samples=1).samples == len(blocks) + len(cells) + len(strips)
+
+
+def test_verify_finds_one_wrong_block():
+    # One block of a 2^12 matrix reads twice its entries.  Of the blocks with
+    # an entry above 100 eps, the one with the fewest entries above 10 eps:
+    # uniform samples over the whole matrix rarely land there, samples per
+    # block always do.
+    eps = 1e-6
+    h = compress(BinomialFamily(n=2**12), eps, builder=Builder.CONSTRUCTIVE)
+    worst = []
+    for s in h.layout.stacks:
+        for k, n in enumerate(s.piece.tolist() if s.right is not None else []):
+            product = np.abs(s.left[k] @ s.right[k].T)
+            if product.max() > 100 * eps:
+                worst.append((int(np.sum(product > 10 * eps)), n, s, k))
+    _, _, s, k = min(worst, key=lambda w: w[:2])
+    assert verify(h, samples=10000).max_abs_error <= 10 * eps
+    s.left[k] *= 2.0
+    for seed in range(5):
+        assert verify(h, samples=10000, seed=seed).max_abs_error > 10 * eps
 
 
 def test_reconstruct_entries_against_dense():
@@ -748,12 +799,148 @@ def test_pieces_sit_on_their_support_inside_their_blocks(name, n, leaf, eps, bui
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hmatrix, "_support", lambda approx, box: (approx.alpha, approx.beta, box))
         whole = compress(spec, eps, builder=builder, leaf_size=leaf)
-    assert [tuple(b) for b in table_boxes(whole.lowrank).tolist()] == [
-        block_box[key] for key in zip(whole.lowrank["level"].tolist(),
-                                      whole.lowrank["index"].tolist())]
+    # untrimmed, a constructive piece keeps its block's box and an ACA piece
+    # its threshold box, or its block's box at rank 0 when that box is empty
+    for rec in whole.lowrank:
+        region = (int(rec["level"]), int(rec["index"]))
+        box = _box(rec)
+        if builder is Builder.CONSTRUCTIVE:
+            assert box == block_box[region]
+        else:
+            _assert_threshold_box(spec, eps, region, block_box[region], box, int(rec["rank"]))
     assert np.array_equal(whole.lowrank["rank"], h.lowrank["rank"])
     assert np.array_equal(whole.to_dense(), h.to_dense())
     assert h.stored_entries <= whole.stored_entries
+
+
+# ---------------------------------------------------------------------------
+# the threshold box
+# ---------------------------------------------------------------------------
+
+def _box_exponents(spec, region, block):
+    """Reference: each row's and column's largest one-sided exponent over the block's kernels.
+
+    In a rate kernel's unit configuration (corner c, n' = n_eff c) the
+    rate-p axis has ``n' rate(p/c || 1)`` and the rate-q axis
+    ``n' rate(1 || q/c)``, here from ``divergence``; the chi-squared kernel
+    is the dual, whose rate-p axis is the columns, and the binomial kernel
+    is the rate kernel times its reflection x -> 1 - x.
+    """
+    kmap = families.kernel_map(spec)
+    r0, r1, c0, c1 = block
+    (p_lo, p_hi), (q_lo, q_hi) = Block(*region).p_interval, Block(*region).q_interval
+    p, q = kmap.p_of_row[r0:r1], kmap.q_of_col[c0:c1]
+    kernels = [(p, q, max(p_lo, q_lo))]
+    if kmap.kind is DivergenceKind.BERNOULLI:
+        kernels.append((1.0 - p, 1.0 - q, max(1.0 - p_hi, 1.0 - q_hi)))
+    rows, cols = np.zeros(r1 - r0), np.zeros(c1 - c0)
+    for p, q, corner in kernels:
+        n_scaled = kmap.n_eff * corner
+        to_one = n_scaled * divergence(DivergenceKind.RATE, np.append(p, q) / corner, 1.0)
+        from_one = n_scaled * divergence(DivergenceKind.RATE, 1.0, np.append(p, q) / corner)
+        if kmap.kind is DivergenceKind.RATE_DUAL:
+            row_exp, col_exp = from_one[:p.size], to_one[p.size:]
+        else:
+            row_exp, col_exp = to_one[:p.size], from_one[p.size:]
+        rows, cols = np.maximum(rows, row_exp), np.maximum(cols, col_exp)
+    return rows, cols
+
+
+def _assert_threshold_box(spec, eps, region, block, box, rank):
+    """``box`` is the block's threshold box: every row and column of it lies inside, and every
+    row and column of the block that lies clearly inside is in it; or, at rank 0, the block's
+    box when no row or no column lies inside."""
+    rows, cols = _box_exponents(spec, region, block)
+    level = math.log(1.0 / eps)
+    b0, _, d0, _ = block
+    r0, r1, c0, c1 = box
+    if rank == 0 and box == block and (rows.min() > level or cols.min() > level):
+        return
+    assert np.all(rows[r0 - b0:r1 - b0] <= level * (1 + 1e-9)), (region, box)
+    assert np.all(cols[c0 - d0:c1 - d0] <= level * (1 + 1e-9)), (region, box)
+    inside_rows = np.flatnonzero(rows < level * (1 - 1e-9)) + b0
+    inside_cols = np.flatnonzero(cols < level * (1 - 1e-9)) + d0
+    assert np.all((r0 <= inside_rows) & (inside_rows < r1)), (region, box)
+    assert np.all((c0 <= inside_cols) & (inside_cols < c1)), (region, box)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["binomial", "poisson", "chisq"]), n=st.integers(8, 96),
+       leaf=st.sampled_from([2, 4, 8]), eps=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+def test_pieces_lie_in_the_threshold_box_and_meet_the_bound(name, n, leaf, eps):
+    # Both builders store each block only inside its threshold box, both
+    # regimes and every kernel kind (binomial: rate times reflected rate,
+    # Poisson: rate, chi-squared: dual) included; what the box leaves out is
+    # below eps times the exact prefactor, and every block stays within 10 eps.
+    spec = _family(name, n)
+    kmap = families.kernel_map(spec)
+    exact = dense_matrix(spec)
+    level = math.log(1.0 / eps)
+    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
+    for region, (b0, b1, d0, d1) in block_ranges:
+        rows, cols = _box_exponents(spec, region, (b0, b1, d0, d1))
+        outside = (rows[:, None] > level) | (cols[None, :] > level)
+        if kmap.prefactor_axis == "row":
+            bound = eps * np.exp(kmap.exact_log_prefactor[b0:b1])[:, None]
+        else:
+            bound = eps * np.exp(kmap.exact_log_prefactor[d0:d1])[None, :]
+        block = exact[b0:b1, d0:d1]
+        assert np.all(block[outside] <= (1 + 1e-9) * np.broadcast_to(bound, block.shape)[outside])
+
+    block_box = dict(block_ranges)
+    for builder in Builder:
+        h = compress(spec, eps, builder=builder, leaf_size=leaf)
+        err = np.abs(h.to_dense() - exact)
+        for rec, left, right in _pieces(h):
+            if right is None:
+                continue
+            region = (int(rec["level"]), int(rec["index"]))
+            b0, b1, d0, d1 = block = block_box[region]
+            assert err[b0:b1, d0:d1].max() <= 10.0 * eps, (builder, region)
+            if left.any() and right.any():
+                rows, cols = _box_exponents(spec, region, block)
+                r0, r1, c0, c1 = _box(rec)
+                assert np.all(rows[r0 - b0:r1 - b0] <= level * (1 + 1e-9)), (builder, region)
+                assert np.all(cols[c0 - d0:c1 - d0] <= level * (1 + 1e-9)), (builder, region)
+
+
+def test_empty_threshold_box_gives_rank_zero_without_oracle_calls(monkeypatch):
+    # five columns against 257 rows: some blocks have no column near their corner
+    spec, eps, leaf = BinomialFamily(n=256, cols=5), 1e-6, 8
+    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
+    level = math.log(1.0 / eps)
+    empty = {region: box for region, box in block_ranges
+             if max(a.min() for a in _box_exponents(spec, region, box)) > level}
+    assert empty
+    asked = []
+    real_oracle = hmatrix.block_oracle
+    monkeypatch.setattr(hmatrix, "block_oracle",
+                        lambda spec, *box: asked.append(box) or real_oracle(spec, *box))
+    h = compress(spec, eps, builder=Builder.ACA, leaf_size=leaf)
+    for rec in h.lowrank:
+        region = (int(rec["level"]), int(rec["index"]))
+        if region in empty:
+            assert int(rec["rank"]) == 0 and _box(rec) == empty[region]
+    for r0, r1, c0, c1 in asked:
+        for b0, b1, d0, d1 in empty.values():
+            assert r1 <= b0 or b1 <= r0 or c1 <= d0 or d1 <= c0
+    assert np.max(np.abs(h.to_dense() - dense_matrix(spec))) <= 10.0 * eps
+
+
+def test_aca_requests_on_the_threshold_box(monkeypatch):
+    # ACA on the whole blocks asked for 2.62 M entries here
+    requested = [0]
+    real_aca = hmatrix.aca_build
+
+    def counting(oracle, rows, cols, eps):
+        def counted(i, j):
+            requested[0] += int(np.prod(np.broadcast_shapes(np.shape(i), np.shape(j))))
+            return oracle(i, j)
+        return real_aca(counted, rows, cols, eps)
+
+    monkeypatch.setattr(hmatrix, "aca_build", counting)
+    compress(BinomialFamily(n=2**12), 1e-6, builder=Builder.ACA)
+    assert 0 < requested[0] < 2.62e6 / 2
 
 
 @pytest.fixture(scope="module")

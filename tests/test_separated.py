@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlrd.divergence import DivergenceKind, Regime, divergence
+from hlrd.divergence import DivergenceKind, Regime, divergence, solve_thresholds
 from hlrd.families import (
     BinomialFamily,
     ChiSquaredFamily,
@@ -227,6 +227,33 @@ def test_constructive_degree_grows_like_log_accuracy():
             _, res, *_ = np.linalg.lstsq(A, widths, rcond=None)
             r2 = 1.0 - res[0] / np.sum((widths - widths.mean()) ** 2)
             assert r2 >= 0.95, (regime, n_scaled, widths, r2)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("n_scaled", [0.5, 32.0, 2.0 ** 14])
+@pytest.mark.parametrize("eps", [1e-3, 1e-9])
+def test_threshold_rule_is_the_solvers_box(regime, n_scaled, eps):
+    # The rule compares the left-hand sides of solve_thresholds' equations
+    # with ln(1/eps), so on the unit configuration it keeps the points the
+    # solved thresholds keep, but for points within the solver's tolerance
+    # of a threshold; the constructive factors vanish exactly outside it.
+    lower = regime is Regime.LOWER
+    p_hat = np.linspace(1.0, 2.0, 2001) if lower else np.linspace(0.0, 1.0, 2001)
+    q_hat = np.linspace(0.0, 1.0, 2001) if lower else np.linspace(1.0, 2.0, 2001)
+    block = np.array([1.0, 2.0, 0.0, 1.0] if lower else [0.0, 1.0, 1.0, 2.0])[:, None]
+    at = np.zeros(p_hat.size, dtype=np.intp)
+    p_in, q_in = separated.threshold_masks(K.RATE, n_scaled, eps, tuple(block),
+                                           p_hat, at, q_hat, at)
+    pair = solve_thresholds(math.log(1.0 / eps) / n_scaled, regime)
+    sigma = 1.0 if lower else -1.0
+    near_p = np.abs(p_hat - pair.p_m) <= 1e-9
+    assert np.array_equal(p_in[~near_p], (sigma * (p_hat - pair.p_m) <= 0.0)[~near_p])
+    near_q = np.abs(q_hat - pair.q_m) <= 1e-9
+    with np.errstate(divide="ignore"):
+        solver_q = -sigma * np.log(q_hat) <= sigma * pair.neg_log_q_m
+    assert np.array_equal(q_in[~near_q], solver_q[~near_q])
+    alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
+    assert np.array_equal(alpha.any(axis=1), p_in) and np.array_equal(beta.any(axis=1), q_in)
 
 
 def test_unit_configuration_is_the_transformed_block_geometry():
