@@ -8,7 +8,8 @@ scipy versions, the BLAS numpy was built against, the core counts and
 the BLAS thread variables).  Identical configuration and seed reproduce
 byte-identical CSV bodies.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -415,6 +416,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SolverError, BuilderError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"hlrd: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError names nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"hlrd: error: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -24,10 +24,9 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
                   beta factor (cols x rank, row-major f64); then for each
                   dense piece its values (row-major f64)
 
-A low-rank record's box is the support of its factors inside its scheme
-block (level, index): ``compress`` cuts off the leading and trailing zero
-rows of alpha and beta, and a piece whose product is zero keeps its
-block's box.  A dense record's box is its whole cell or strip.  The
+A low-rank record's box is its scheme block's (level, index) threshold
+box, or the block's box at rank 0 when ``compress`` finds the threshold
+box empty.  A dense record's box is its whole cell or strip.  The
 reader ties no box to the scheme; it checks each box against the matrix.
 
 Both tables are read and written whole, as numpy record arrays of this

@@ -21,22 +21,20 @@ the domain's upper edge, all in one pass over the finest grid's edges
 Both builders share one support rule, ``separated.threshold_masks``: a
 block's threshold box holds the rows and columns whose one-sided
 exponent in the block's unit configuration is at most ln(1/eps), and
-outside it the kernel ``exp(-n_eff * divergence)`` is below eps.  The
-constructive builder zeroes its factors outside the box; ACA runs on
-the box alone (``_threshold_boxes`` finds the boxes of a level's blocks
-in one pass), and a block whose box is empty stores rank 0 without an
-oracle call.  The entries left out are the kernel times the exact
-prefactor, so the absolute error the box adds is below eps times the
-largest prefactor on the ridge: eps/2 for the binomial (the k = 1 row,
-``(1 - 1/n)^(n-1)``, at most 1/2 and near 1/e for large n), eps/e for
-the Poisson (k = 1) and 0.242 eps for the chi-squared (k = 3).  A
-low-rank piece stores only the support of its factors inside the box:
-rows from the first through the last nonzero alpha row, columns likewise
-for beta (ACA's entries also underflow to exact zeros).  So each index
-pair is owned by at most one piece, and a pair no piece owns reads 0.
-The result supports fast matvec (each low-rank piece costs
-rank * (rows + cols) operations), storage accounting and verification
-against the exact entries, sampled region by region.
+outside it the kernel ``exp(-n_eff * divergence)`` is below eps.
+``_threshold_boxes`` finds the boxes of a level's blocks in one pass,
+and either builder runs on the box alone; a block whose box is empty
+stores rank 0 and builds nothing.  The entries left out are the kernel
+times the exact prefactor, so the absolute error the box adds is below
+eps times the largest prefactor on the ridge: eps/2 for the binomial
+(the k = 1 row, ``(1 - 1/n)^(n-1)``, at most 1/2 and near 1/e for large
+n), eps/e for the Poisson (k = 1) and 0.242 eps for the chi-squared
+(k = 3).  A low-rank piece's box is its block's threshold box (its
+block's box at rank 0), so each index pair is owned by at most one
+piece, and a pair no piece owns reads 0.  The result supports fast
+matvec (each low-rank piece costs rank * (rows + cols) operations),
+storage accounting and verification against the exact entries, sampled
+region by region.
 
 A compressed matrix is two record tables and the stacks their arrays
 live in.  ``HMatrix.lowrank`` and ``HMatrix.dense`` hold one record per
@@ -509,42 +507,21 @@ def _threshold_boxes(kmap: KernelMap, level_ranges: list, eps: float) -> list:
 
 def _level_pieces(spec: FamilySpec, kmap: KernelMap, builder: Builder, level_ranges: list,
                   eps: float) -> list:
-    """(alpha, beta, box) of each block of one level, on the support of its factors.
+    """(alpha, beta, box) of each block of one level, on its threshold box.
 
-    The constructive builder works on the whole block and zeroes its
-    factors outside the threshold box.  ACA works on the threshold box
-    alone; a block whose box is empty gets a rank-0 piece on its whole
-    box and asks the oracle nothing.
+    Either builder works on the block's threshold box alone; a block whose
+    box is empty gets a rank-0 piece on its whole box and builds nothing.
     """
-    boxes = ([box for _, box in level_ranges] if builder is Builder.CONSTRUCTIVE
-             else _threshold_boxes(kmap, level_ranges, eps))
     pieces = []
-    for (region, block_box), box in zip(level_ranges, boxes):
+    for (region, block_box), box in zip(level_ranges,
+                                        _threshold_boxes(kmap, level_ranges, eps)):
         if box is None:
-            r0, r1, c0, c1 = box = block_box
-            approx = SeparatedApprox(None, None, np.zeros((r1 - r0, 0)), np.zeros((c1 - c0, 0)))
+            r0, r1, c0, c1 = block_box
+            pieces.append((np.zeros((r1 - r0, 0)), np.zeros((c1 - c0, 0)), block_box))
         else:
             approx = _compress_block(spec, kmap, builder, region, box, eps)
-        pieces.append(_support(approx, box))
+            pieces.append((approx.alpha, approx.beta, box))
     return pieces
-
-
-def _support(approx: SeparatedApprox, box: tuple[int, int, int, int]):
-    """(alpha, beta, box) of a block's piece, cut to the support of its factors.
-
-    Rows run from the first through the last nonzero row of alpha, columns
-    from the first through the last nonzero row of beta; the rank stays.
-    A piece whose product is zero (rank 0, or a factor with no nonzero
-    row) keeps its box.
-    """
-    alpha, beta = approx.alpha, approx.beta
-    rows = np.flatnonzero(alpha.any(axis=1))
-    cols = np.flatnonzero(beta.any(axis=1))
-    if not (rows.size and cols.size):
-        return alpha, beta, box
-    i0, i1, j0, j1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    r0, _, c0, _ = box
-    return alpha[i0:i1], beta[j0:j1], (r0 + i0, r0 + i1, c0 + j0, c0 + j1)
 
 
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,

@@ -37,12 +37,14 @@ Three builders are provided:
 unit configuration, with ``n' = n * corner``, a p-point lies in the
 threshold box when ``n' rate(p || 1) <= ln(1/eps)`` and a q-point when
 ``n' rate(1 || q) <= ln(1/eps)``: by the identity above the kernel is
-below eps at every pair outside, so a builder may store zeros there.  The
-constructive builder masks its factors with it; ``hmatrix.compress``
-runs ACA on the box alone.  A family entry is the kernel times an exact
-prefactor, so the absolute error the box adds is eps times the largest
-prefactor on the ridge: at most eps/2 for the binomial, eps/e for the
-Poisson and 0.242 eps for the chi-squared.
+below eps at every pair outside, so a builder may store zeros there.
+``hmatrix.compress`` runs either builder on the box alone: a low-rank
+piece's box is its block's threshold box (its block's box at rank 0).
+``build_constructive`` also masks its factors with the rule, so that on
+whole-block grids it is zero outside the box.  A family entry is the
+kernel times an exact prefactor, so the absolute error the box adds is
+eps times the largest prefactor on the ridge: at most eps/2 for the
+binomial, eps/e for the Poisson and 0.242 eps for the chi-squared.
 
 ``numerical_rank`` is the SVD oracle the builders are measured against.
 """
@@ -296,7 +298,9 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     ``exp(-n * divergence)`` is below eps at every pair outside the box.
     The Bernoulli kernel is the product of the rate kernel and its
     reflection; its box is the intersection of theirs.  Returns boolean
-    masks over ``p_grid`` and ``q_grid``.
+    masks over ``p_grid`` and ``q_grid``; ``hmatrix.compress`` stores a
+    low-rank piece on its block's threshold box (its block's box at rank
+    0), from the first through the last point inside on each axis.
     """
     if kind is DivergenceKind.BERNOULLI:
         parts = [threshold_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hlrd import cli
 from hlrd.cli import main
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily
 
@@ -300,6 +301,22 @@ def test_numerical_failure_exit_code(tmp_path):
     rc = run(["compress", "--family", "binomial", "--n", "3", "--eps", "1e-6",
               "--out", str(out)])
     assert rc == 3  # matrix too small -> ValueError -> numerical failure exit
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.31 GiB for an array", ""])
+def test_out_of_memory_is_numerical_failure(tmp_path, capsys, monkeypatch, message):
+    # an extreme eps can ask a builder for more memory than the machine has
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "compress", exhausted)
+    out = tmp_path / "h.hlrd"
+    assert run(["compress", "--family", "binomial", "--n", "64", "--eps", "1e-200",
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "hlrd: error: out of memory" in captured.err and message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [

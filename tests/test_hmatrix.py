@@ -29,7 +29,6 @@ from hlrd.hmatrix import (
     verify,
 )
 from hlrd.partition import Block
-from hlrd.separated import SeparatedApprox
 
 SMALL_FAMILIES = [
     BinomialFamily(n=48),
@@ -728,8 +727,8 @@ def test_metadata_edit_raises_value_error_or_round_trips(meta_fuzz, name, data):
        builder=st.sampled_from(list(Builder)))
 def test_tables_tile_count_and_round_trip(tmp_path_factory, name, n, leaf, eps, builder):
     spec = _family(name, n)
-    # the scheme's blocks, cells and strips tile the matrix; the pieces cut
-    # to their support own each pair at most once
+    # the scheme's blocks, cells and strips tile the matrix; the pieces, each
+    # on its block's threshold box, own each pair at most once
     tiles = _coverage_counts(spec, leaf)
     assert np.all(tiles == 1), f"tiling breaks at {np.argwhere(tiles != 1)[:5]}"
     h = compress(spec, eps, builder=builder, leaf_size=leaf)
@@ -748,28 +747,14 @@ def test_tables_tile_count_and_round_trip(tmp_path_factory, name, n, leaf, eps, 
 
 
 # ---------------------------------------------------------------------------
-# low-rank pieces on their factors' support
+# low-rank pieces on their threshold boxes
 # ---------------------------------------------------------------------------
-
-def test_support_cuts_zero_rows_and_keeps_the_rank():
-    alpha = np.zeros((6, 2))
-    alpha[[1, 3]] = [[1.0, 0.0], [0.0, -2.0]]
-    beta = np.zeros((5, 2))
-    beta[[0, 2]] = [[3.0, 1.0], [0.0, 5e-324]]
-    a, b, box = hmatrix._support(SeparatedApprox(None, None, alpha, beta), (10, 16, 20, 25))
-    assert box == (11, 14, 20, 23)
-    assert np.array_equal(a, alpha[1:4]) and np.array_equal(b, beta[0:3])
-    # a piece that stores a zero product keeps its block's box
-    for alpha, beta in ((np.zeros((6, 0)), np.zeros((5, 0))), (np.zeros((6, 1)), np.ones((5, 1)))):
-        a, b, box = hmatrix._support(SeparatedApprox(None, None, alpha, beta), (10, 16, 20, 25))
-        assert box == (10, 16, 20, 25) and a is alpha and b is beta
-
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["binomial", "poisson", "chisq"]), n=st.integers(5, 64),
        leaf=st.sampled_from([2, 8]), eps=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
        builder=st.sampled_from(list(Builder)))
-def test_pieces_sit_on_their_support_inside_their_blocks(name, n, leaf, eps, builder):
+def test_pieces_sit_on_their_threshold_boxes(name, n, leaf, eps, builder):
     spec = _family(name, n)
     h = compress(spec, eps, builder=builder, leaf_size=leaf)
     counts = np.zeros(spec.shape, dtype=int)
@@ -787,30 +772,12 @@ def test_pieces_sit_on_their_support_inside_their_blocks(name, n, leaf, eps, bui
     for rec, left, right in _pieces(h):
         if right is None:
             continue
-        r0, r1, c0, c1 = _box(rec)
-        b0, b1, d0, d1 = block = block_box[int(rec["level"]), int(rec["index"])]
-        assert b0 <= r0 < r1 <= b1 and d0 <= c0 < c1 <= d1
-        if left.any() and right.any():
-            # tight: the first and last row of each factor are nonzero
-            assert left[[0, -1]].any(axis=1).all() and right[[0, -1]].any(axis=1).all()
-        else:   # stores a zero product (rank 0 among them): the block's box
-            assert (r0, r1, c0, c1) == block
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hmatrix, "_support", lambda approx, box: (approx.alpha, approx.beta, box))
-        whole = compress(spec, eps, builder=builder, leaf_size=leaf)
-    # untrimmed, a constructive piece keeps its block's box and an ACA piece
-    # its threshold box, or its block's box at rank 0 when that box is empty
-    for rec in whole.lowrank:
         region = (int(rec["level"]), int(rec["index"]))
-        box = _box(rec)
-        if builder is Builder.CONSTRUCTIVE:
-            assert box == block_box[region]
-        else:
-            _assert_threshold_box(spec, eps, region, block_box[region], box, int(rec["rank"]))
-    assert np.array_equal(whole.lowrank["rank"], h.lowrank["rank"])
-    assert np.array_equal(whole.to_dense(), h.to_dense())
-    assert h.stored_entries <= whole.stored_entries
+        # the block's threshold box, or its whole box at rank 0 when that is empty
+        _assert_threshold_box(spec, eps, region, block_box[region], _box(rec), int(rec["rank"]))
+        if left.any() and right.any():
+            # tight: no factor row inside the box underflows to zero at either end
+            assert left[[0, -1]].any(axis=1).all() and right[[0, -1]].any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +912,8 @@ def test_aca_requests_on_the_threshold_box(monkeypatch):
 
 @pytest.fixture(scope="module")
 def byte_fuzz(tmp_path_factory):
-    """A directory, the bytes of a small container with cut pieces, and its u32 field offsets."""
+    """A directory, the bytes of a small container with pieces on threshold boxes smaller than
+    their blocks, and its u32 field offsets."""
     spec = BinomialFamily(n=16)
     h = compress(spec, 1e-6, builder=Builder.CONSTRUCTIVE, leaf_size=4)
     _, _, block_ranges, _, _ = index_layout(spec, leaf_size=4)

@@ -14,7 +14,7 @@ from hlrd.families import (
     dense_matrix,
     entry_exact,
 )
-from hlrd.hmatrix import Builder, compress, index_layout, table_boxes
+from hlrd.hmatrix import Builder, compress, index_layout
 from hlrd.partition import Block, QuarterPlane, UnitSquare, build_scheme
 from hlrd.separated import (
     BuilderError,
@@ -440,15 +440,9 @@ def test_constructive_tables_match_explicit_q_recompression(monkeypatch, spec, e
     h = compress(spec, eps, builder=Builder.CONSTRUCTIVE, leaf_size=8)
     monkeypatch.setattr(separated, "_recompress", _recompress_explicit_q)
     ref = compress(spec, eps, builder=Builder.CONSTRUCTIVE, leaf_size=8)
-    # the same blocks and ranks and the same dense pieces; explicit Q leaves
-    # ~1e-17 in rows the Q-free factors hold at exactly zero, so its boxes,
-    # cut to the factors' support, may be wider
-    for field in ("level", "index", "rank"):
-        assert np.array_equal(h.lowrank[field], ref.lowrank[field])
+    # the same blocks, ranks and boxes, and the same dense pieces
+    assert h.lowrank.tobytes() == ref.lowrank.tobytes()
     assert h.dense.tobytes() == ref.dense.tobytes()
-    boxes, ref_boxes = table_boxes(h.lowrank), table_boxes(ref.lowrank)
-    assert np.all(boxes[:, [0, 2]] >= ref_boxes[:, [0, 2]])
-    assert np.all(boxes[:, [1, 3]] <= ref_boxes[:, [1, 3]])
     exact = dense_matrix(spec)
     assert np.max(np.abs(h.to_dense() - exact)) <= 10.0 * eps
     assert np.max(np.abs(ref.to_dense() - exact)) <= 10.0 * eps
