@@ -36,6 +36,7 @@ from .separated import (
     build_product,
     numerical_rank,
     rank_from_singular_values,
+    singular_values,
 )
 from .families import (
     BinomialFamily,

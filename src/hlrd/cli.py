@@ -45,6 +45,7 @@ from .separated import (
     RankConvention,
     aca_build,
     rank_from_singular_values,
+    singular_values,
 )
 
 EXIT_OK = 0
@@ -123,13 +124,18 @@ def _family_params(spec) -> dict:
 
 
 def _block_singular_values(spec, leaf: int):
-    """Dense singular values of every nonempty off-diagonal block."""
+    """Singular values (``separated.singular_values``) of every nonempty off-diagonal block.
+
+    Each block is formed on its own open index grid by
+    ``families.block_oracle``, so the largest block, not the whole
+    matrix, sets the peak memory.
+    """
     _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
-    full = dense_matrix(spec)
     out = []
     for region, (r0, r1, c0, c1) in block_ranges:
-        s = np.linalg.svd(full[r0:r1, c0:c1], compute_uv=False)
-        out.append((region, (r0, r1, c0, c1), s))
+        block = block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
+                                                   np.arange(c1 - c0)[None, :])
+        out.append((region, (r0, r1, c0, c1), singular_values(block)))
     return out
 
 

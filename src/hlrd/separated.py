@@ -46,7 +46,14 @@ kernel times an exact prefactor, so the absolute error the box adds is
 eps times the largest prefactor on the ridge: at most eps/2 for the
 binomial, eps/e for the Poisson and 0.242 eps for the chi-squared.
 
-``numerical_rank`` is the SVD oracle the builders are measured against.
+``singular_values`` is the SVD oracle the builders are measured against,
+and ``numerical_rank`` counts its values above a threshold.  It takes the
+SVD of the matrix's numerical support: with u = 2^-53, the rows and then
+the columns of least norm whose total squared norm stays within
+(u ||A||_F)^2 are dropped first.  By Weyl's inequality no singular value
+moves by more than u ||A||_F, which is below the rounding already in the
+entries; ranks at thresholds near or below that level count the support
+only.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ __all__ = [
     "build_product",
     "numerical_rank",
     "rank_from_singular_values",
+    "singular_values",
     "threshold_masks",
 ]
 
@@ -117,14 +125,58 @@ def rank_from_singular_values(s: np.ndarray, eps: float,
     return int(np.sum(s > threshold))
 
 
-def numerical_rank(matrix: np.ndarray, eps: float,
-                   convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
-    """Number of singular values above the eps threshold (full SVD)."""
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _keep_above(sq_norms: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
+    """Indices left after dropping the smallest squared norms while their sum stays <= budget.
+
+    Returns the kept indices in ascending order and the budget not spent.
+    """
+    order = np.argsort(sq_norms, kind="stable")
+    spent = np.cumsum(sq_norms[order])
+    dropped = int(np.searchsorted(spent, budget, side="right"))
+    return np.sort(order[dropped:]), budget - (float(spent[dropped - 1]) if dropped else 0.0)
+
+
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values of the matrix's numerical support.
+
+    With u = 2^-53 and the budget (u ||A||_F)^2, rows are dropped in
+    ascending order of squared norm while the dropped sum stays within the
+    budget, then columns of what is left against the budget that remains;
+    the rest is handed to the SVD (empty: ``np.zeros(0)``).  The dropped
+    part has Frobenius norm at most u ||A||_F, so by Weyl's inequality
+    every singular value moves by at most that much, and every singular
+    value dropped is at most that: below the rounding error already in
+    A's entries.  A block of a family matrix decays like
+    exp(-n * divergence) away from the ridge, so most of its rows and
+    columns fall below that level.  Norms are taken of A scaled by its
+    largest magnitude, so that squaring neither overflows nor underflows.
+    """
     a = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(a, compute_uv=False)
-    return rank_from_singular_values(s, eps, convention)
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0:
+        return np.zeros(0)
+    scaled = a / scale
+    row_sq = np.einsum("ij,ij->i", scaled, scaled)
+    rows, budget = _keep_above(row_sq, _UNIT_ROUNDOFF ** 2 * float(row_sq.sum()))
+    scaled = scaled[rows]
+    cols, _ = _keep_above(np.einsum("ij,ij->j", scaled, scaled), budget)
+    return np.linalg.svd(a[np.ix_(rows, cols)], compute_uv=False)
+
+
+def numerical_rank(matrix: np.ndarray, eps: float,
+                   convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
+    """Number of singular values above the eps threshold, on the numerical support.
+
+    The spectrum is ``singular_values``': each value is within
+    u ||A||_F (u = 2^-53) of the full SVD's, so only thresholds near or
+    below that level can count differently from a full SVD.
+    """
+    return rank_from_singular_values(singular_values(matrix), eps, convention)
 
 
 # ---------------------------------------------------------------------------

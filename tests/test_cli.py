@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,28 @@ def test_eps_sweep_single_point_matches_rank_map(tmp_path):
     _, srows = read_csv(sweep)
     _, rrows = read_csv(rmap)
     assert int(srows[0][1]) == max(int(r[6]) for r in rrows)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+FAMILY_FLAGS_128 = {
+    "binomial": ["--family", "binomial", "--n", "128"],
+    "poisson": ["--family", "poisson", "--kmax", "128", "--lambda-max", "128", "--grid", "128"],
+    "chisq": ["--family", "chisq", "--xmax", "128", "--grid", "128", "--kmax", "128"],
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_FLAGS_128))
+@pytest.mark.parametrize("command,eps", [
+    ("rank-map", ["--eps", "1e-9"]),
+    ("eps-sweep", [a for t in range(3, 13) for a in ("--eps", f"1e-{t}")]),
+])
+def test_rank_commands_match_golden_csv(tmp_path, command, eps, family):
+    # the paper's per-block ranks and their growth in ln(1/eps), pinned byte
+    # for byte: an oracle, layout or writer change cannot move them silently
+    name = f"{command}-{family}-128.csv"
+    out = tmp_path / name
+    assert run([command, *FAMILY_FLAGS_128[family], *eps, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_ratio_scan_schema_and_values(tmp_path):

@@ -109,6 +109,75 @@ def test_rank_rejects_eps_not_positive(eps):
         numerical_rank(np.eye(3), eps)
 
 
+FAMILY_SPECS = {
+    "binomial": lambda n: BinomialFamily(n=n),
+    "poisson": lambda n: PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n),
+    "chisq": lambda n: ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n),
+}
+
+
+@pytest.mark.parametrize("leaf", [8, 32])
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_support_singular_values_match_full_svd_on_family_blocks(family, n, leaf):
+    spec = FAMILY_SPECS[family](n)
+    _, _, blocks, _, _ = index_layout(spec, leaf_size=leaf)
+    full = dense_matrix(spec)
+    for region, (r0, r1, c0, c1) in blocks:
+        a = full[r0:r1, c0:c1]
+        s = separated.singular_values(a)
+        s_full = np.linalg.svd(a, compute_uv=False)
+        # Weyl: the support's spectrum is within u ||A||_F of the full one
+        # (tolerance 4 u ||A||_F for the two SVDs' own rounding)
+        tol = 4.0 * 2.0 ** -53 * np.linalg.norm(a)
+        assert s.size <= s_full.size
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.max(np.abs(s - s_full[:s.size]), initial=0.0) <= tol, region
+        assert np.all(s_full[s.size:] <= tol), region
+        for t in range(3, 15):
+            for convention in RankConvention:
+                assert (rank_from_singular_values(s, 10.0 ** -t, convention)
+                        == rank_from_singular_values(s_full, 10.0 ** -t, convention)), \
+                    (region, t, convention)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 40), (25, 60)])
+def test_support_keeps_every_row_and_column_of_a_dense_matrix(shape):
+    a = np.random.default_rng(5).standard_normal(shape)
+    s = separated.singular_values(a)
+    s_full = np.linalg.svd(a, compute_uv=False)
+    assert s.shape == s_full.shape
+    assert np.allclose(s, s_full, rtol=0.0, atol=4.0 * 2.0 ** -53 * np.linalg.norm(a))
+
+
+def test_support_drops_rows_and_columns_below_rounding_level():
+    a = np.zeros((6, 5))
+    a[1:3, 2:4] = [[1.0, 2.0], [3.0, 4.0]]
+    a[0, 0] = 1e-20      # far below u ||A||_F: dropped with its row and column
+    a[5, 4] = 1e-300
+    s = separated.singular_values(a)
+    assert s.shape == (2,)
+    assert np.array_equal(s, np.linalg.svd(a[1:3, 2:4], compute_uv=False))
+    # the norms are taken after scaling, so tiny and huge matrices keep the same support
+    for scale in (1e-300, 1e300):
+        assert separated.singular_values(a * scale).shape == (2,)
+
+
+def test_support_of_zero_matrix_is_empty():
+    s = separated.singular_values(np.zeros((5, 7)))
+    assert s.shape == (0,)
+    assert rank_from_singular_values(s, 1e-9) == 0
+    assert separated.singular_values(np.zeros((0, 4))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_support_rejects_nonfinite(bad):
+    m = np.eye(3)
+    m[2, 0] = bad
+    with pytest.raises(ValueError):
+        separated.singular_values(m)
+
+
 def test_rank_grows_at_most_linearly_in_log_accuracy():
     pg = np.linspace(1.0, 2.0, 96)
     qg = np.linspace(0.0, 1.0, 96)
