@@ -431,6 +431,9 @@ def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> Separat
 # adaptive cross approximation
 # ---------------------------------------------------------------------------
 
+_ACA_PANEL_WIDTH = 16
+
+
 def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> SeparatedApprox:
     """Adaptive cross approximation with partial pivoting.
 
@@ -444,10 +447,21 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
     when it falls back to the dense SVD.  ``families.block_oracle`` is
     such an oracle for a family's block.
 
+    The k crosses found so far are the first k rows of two factor panels,
+    U (width x rows) and V (width x cols); the width starts at 16 and
+    doubles when full, up to min(rows, cols).  The residual of the pivot
+    row is its oracle row minus ``U[:k, pivot_row] @ V[:k]``, the residual
+    of the pivot column its oracle column minus ``V[:k, pivot_col] @ U[:k]``,
+    and the squared Frobenius norm of the approximation grows by
+    ``|u|^2 |v|^2 + 2 (U[:k] @ u) @ (V[:k] @ v)``.  So each cross costs
+    O((rows + cols) k) in a few BLAS products, with no Python loop over
+    earlier crosses.
+
     Crosses are added until the last cross norm falls below eps times the
     running Frobenius-norm estimate of the approximation.  If no
     convergence happens within min(rows, cols) steps, the block is
-    assembled densely and truncated by SVD instead.
+    assembled densely and truncated by SVD instead.  Both paths return
+    C-contiguous factors.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -457,21 +471,22 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
     all_rows = np.arange(rows, dtype=np.intp)
     all_cols = np.arange(cols, dtype=np.intp)
 
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
+    # cross i is row i of both panels: the crosses in use are one contiguous block
+    u_panel = np.empty((min(_ACA_PANEL_WIDTH, limit), rows))
+    v_panel = np.empty((u_panel.shape[0], cols))
+    k = 0
     used_rows = np.zeros(rows, dtype=bool)
     used_cols = np.zeros(cols, dtype=bool)
     norm2 = 0.0
     converged = False
     pivot_row = 0
 
-    step = 0
-    while step < limit:
-        r = np.asarray(entry_oracle(np.intp(pivot_row), all_cols), dtype=np.float64).copy()
-        for u, v in zip(us, vs):
-            r -= u[pivot_row] * v
-        r_abs = np.where(used_cols, -1.0, np.abs(r))
-        pivot_col = int(np.argmax(r_abs))
+    while k < limit:
+        r = (np.asarray(entry_oracle(np.intp(pivot_row), all_cols), dtype=np.float64)
+             - u_panel[:k, pivot_row] @ v_panel[:k])
+        r_abs = np.abs(r)
+        r_abs[used_cols] = -1.0
+        pivot_col = int(r_abs.argmax())
         used_rows[pivot_row] = True
         if r_abs[pivot_col] <= 1e-300:
             # degenerate row: residual vanishes there; try another row
@@ -482,41 +497,42 @@ def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> Separ
             pivot_row = int(remaining[0])
             continue
         v = r / r[pivot_col]
-        c = np.asarray(entry_oracle(all_rows, np.intp(pivot_col)), dtype=np.float64).copy()
-        for u_prev, v_prev in zip(us, vs):
-            c -= v_prev[pivot_col] * u_prev
-        u = c
+        u = (np.asarray(entry_oracle(all_rows, np.intp(pivot_col)), dtype=np.float64)
+             - v_panel[:k, pivot_col] @ u_panel[:k])
 
         cross2 = float(u @ u) * float(v @ v)
-        norm2_new = norm2 + cross2
-        for u_prev, v_prev in zip(us, vs):
-            norm2_new += 2.0 * float(u @ u_prev) * float(v @ v_prev)
-        norm2_new = max(norm2_new, cross2)
-        if us and cross2 <= eps * eps * norm2_new:
+        norm2_new = max(norm2 + cross2
+                        + 2.0 * float((u_panel[:k] @ u) @ (v_panel[:k] @ v)), cross2)
+        if k and cross2 <= eps * eps * norm2_new:
             # remaining residual is below tolerance; do not keep this cross
             converged = True
             break
         used_cols[pivot_col] = True
         norm2 = norm2_new
-        us.append(u)
-        vs.append(v)
-        step += 1
+        if k == u_panel.shape[0]:
+            extra = min(k, limit - k)
+            u_panel = np.vstack([u_panel, np.empty((extra, rows))])
+            v_panel = np.vstack([v_panel, np.empty((extra, cols))])
+        u_panel[k] = u
+        v_panel[k] = v
+        k += 1
 
-        u_abs = np.where(used_rows, -1.0, np.abs(u))
-        pivot_row = int(np.argmax(u_abs))
+        u_abs = np.abs(u)
+        u_abs[used_rows] = -1.0
+        pivot_row = int(u_abs.argmax())
         if u_abs[pivot_row] < 0.0:
             converged = True
             break
 
-    if converged or not us:
-        alpha = np.array(us).T.reshape(rows, len(us))
-        beta = np.array(vs).T.reshape(cols, len(vs))
+    if converged:
+        alpha = np.ascontiguousarray(u_panel[:k].T)
+        beta = np.ascontiguousarray(v_panel[:k].T)
     else:
         # non-convergence: dense SVD truncation fallback
         dense = np.asarray(entry_oracle(all_rows[:, None], all_cols[None, :]), dtype=np.float64)
         uu, s, vt = np.linalg.svd(dense, full_matrices=False)
         r = rank_from_singular_values(s, eps)
-        alpha = uu[:, :r] * s[:r]
-        beta = vt[:r].T
+        alpha = np.ascontiguousarray(uu[:, :r] * s[:r])
+        beta = np.ascontiguousarray(vt[:r].T)
 
     return SeparatedApprox(p_grid=None, q_grid=None, alpha=alpha, beta=beta)

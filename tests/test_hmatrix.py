@@ -910,6 +910,17 @@ def test_aca_requests_on_the_threshold_box(monkeypatch):
     assert 0 < requested[0] < 2.62e6 / 2
 
 
+@pytest.mark.parametrize("name,eps,stored", [
+    ("binomial", 1e-6, 176_651), ("binomial", 1e-9, 227_554),
+    ("poisson", 1e-6, 177_380), ("poisson", 1e-9, 231_541),
+    ("chisq", 1e-6, 189_288), ("chisq", 1e-9, 239_600),
+])
+def test_aca_stored_entries_at_2048(name, eps, stored):
+    # ACA's pivot sequence sets every rank: a pivot that moves changes these counts
+    h = compress(_family(name, 2**11), eps, builder=Builder.ACA)
+    assert storage_report(h).stored_entries == stored
+
+
 @pytest.fixture(scope="module")
 def byte_fuzz(tmp_path_factory):
     """A directory, the bytes of a small container with pieces on threshold boxes smaller than

@@ -644,6 +644,47 @@ def test_aca_dense_fallback_on_hard_matrix():
     assert np.max(np.abs(ap.reconstruct() - q)) <= 1e-8
 
 
+def _hilbert(rows, cols):
+    return 1.0 / (1.0 + np.arange(rows, dtype=np.float64)[:, None] + np.arange(cols)[None, :])
+
+
+def _decaying_spectrum(rows, cols, rank):
+    rng = np.random.default_rng(3)
+    left, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+    right, _ = np.linalg.qr(rng.standard_normal((cols, rank)))
+    return (left * 2.0 ** -np.arange(rank)) @ right.T
+
+
+@pytest.mark.parametrize("m,eps", [
+    (_hilbert(300, 200), 1e-14),              # rank 22: the panels widen once, 16 -> 32
+    (_decaying_spectrum(60, 50, 40), 1e-12),  # rank 40: 16 -> 32 -> 50 = min(rows, cols)
+], ids=["hilbert", "decaying-spectrum"])
+def test_aca_panels_widen_past_their_first_width(m, eps):
+    calls = []
+
+    def oracle(i, j):
+        calls.append((np.ndim(i), np.ndim(j)))
+        return m[i, j]
+
+    ap = aca_build(oracle, *m.shape, eps)
+    nr = numerical_rank(m, eps)
+    assert 16 < nr <= ap.rank <= nr + 2
+    assert np.max(np.abs(ap.reconstruct() - m)) <= 10.0 * eps * np.max(np.abs(m))
+    # converged: no dense fallback, and requests still alternate row, column
+    assert calls[0::2] == [(0, 1)] * len(calls[0::2])
+    assert calls[1::2] == [(1, 0)] * len(calls[1::2])
+
+
+@pytest.mark.parametrize("m,eps,rank", [
+    (_hilbert(40, 30), 1e-8, 11),
+    (np.linalg.qr(np.random.default_rng(2).standard_normal((24, 24)))[0], 1e-10, 24),
+], ids=["converged", "dense-fallback"])
+def test_aca_factors_are_c_contiguous(m, eps, rank):
+    ap = aca_build(lambda i, j: m[i, j], *m.shape, eps)
+    assert ap.rank == rank
+    assert ap.alpha.flags.c_contiguous and ap.beta.flags.c_contiguous
+
+
 def test_aca_rejects_bad_arguments():
     with pytest.raises(ValueError):
         aca_build(lambda i, j: 0.0, 0, 4, 1e-6)
