@@ -123,20 +123,17 @@ def _family_params(spec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def _block_singular_values(spec, leaf: int):
-    """Singular values (``separated.singular_values``) of every nonempty off-diagonal block.
+def _blocks(spec, leaf: int):
+    """Yield ``(region, box, block, separated.singular_values(block))`` per off-diagonal block.
 
-    Each block is formed on its own open index grid by
-    ``families.block_oracle``, so the largest block, not the whole
-    matrix, sets the peak memory.
+    Each block is formed on its own open index grid by ``families.block_oracle``,
+    one at a time, so the largest block, not the whole matrix, sets the peak memory.
     """
     _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
-    out = []
     for region, (r0, r1, c0, c1) in block_ranges:
         block = block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
                                                    np.arange(c1 - c0)[None, :])
-        out.append((region, (r0, r1, c0, c1), singular_values(block)))
-    return out
+        yield region, (r0, r1, c0, c1), block, singular_values(block)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +146,10 @@ def _cmd_rank_map(args) -> int:
     convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
                   else RankConvention.ABSOLUTE)
     rows = []
-    for (level, index), (r0, r1, c0, c1), s in _block_singular_values(spec, args.leaf):
+    for (level, index), (r0, r1, c0, c1), block, s in _blocks(spec, args.leaf):
         svd_rank = rank_from_singular_values(s, eps, convention)
-        aca_rank = aca_build(block_oracle(spec, r0, r1, c0, c1), r1 - r0, c1 - c0, eps).rank
+        # ACA reads the entries of the block already formed
+        aca_rank = aca_build(lambda i, j: block[i, j], r1 - r0, c1 - c0, eps).rank
         rows.append([level, index, r0, r1, c0, c1, svd_rank, aca_rank])
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
@@ -170,12 +168,11 @@ def _cmd_eps_sweep(args) -> int:
     spec = _family_from_args(args)
     convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
                   else RankConvention.ABSOLUTE)
-    singvals = [s for _, _, s in _block_singular_values(spec, args.leaf)]
-    rows = []
-    for eps in sorted(args.eps):
-        max_rank = max((rank_from_singular_values(s, eps, convention) for s in singvals),
-                       default=0)
-        rows.append([float(eps), max_rank])
+    eps_list = np.array(sorted(args.eps))
+    max_rank = np.zeros(eps_list.size, dtype=int)
+    for _, _, _, s in _blocks(spec, args.leaf):
+        np.maximum(max_rank, rank_from_singular_values(s, eps_list, convention), out=max_rank)
+    rows = [[float(eps), int(rank)] for eps, rank in zip(eps_list, max_rank)]
     out = Path(args.out)
     _write_csv(out, ["eps", "max_rank"], rows)
     _write_provenance(out, "eps-sweep",

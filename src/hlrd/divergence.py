@@ -110,19 +110,17 @@ class ThresholdPair:
 # ---------------------------------------------------------------------------
 
 def _rate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # p ln(p/q) - (p - q), with the p = 0 limit equal to q
-    p_safe = np.where(p > 0.0, p, 1.0)
-    return np.where(p > 0.0, p * np.log(p_safe / q) - (p - q), q)
+    # p ln(p/q) - (p - q) in C. Loader's bd0 form, whose terms are of size
+    # |p - q|, so nothing cancels near p = q.  (p - q)/q rounds to -1 once
+    # p < 2^-54 q; held at the next double above -1, the error left,
+    # p (ln(q/p) - 36.7), is below q's rounding, and p = 0 gives the limit q.
+    d = p - q
+    return p * np.log1p(np.maximum(d / q, -1.0 + 2.0 ** -53)) - d
 
 
 def _bernoulli(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # p ln(p/q) + (1-p) ln((1-p)/(1-q)), one-sided limits at p in {0, 1}
-    p_safe = np.where(p > 0.0, p, 1.0)
-    first = np.where(p > 0.0, p * np.log(p_safe / q), 0.0)
-    cp = 1.0 - p
-    cp_safe = np.where(cp > 0.0, cp, 1.0)
-    second = np.where(cp > 0.0, cp * np.log(cp_safe / (1.0 - q)), 0.0)
-    return first + second
+    # p ln(p/q) + (1-p) ln((1-p)/(1-q)) = rate + reflected rate
+    return _rate(p, q) + _rate(1.0 - p, 1.0 - q)
 
 
 def divergence(kind: DivergenceKind, p: ArrayLike, q: ArrayLike) -> ArrayLike:
@@ -130,8 +128,10 @@ def divergence(kind: DivergenceKind, p: ArrayLike, q: ArrayLike) -> ArrayLike:
 
     Domains: RATE needs p >= 0, q > 0; RATE_DUAL the same with roles
     swapped; RATE_REFLECTED needs p <= 1, q < 1; BERNOULLI needs
-    p in [0, 1] and q in (0, 1).  Boundary values of p are handled by
-    explicit limit branches, never by evaluating 0*ln(0).
+    p in [0, 1] and q in (0, 1).  The rate divergence is evaluated in
+    the bd0 form ``p log1p((p - q)/q) - (p - q)``, accurate to rounding
+    near p = q; its limit at p = 0 is q, so boundary values of p need no
+    branch of their own.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     q_arr = np.asarray(q, dtype=np.float64)

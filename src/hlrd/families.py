@@ -10,33 +10,19 @@ row grid and a column grid:
 * chi-squared: rows discretize the argument x in (0, x_max], columns are
   the integer degrees of freedom k = 1..k_max.
 
-Each family has one log-entry model: its log-entry is a sum of row terms,
-column terms and products of a row term with a column term, e.g.
-``ln C(n, k) + k ln q + (n - k) ln(1 - q)`` for the binomial.  The 1-D
-terms are computed once per family instance (log-gamma instead of
-factorials, so nothing overflows even at n = 2^14).  One core gathers
-them at broadcasting indices and exponentiates, and it is the only
-evaluator.  ``entry_exact`` checks every index against the matrix and
-calls it on the full terms; ``block_oracle`` checks a block's box once
-and returns the core on views of the terms sliced to the box, so a
-builder's row, column or grid requests inside the block cost only the
-gather and ``exp``.  ``dense_matrix`` is ``entry_exact`` on the full
-index grid.
-
-``entry_stirling`` exposes the Stirling reduction
-``prefactor * exp(-n_eff * divergence)`` that explains why the matrices
-compress; ``kernel_map`` returns the full identification (divergence
-kind, coordinate maps, prefactors) that the compression machinery uses,
-built once per family instance by one derivation shared by the three
-families.  Each family states only what is its own: the model, its
-divergence ``kind``, coordinates, prefactor axis, ``n_eff``, its ridge
-(where the divergence is zero: binomial q = k/n, Poisson lambda = k,
-chi-squared x = k - 2) and its Stirling prefactor.  The exact prefactor
-is the model evaluated on the ridge, for all three families, and the
-singular rows or columns are derived, not listed: the ridge points where
-that prefactor is not finite (binomial k in {0, n}, Poisson k = 0,
-chi-squared k <= 2).  ``kernel_coordinates`` gives the coordinate maps
-alone, which is all a partition needs.
+Every entry comes from one formula, the paper's factorization
+``exp(exact_log_prefactor - n_eff * D(p, q))`` (``kernel_map`` holds its
+pieces).  The exact prefactor is the Stirling prefactor times
+``exp(-remainder)``, from Stirling's remainder ``stirlerr``:
+``stirlerr(k) + stirlerr(n - k) - stirlerr(n)`` (binomial), ``stirlerr(k)``
+(Poisson), ``stirlerr(k/2 - 1)`` (chi-squared, half a Poisson term).  D
+is taken in the bd0 form ``x log1p((x - m)/m) - (x - m)``, whose terms are
+of size |x - m|, so entries are accurate to rounding at every n (C.
+Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000).
+``entry_exact``, ``dense_matrix``, ``block_oracle`` (which checks a box
+once) and ``entry_stirling`` use it; the singular rows or columns
+(binomial k in {0, n}, Poisson k = 0, chi-squared k <= 2), where the
+Stirling prefactor is not finite, take a one-line formula per family.
 """
 
 from __future__ import annotations
@@ -44,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .divergence import DivergenceKind, divergence
+from .divergence import DivergenceKind
 
 __all__ = [
     "BinomialFamily",
@@ -82,9 +68,10 @@ class KernelMap:
     where the exact prefactor depends only on the ``prefactor_axis``
     index.  ``stirling_prefactor`` is the classical approximation of that
     prefactor, per index of the same axis; ``entry_stirling`` uses it.
-    Singular rows/columns are where the exact prefactor is not finite; the
-    hierarchical assembly stores them dense.  A family instance builds its map once and
-    hands the same one to every caller, so the arrays are read-only.
+    Singular rows/columns are where the Stirling prefactor, and so the exact
+    one, is not finite (NaN here); the hierarchical assembly stores them dense.
+    A family instance builds its map once and hands the same one to every
+    caller, so the arrays are read-only.
     """
 
     kind: DivergenceKind
@@ -113,35 +100,93 @@ def _positive_finite(x: float) -> bool:
             and math.isfinite(x) and x > 0)
 
 
-class _LogEntryFamily:
-    """The kernel map, derived from a family's log-entry model.
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """Stirling's remainder ``ln Gamma(x + 1) - ln(sqrt(2 pi x) (x/e)^x)``; NaN unless x > 0.
 
-    ``_ridge()`` gives, per index of the prefactor axis, the other axis's
-    value where the divergence is zero; the model's terms at it come from
-    ``_col_terms_at`` (row prefactor) or ``_row_terms_at`` (column prefactor).
+    Five terms of its series past 15 (the sixth is below 2.3e-16); below, the
+    recurrence ``stirlerr(x) = stirlerr(x + 1) + (x + 1/2) log1p(1/x) - 1``.
     """
+    y = np.where(x > 0.0, x, np.nan)
+    walked = np.zeros_like(y)
+    for _ in range(15):
+        low = y <= 15.0
+        walked[low] += (y[low] + 0.5) * np.log1p(1.0 / y[low]) - 1.0
+        y[low] += 1.0
+    z = 1.0 / (y * y)
+    return walked + (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - z / 1188) * z) * z) * z) / y
+
+
+def _entries(x_terms: tuple, m_terms: tuple, x_at, m_at) -> np.ndarray:
+    """exp(log_prefactor - n_eff D) in place; rate kinds: n_eff = 1, D = x log1p((x - m)/m) - (x - m).
+
+    On ``_Family._operands`` cut to a box (x on the prefactor axis).  The Bernoulli KL
+    is rate plus reflected rate: ``n p log1p((p - q)/q) + n (1 - p) log1p((q - p)/(1 - q))``.
+    """
+    x, neg_n_x, log_prefactor = x_terms[:3]
+    m = m_terms[0][m_at]
+    d = x[x_at] - m
+    if not d.ndim:
+        # one entry: as a 1-element array, so that every step below runs in place
+        return _entries(x_terms, m_terms, np.reshape(x_at, 1), m_at)[0]
+    out = d / m
+    np.log1p(out, out=out)
+    out *= neg_n_x[x_at]
+    if len(m_terms) == 1:
+        out += d
+    else:
+        d /= m_terms[1][m_at]   # (p - q)/(q - 1) = (q - p)/(1 - q)
+        np.log1p(d, out=d)
+        d *= x_terms[3][x_at]
+        out += d
+    out += log_prefactor[x_at]
+    return np.exp(out, out=out)
+
+
+class _Family:
+    """The kernel map and the formula's operands, from each family's ``kind``, coordinates,
+    prefactor axis, ``n_eff``, Stirling prefactor and remainder, and singular formula."""
 
     @cached_property
     def _kernel_map(self) -> KernelMap:
         p, q = self._coordinates
         by_row = self.prefactor_axis == "row"
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the exact prefactor is the entry on the ridge, where exp(-n_eff * divergence) = 1
-            if by_row:
-                log_pref = self._log_entry(self._row_terms, self._col_terms_at(self._ridge()))
-            else:
-                log_pref = self._log_entry(self._row_terms_at(self._ridge()), self._col_terms)
             stirling_pref = self._stirling_prefactor()
-        # singular: the ridge leaves the model's domain, and the prefactor is not finite
+            log_pref = np.log(stirling_pref) - self._stirling_remainder()
+        # singular: the ridge leaves the Stirling form's domain, and neither prefactor is finite
         singular = tuple(np.flatnonzero(~np.isfinite(log_pref)).tolist())
         return KernelMap(kind=self.kind, p_of_row=p, q_of_col=q, n_eff=self.n_eff,
                          prefactor_axis=self.prefactor_axis, stirling_prefactor=stirling_pref,
                          exact_log_prefactor=log_pref, singular_rows=singular if by_row else (),
                          singular_cols=() if by_row else singular)
 
+    @cached_property
+    def _operands(self) -> tuple[tuple, tuple]:
+        """The x-side and m-side arrays of the family's entry kernel."""
+        p, q = self._coordinates
+        log_pref = self._kernel_map.exact_log_prefactor
+        if self.kind is DivergenceKind.BERNOULLI:
+            n = self.n_eff
+            return (p, -n * p, log_pref, -n * (1.0 - p)), (q, q - 1.0)
+        # m held at 2^50 keeps log1p((x - m)/m) finite for every regular x >= 1/2
+        # (see divergence._rate); past it every entry is 0 either way
+        x, m = (p, q) if self.prefactor_axis == "row" else (q, p)
+        return (x, -x, log_pref), (np.minimum(m, 2.0 ** 50),)
+
+    def _formula(self, r0: int, r1: int, c0: int, c1: int) -> Callable:
+        """The entry kernel on rows [r0, r1) x cols [c0, c1), by block-local index."""
+        by_row = self.prefactor_axis == "row"
+        x_lo, x_hi, m_lo, m_hi = (r0, r1, c0, c1) if by_row else (c0, c1, r0, r1)
+        x_terms, m_terms = self._operands
+        x_terms = tuple(t[x_lo:x_hi] for t in x_terms)
+        m_terms = tuple(t[m_lo:m_hi] for t in m_terms)
+        if by_row:
+            return partial(_entries, x_terms, m_terms)
+        return lambda i, j: _entries(x_terms, m_terms, j, i)
+
 
 @dataclass(frozen=True)
-class BinomialFamily(_LogEntryFamily):
+class BinomialFamily(_Family):
     """Binomial(n) matrix: rows k = 0..n, columns q_j = (j + 1/2)/cols."""
 
     n: int
@@ -166,27 +211,6 @@ class BinomialFamily(_LogEntryFamily):
     def col_values(self) -> np.ndarray:
         return (np.arange(self.cols, dtype=np.float64) + 0.5) / self.cols
 
-    # log-entry model: ln C(n, k) + k ln q + (n - k) ln(1 - q)
-    @cached_property
-    def _row_terms(self) -> tuple:
-        k = self.row_values()
-        lc = gammaln(self.n + 1.0) - gammaln(k + 1.0) - gammaln(self.n - k + 1.0)
-        return lc, k, self.n - k
-
-    @cached_property
-    def _col_terms(self) -> tuple:
-        return self._col_terms_at(self.col_values())
-
-    @staticmethod
-    def _col_terms_at(q: np.ndarray) -> tuple:
-        return np.log(q), np.log1p(-q)
-
-    @staticmethod
-    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
-        lc, k, n_minus_k = row
-        log_q, log_1mq = col
-        return lc + k * log_q + n_minus_k * log_1mq
-
     # Bernoulli KL with p = k/n, n_eff = n; row prefactor C(n,k) (k/n)^k (1-k/n)^(n-k)
     kind: ClassVar[DivergenceKind] = DivergenceKind.BERNOULLI
     prefactor_axis: ClassVar[str] = "row"
@@ -199,16 +223,20 @@ class BinomialFamily(_LogEntryFamily):
     def _coordinates(self) -> tuple:
         return self.row_values() / self.n, self.col_values()
 
-    def _ridge(self) -> np.ndarray:
-        return self._coordinates[0]   # q = k/n
-
     def _stirling_prefactor(self) -> np.ndarray:
         p = self._coordinates[0]
         return 1.0 / np.sqrt(2.0 * math.pi * self.n * p * (1.0 - p))
 
+    def _stirling_remainder(self) -> np.ndarray:
+        se = _stirlerr(self.row_values())   # k = 0..n, so se[::-1] is stirlerr(n - k)
+        return se + se[::-1] - se[-1]
+
+    def _singular_entry(self, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.exp(k * np.log(q) + (self.n - k) * np.log1p(-q))   # k in {0, n}: C(n, k) = 1
+
 
 @dataclass(frozen=True)
-class PoissonFamily(_LogEntryFamily):
+class PoissonFamily(_Family):
     """Poisson matrix: rows k = 0..k_max, columns lambda on (0, lambda_max]."""
 
     k_max: int
@@ -232,26 +260,6 @@ class PoissonFamily(_LogEntryFamily):
         j = np.arange(1, self.lambda_grid + 1, dtype=np.float64)
         return j * (self.lambda_max / self.lambda_grid)
 
-    # log-entry model: k ln(lambda) - lambda - ln k!
-    @cached_property
-    def _row_terms(self) -> tuple:
-        k = self.row_values()
-        return k, gammaln(k + 1.0)
-
-    @cached_property
-    def _col_terms(self) -> tuple:
-        return self._col_terms_at(self.col_values())
-
-    @staticmethod
-    def _col_terms_at(lam: np.ndarray) -> tuple:
-        return np.log(lam), lam
-
-    @staticmethod
-    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
-        k, log_k_factorial = row
-        log_lam, lam = col
-        return k * log_lam - lam - log_k_factorial
-
     # rate divergence with p = k, q = lambda, n_eff = 1; row prefactor k^k e^{-k} / k!
     kind: ClassVar[DivergenceKind] = DivergenceKind.RATE
     prefactor_axis: ClassVar[str] = "row"
@@ -261,15 +269,18 @@ class PoissonFamily(_LogEntryFamily):
     def _coordinates(self) -> tuple:
         return self.row_values(), self.col_values()
 
-    def _ridge(self) -> np.ndarray:
-        return self._coordinates[0]   # lambda = k
-
     def _stirling_prefactor(self) -> np.ndarray:
         return 1.0 / np.sqrt(2.0 * math.pi * self._coordinates[0])
 
+    def _stirling_remainder(self) -> np.ndarray:
+        return _stirlerr(self._coordinates[0])
+
+    def _singular_entry(self, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return np.exp(k * np.log(lam) - lam)   # k = 0: e^{-lambda}
+
 
 @dataclass(frozen=True)
-class ChiSquaredFamily(_LogEntryFamily):
+class ChiSquaredFamily(_Family):
     """Chi-squared matrix: rows x on (0, x_max], columns k = 1..k_max."""
 
     x_max: float
@@ -292,26 +303,6 @@ class ChiSquaredFamily(_LogEntryFamily):
     def col_values(self) -> np.ndarray:
         return np.arange(1, self.k_max + 1, dtype=np.float64)
 
-    # log-entry model: (k/2 - 1) ln x - x/2 - (k/2) ln 2 - ln Gamma(k/2)
-    @cached_property
-    def _row_terms(self) -> tuple:
-        return self._row_terms_at(self.row_values())
-
-    @staticmethod
-    def _row_terms_at(x: np.ndarray) -> tuple:
-        return np.log(x), 0.5 * x
-
-    @cached_property
-    def _col_terms(self) -> tuple:
-        half = 0.5 * self.col_values()
-        return half - 1.0, half * math.log(2.0), gammaln(half)
-
-    @staticmethod
-    def _log_entry(row: Sequence, col: Sequence) -> np.ndarray:
-        log_x, half_x = row
-        half_minus_1, half_log_2, log_gamma_half = col
-        return half_minus_1 * log_x - half_x - half_log_2 - log_gamma_half
-
     # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1; column
     # prefactor q^q e^{-q} / (2 Gamma(q+1))
     kind: ClassVar[DivergenceKind] = DivergenceKind.RATE_DUAL
@@ -322,11 +313,16 @@ class ChiSquaredFamily(_LogEntryFamily):
     def _coordinates(self) -> tuple:
         return 0.5 * self.row_values(), 0.5 * self.col_values() - 1.0
 
-    def _ridge(self) -> np.ndarray:
-        return self.col_values() - 2.0   # x = k - 2, the mode
-
     def _stirling_prefactor(self) -> np.ndarray:
         return 1.0 / (2.0 * np.sqrt(2.0 * math.pi * self._coordinates[1]))
+
+    def _stirling_remainder(self) -> np.ndarray:
+        return _stirlerr(self._coordinates[1])
+
+    def _singular_entry(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # k <= 2: x^(k/2 - 1) e^(-x/2) / (2^(k/2) Gamma(k/2))
+        return np.exp((0.5 * k - 1.0) * np.log(x) - 0.5 * x - 0.5 * k * math.log(2.0)
+                      - gammaln(0.5 * k))
 
 
 FamilySpec = Union[BinomialFamily, PoissonFamily, ChiSquaredFamily]
@@ -339,13 +335,6 @@ FAMILIES = {"binomial": BinomialFamily, "poisson": PoissonFamily, "chisq": ChiSq
 # exact entries
 # ---------------------------------------------------------------------------
 
-def _entries(log_entry: Callable, row_terms: tuple, col_terms: tuple, rows, cols) -> np.ndarray:
-    """The gather-and-exp core: the model's entries at broadcasting indices into the terms."""
-    # open index arrays (rows[:, None], cols[None, :]) broadcast in the
-    # arithmetic, so no full-grid index arrays are built
-    return np.exp(log_entry([t[rows] for t in row_terms], [t[cols] for t in col_terms]))
-
-
 def entry_exact(spec: FamilySpec, row, col):
     """Exact matrix entries, elementwise over broadcast integer indices."""
     rows = np.asarray(row, dtype=np.intp)
@@ -354,8 +343,20 @@ def entry_exact(spec: FamilySpec, row, col):
     n_rows, n_cols = spec.shape
     if np.any(rows < 0) or np.any(rows >= n_rows) or np.any(cols < 0) or np.any(cols >= n_cols):
         raise IndexError(f"index out of range for family of shape {spec.shape}")
-    out = _entries(spec._log_entry, spec._row_terms, spec._col_terms, rows, cols)
+    # NaN, from the log prefactor, marks the singular strips; the direct formula serves them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(spec._formula(0, n_rows, 0, n_cols)(rows, cols))
+    singular = np.isnan(out)
+    if singular.any():
+        rows, cols = np.broadcast_arrays(rows, cols)
+        out[singular] = spec._singular_entry(spec.row_values()[rows[singular]],
+                                             spec.col_values()[cols[singular]])
     return float(out) if scalar else out
+
+
+# A box this small is formed whole: each of ACA's requests costs some ten numpy
+# calls, and in the benchmark's 2^11 ACA builds 71% of them go to such boxes.
+_FORMED_AREA = 4096
 
 
 def block_oracle(spec: FamilySpec, r0: int, r1: int, c0: int, c1: int) -> Callable:
@@ -366,16 +367,22 @@ def block_oracle(spec: FamilySpec, r0: int, r1: int, c0: int, c1: int) -> Callab
     ``0 <= j < c1 - c0`` that broadcast (0-d, 1-D or the open grid
     ``(i[:, None], j[None, :])``) and returns the entries in the broadcast
     shape, bit for bit equal to ``entry_exact(spec, i + r0, j + c0)``.  It
-    does not check its indices: an index past the block's end raises
-    ``IndexError`` and a negative one counts from the block's end.
+    does not check its indices; an index past the block's end raises
+    ``IndexError``.
     """
     n_rows, n_cols = spec.shape
     if not (0 <= r0 < r1 <= n_rows and 0 <= c0 < c1 <= n_cols):
         raise IndexError(f"block rows [{r0}, {r1}) cols [{c0}, {c1}) is empty or "
                          f"outside the family of shape {spec.shape}")
-    return partial(_entries, spec._log_entry,
-                   tuple(t[r0:r1] for t in spec._row_terms),
-                   tuple(t[c0:c1] for t in spec._col_terms))
+    kmap = kernel_map(spec)
+    if any(r0 <= i < r1 for i in kmap.singular_rows) or any(c0 <= j < c1 for j in kmap.singular_cols):
+        oracle = lambda i, j: entry_exact(spec, i + r0, j + c0)
+    else:
+        oracle = spec._formula(r0, r1, c0, c1)
+    if (r1 - r0) * (c1 - c0) > _FORMED_AREA:
+        return oracle
+    block = oracle(np.arange(r1 - r0)[:, None], np.arange(c1 - c0)[None, :])
+    return lambda i, j: block[i, j]
 
 
 def dense_matrix(spec: FamilySpec) -> np.ndarray:
@@ -410,21 +417,13 @@ def _family(spec: FamilySpec) -> FamilySpec:
 
 
 def entry_stirling(spec: FamilySpec, row: int, col: int) -> float:
-    """Stirling-form entry: prefactor * exp(-n_eff * divergence).
+    """Stirling-form entry: the exact one's formula with the Stirling prefactor.
 
-    Raises StirlingUndefinedError on the singular rows/columns (binomial
-    p in {0, 1}; Poisson k = 0; chi-squared k <= 2), which the assembly
-    stores exactly instead.
-    """
+    Raises StirlingUndefinedError on the singular rows/columns, stored exactly instead."""
     kmap = kernel_map(spec)
-    n_rows, n_cols = spec.shape
-    if not (0 <= row < n_rows and 0 <= col < n_cols):
-        raise IndexError(f"index out of range for family of shape {spec.shape}")
+    exact = entry_exact(spec, row, col)   # checks the indices
     if row in kmap.singular_rows or col in kmap.singular_cols:
         raise StirlingUndefinedError(
             f"Stirling-form undefined here: row={row}, col={col} is singular for {type(spec).__name__}")
-    p = kmap.p_of_row[row]
-    q = kmap.q_of_col[col]
-    div = divergence(kmap.kind, p, q)
-    pref = float(kmap.stirling_prefactor[row if kmap.prefactor_axis == "row" else col])
-    return pref * math.exp(-kmap.n_eff * div)
+    at = row if kmap.prefactor_axis == "row" else col
+    return exact * float(kmap.stirling_prefactor[at] / np.exp(kmap.exact_log_prefactor[at]))

@@ -114,15 +114,17 @@ class SeparatedApprox:
 # SVD oracle
 # ---------------------------------------------------------------------------
 
-def rank_from_singular_values(s: np.ndarray, eps: float,
-                              convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
-    """Number of the descending singular values ``s`` above the eps threshold (0 < eps < inf)."""
-    if not (0.0 < eps < math.inf):
+def rank_from_singular_values(s: np.ndarray, eps,
+                              convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1):
+    """Count of the descending singular values ``s`` above the eps threshold (0 < eps < inf).
+
+    An array of eps gets one count each, from one comparison."""
+    eps_arr = np.asarray(eps, dtype=np.float64)
+    if not np.all((eps_arr > 0.0) & (eps_arr < math.inf)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if s.size == 0:
-        return 0
-    threshold = eps * s[0] if convention is RankConvention.RELATIVE_TO_SIGMA1 else eps
-    return int(np.sum(s > threshold))
+    relative = convention is RankConvention.RELATIVE_TO_SIGMA1 and s.size
+    counts = np.count_nonzero(s > (eps_arr * s[0] if relative else eps_arr)[..., None], axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53

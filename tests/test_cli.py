@@ -95,6 +95,25 @@ def test_rank_commands_match_golden_csv(tmp_path, command, eps, family):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("family", ["poisson", "chisq"])
+def test_eps_sweep_linear_in_log_accuracy_down_to_1e_14(tmp_path, family):
+    # the paper's claim, rank linear in ln(1/eps), holds down to 1e-14 at
+    # n = 2^10; entries with a relative error near 1e-12 read 37 at 1e-14
+    n = "1024"
+    flags = {"poisson": ["--family", "poisson", "--kmax", n, "--lambda-max", n, "--grid", n],
+             "chisq": ["--family", "chisq", "--xmax", n, "--grid", n, "--kmax", n]}[family]
+    out = tmp_path / "sweep.csv"
+    args = ["eps-sweep", *flags, "--out", str(out)]
+    for t in range(9, 15):
+        args += ["--eps", f"1e-{t}"]
+    assert run(args) == 0
+    _, rows = read_csv(out)
+    ranks = [int(r[1]) for r in reversed(rows)]   # eps 1e-9 down to 1e-14
+    steps = [b - a for a, b in zip(ranks, ranks[1:])]
+    assert all(0 <= s <= 2 for s in steps), ranks
+    assert ranks[-1] <= 16, ranks
+
+
 def test_ratio_scan_schema_and_values(tmp_path):
     out = tmp_path / "ratio.csv"
     assert run(["ratio-scan", "--out", str(out)]) == 0

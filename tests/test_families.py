@@ -328,6 +328,9 @@ def test_singular_indices_are_the_non_finite_prefactors(spec, rows, cols):
     singular = list(rows or cols)
     assert np.all(np.isnan(km.exact_log_prefactor[singular]))
     assert np.isfinite(np.delete(km.exact_log_prefactor, singular)).all()
+    # the rule's source: the Stirling prefactor is not finite there, and only there
+    assert not np.isfinite(km.stirling_prefactor[singular]).any()
+    assert np.isfinite(np.delete(km.stirling_prefactor, singular)).all()
 
 
 def test_exact_prefactor_factorizes_the_matrix():
@@ -349,4 +352,118 @@ def test_exact_prefactor_factorizes_the_matrix():
             pref = (km.exact_log_prefactor[i] if km.prefactor_axis == "row"
                     else km.exact_log_prefactor[j])
             model = math.exp(pref - km.n_eff * div)
-            assert model == pytest.approx(entry_exact(spec, i, j), rel=1e-10)
+            # divergence() and the entry kernels are the same bd0 form, evaluated apart
+            assert model == pytest.approx(entry_exact(spec, i, j), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# accuracy against 40-digit references
+# ---------------------------------------------------------------------------
+
+def _mp_entry(mp, spec, i, j):
+    """The family's entry at 40 digits, from its textbook density at the grid's doubles."""
+    x = mp.mpf(float(spec.row_values()[i]))
+    y = mp.mpf(float(spec.col_values()[j]))
+    if isinstance(spec, BinomialFamily):
+        k = int(spec.row_values()[i])
+        return mp.binomial(spec.n, k) * y ** k * (1 - y) ** (spec.n - k)
+    if isinstance(spec, PoissonFamily):
+        return mp.exp(x * mp.log(y) - y - mp.loggamma(x + 1))
+    half = y / 2
+    return mp.exp((half - 1) * mp.log(x) - x / 2 - half * mp.log(2) - mp.loggamma(half))
+
+
+def _near_ridge(spec, rng, count, max_exponent):
+    """``count`` regular (row, col) pairs, rows drawn uniformly, with n_eff D <= max_exponent."""
+    from hlrd.divergence import divergence
+
+    km = kernel_map(spec)
+    n_rows, n_cols = spec.shape
+    cols = np.setdiff1d(np.arange(n_cols), km.singular_cols)
+    pairs = []
+    while len(pairs) < count:
+        i = int(rng.integers(n_rows))
+        if i in km.singular_rows:
+            continue
+        near = cols[km.n_eff * divergence(km.kind, km.p_of_row[i], km.q_of_col[cols])
+                    <= max_exponent]
+        if near.size:
+            pairs.append((i, int(rng.choice(near))))
+    return np.array(pairs)
+
+
+def _unit_families(n):
+    return [BinomialFamily(n=n), PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n),
+            ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n)]
+
+
+@pytest.mark.parametrize("log2_n", [10, 12, 14, 16])
+def test_entries_match_mpmath_near_the_ridge(log2_n):
+    # Relative error <= 5e-14 within one standard deviation of the ridge
+    # (n_eff D <= 1/2), where the entries are largest, at every n up to 2^16.
+    # Out to n_eff D <= 9.2 (the kernel down to 1e-4) the bd0 terms of size
+    # |x - m| make the relative error grow as u |x - m| (about 1.6e-13 at
+    # 2^16), so there the bound is on the error against the prefactor.  A
+    # log-space model of the entries misses both by 30x at 2^10 and by
+    # over 1000x at 2^16.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(log2_n)
+    for spec in _unit_families(2 ** log2_n):
+        km = kernel_map(spec)
+        for max_exponent in (0.5, 9.2):
+            pairs = _near_ridge(spec, rng, 40, max_exponent)
+            i, j = pairs.T
+            exact = entry_exact(spec, i, j)
+            assert np.array_equal(exact, [entry_exact(spec, a, b) for a, b in pairs])
+            # each pair in its own small block, as a builder would ask for it
+            n_rows, n_cols = spec.shape
+            r0, c0 = np.maximum(i - 3, 0), np.maximum(j - 5, 0)
+            oracle = [block_oracle(spec, a, min(a + 9, n_rows), b, min(b + 11, n_cols))(
+                      np.intp(ii - a), np.array([jj - b]))[0]
+                      for a, b, ii, jj in zip(r0, c0, i, j)]
+            assert np.array_equal(oracle, exact)
+            ref = np.array([float(_mp_entry(mp, spec, a, b)) for a, b in pairs])
+            err = np.abs(exact - ref)
+            if max_exponent == 0.5:
+                assert np.max(err / ref) <= 5e-14, type(spec).__name__
+            else:
+                pref = np.exp(km.exact_log_prefactor[i if km.prefactor_axis == "row" else j])
+                assert np.max(err / pref) <= 5e-14, type(spec).__name__
+
+
+def _mp_stirlerr(mp, x):
+    x = mp.mpf(x)
+    return mp.loggamma(x + 1) - (x + mp.mpf(0.5)) * mp.log(x) + x - mp.log(2 * mp.pi) / 2
+
+
+@pytest.mark.parametrize("spec", [BinomialFamily(n=300, cols=41),
+                                  PoissonFamily(k_max=200, lambda_max=150.0, lambda_grid=60),
+                                  ChiSquaredFamily(x_max=150.0, x_grid=60, k_max=200)],
+                         ids=["binomial", "poisson", "chisq"])
+def test_exact_entry_is_the_stirling_entry_times_exp_minus_stirlerr(spec):
+    # exact prefactor = Stirling prefactor * exp(-c), with c from Stirling's
+    # series remainder stirlerr: stirlerr(k) + stirlerr(n - k) - stirlerr(n)
+    # (binomial), stirlerr(k) (Poisson), stirlerr(k/2 - 1) (chi-squared)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    km = kernel_map(spec)
+    n_rows, n_cols = spec.shape
+    rng = np.random.default_rng(4)
+    checked = 0
+    while checked < 60:
+        i, j = int(rng.integers(n_rows)), int(rng.integers(n_cols))
+        if i in km.singular_rows or j in km.singular_cols:
+            continue
+        if isinstance(spec, BinomialFamily):
+            c = _mp_stirlerr(mp, i) + _mp_stirlerr(mp, spec.n - i) - _mp_stirlerr(mp, spec.n)
+        elif isinstance(spec, PoissonFamily):
+            c = _mp_stirlerr(mp, i)
+        else:
+            c = _mp_stirlerr(mp, spec.col_values()[j] / 2 - 1)
+        exact = entry_exact(spec, i, j)
+        if exact < 1e-280:
+            continue   # underflowed past the double range
+        expected = entry_stirling(spec, i, j) * float(mp.exp(-c))
+        assert exact == pytest.approx(expected, rel=1e-14)
+        checked += 1

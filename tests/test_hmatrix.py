@@ -921,6 +921,15 @@ def test_aca_stored_entries_at_2048(name, eps, stored):
     assert storage_report(h).stored_entries == stored
 
 
+@pytest.mark.parametrize("name", ["poisson", "chisq"])
+def test_aca_ranks_stay_small_at_eps_1e_12(name):
+    # the paper's ranks, linear in ln(1/eps), also where eps nears the
+    # entries' rounding: with entries whose relative error grows like
+    # u k ln(lambda), ACA fitted that noise here, up to rank 47 (Poisson)
+    h = compress(_family(name, 2**12), 1e-12, builder=Builder.ACA)
+    assert 0 < int(h.lowrank["rank"].max()) <= 16
+
+
 @pytest.fixture(scope="module")
 def byte_fuzz(tmp_path_factory):
     """A directory, the bytes of a small container with pieces on threshold boxes smaller than
