@@ -43,7 +43,8 @@ their own fields, and metadata that does not encode back to the file's
 bytes raises ValueError, so a container that loads re-saves byte for
 byte.  An ``l_max`` finer than ``compress`` writes for the family at one
 index per diagonal cell (``scheme_for(spec, leaf_size=1)``) raises
-ValueError too.
+ValueError too, checked after the sizes: it forms the family's
+coordinate grids.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from .families import FAMILIES, FamilySpec
 from .hmatrix import (DENSE_RECORD, DENSE_TAGS, LOWRANK_RECORD, Builder, HMatrix,
-                      payload_arrays, scheme_for, stack_pieces, table_boxes)
+                      payload_arrays, scheme_for, stack_pieces, table_boxes, table_entries)
 from .partition import PartitionScheme, QuarterPlane, build_scheme
 
 __all__ = ["MAGIC", "load_hmatrix", "save_hmatrix"]
@@ -181,10 +182,6 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         rows, cols, n_lr, n_dn = struct.unpack_from("<IIII", meta, meta_len)
         if spec.shape != (rows, cols):
             raise ValueError("container dimensions do not match its family spec")
-        finest = scheme_for(spec, leaf_size=1).l_max
-        if scheme.l_max > finest:
-            raise ValueError(f"container l_max {scheme.l_max} is finer than the level "
-                             f"{finest} that one index per diagonal cell gives its family")
 
         off = 9 + meta_len + 16
         lr_size, dn_size = LOWRANK_RECORD.itemsize * n_lr, DENSE_RECORD.itemsize * n_dn
@@ -205,14 +202,16 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         bad_tag = dense["tag"] >= len(DENSE_TAGS)
         if bad_tag.any():
             raise ValueError(f"dense piece {int(np.argmax(bad_tag))} has an unknown tag")
-        # Python integers: a corrupt rank times an extent can pass 2^63
-        extents = (lr_boxes[:, 1] - lr_boxes[:, 0] + lr_boxes[:, 3] - lr_boxes[:, 2]).tolist()
-        floats = (sum(r * e for r, e in zip(lowrank["rank"].tolist(), extents))
-                  + int(np.sum((dn_boxes[:, 1] - dn_boxes[:, 0])
-                               * (dn_boxes[:, 3] - dn_boxes[:, 2]))))
+        floats = table_entries(lowrank, dense)
         if size - off != 8 * floats:
             raise ValueError(f"container holds {size - off} payload bytes; "
                              f"its tables describe {8 * floats}")
+        # after the size checks: for the Poisson and chi-squared families
+        # scheme_for forms both O(rows + cols) coordinate grids
+        finest = scheme_for(spec, leaf_size=1).l_max
+        if scheme.l_max > finest:
+            raise ValueError(f"container l_max {scheme.l_max} is finer than the level "
+                             f"{finest} that one index per diagonal cell gives its family")
 
         layout = stack_pieces((rows, cols), lowrank, dense)
         for target in payload_arrays(layout, lowrank, dense):

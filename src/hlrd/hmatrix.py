@@ -22,8 +22,8 @@ Both builders share one support rule, ``separated.threshold_masks``: a
 block's threshold box holds the rows and columns whose one-sided
 exponent in the block's unit configuration is at most ln(1/eps), and
 outside it the kernel ``exp(-n_eff * divergence)`` is below eps.
-``_threshold_boxes`` finds the boxes of a level's blocks in one pass,
-and either builder runs on the box alone; a block whose box is empty
+``_threshold_boxes`` finds the boxes of all blocks in one pass, and
+either builder runs on the box alone; a block whose box is empty
 stores rank 0 and builds nothing.  The entries left out are the kernel
 times the exact prefactor, so the absolute error the box adds is below
 eps times the largest prefactor on the ridge: eps/2 for the binomial
@@ -43,17 +43,20 @@ byte layout and order of the HLRD1 container's tables.  The arrays live
 in one ``StackedLayout``: low-rank factors are stacked per (level, rank)
 and dense values per shape, zero-padded to the widest piece of the
 stack, and each stack names the table position of each of its slots.
-``matvec`` runs two batched products per stack instead of a loop over
-pieces, ``reconstruct_entries`` finds a sample's piece by a row and a
-column lookup per stack, and the container writes and reads the tables
-whole and the payloads slot by slot.
+``compress`` and ``container.load_hmatrix`` assemble it alike: one
+``stack_pieces`` call over both tables, then the slots that
+``payload_arrays`` hands out filled in payload order.  ``matvec`` runs
+two batched products per stack instead of a loop over pieces,
+``reconstruct_entries`` finds a sample's piece by a row and a column
+lookup per stack, and the container writes and reads the tables whole
+and the payloads slot by slot.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -85,6 +88,7 @@ __all__ = [
     "stack_pieces",
     "storage_report",
     "table_boxes",
+    "table_entries",
     "verify",
 ]
 
@@ -114,8 +118,15 @@ def table_boxes(table: np.ndarray) -> np.ndarray:
                     axis=-1).astype(np.intp)
 
 
-_NO_LOWRANK = np.empty(0, dtype=LOWRANK_RECORD)
-_NO_DENSE = np.empty(0, dtype=DENSE_RECORD)
+def table_entries(lowrank: np.ndarray, dense: np.ndarray) -> int:
+    """Floats the pieces of two tables store: rank * (rows + cols) per low-rank piece and
+    rows * cols per dense piece, summed in Python integers, which a corrupt table's rank
+    times its extent cannot overflow."""
+    lr, dn = table_boxes(lowrank), table_boxes(dense)
+    extents = (lr[:, 1] - lr[:, 0] + lr[:, 3] - lr[:, 2]).tolist()
+    heights, widths = (dn[:, 1] - dn[:, 0]).tolist(), (dn[:, 3] - dn[:, 2]).tolist()
+    return (sum(map(operator.mul, lowrank["rank"].tolist(), extents))
+            + sum(map(operator.mul, heights, widths)))
 
 
 @dataclass
@@ -252,25 +263,6 @@ def payload_arrays(layout: StackedLayout, lowrank: np.ndarray, dense: np.ndarray
     return out
 
 
-def _joined(layouts: list) -> StackedLayout:
-    """One layout over the concatenated tables of ``layouts``, in order."""
-    stacks = []
-    row_at = col_at = 0
-    pieces_at = {False: 0, True: 0}   # per table (dense or not): pieces of the layouts so far
-    for layout in layouts:
-        stacks.extend(s._replace(piece=s.piece + pieces_at[s.right is None],
-                                 rows=slice(s.rows.start + row_at, s.rows.stop + row_at),
-                                 cols=slice(s.cols.start + col_at, s.cols.stop + col_at))
-                      for s in layout.stacks)
-        for s in layout.stacks:
-            pieces_at[s.right is None] += len(s.piece)
-        row_at += layout.row_index.size
-        col_at += layout.col_index.size
-    return StackedLayout(stacks=tuple(stacks),
-                         row_index=np.concatenate([lay.row_index for lay in layouts]),
-                         col_index=np.concatenate([lay.col_index for lay in layouts]))
-
-
 @dataclass
 class HMatrix:
     """A compressed matrix: its two piece tables and the stacks that hold their arrays.
@@ -295,10 +287,7 @@ class HMatrix:
 
     @property
     def stored_entries(self) -> int:
-        lr, dn = table_boxes(self.lowrank), table_boxes(self.dense)
-        return int(np.dot(self.lowrank["rank"].astype(np.intp),
-                          lr[:, 1] - lr[:, 0] + lr[:, 3] - lr[:, 2])
-                   + np.dot(dn[:, 1] - dn[:, 0], dn[:, 3] - dn[:, 2]))
+        return table_entries(self.lowrank, self.dense)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
@@ -470,20 +459,21 @@ def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
             f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
 
 
-def _threshold_boxes(kmap: KernelMap, level_ranges: list, eps: float) -> list:
-    """Each block's threshold box in index space, for the blocks of one level at once.
+def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
+    """Each block's threshold box in index space, for all the blocks at once.
 
-    ``level_ranges`` pairs each block's ``(level, index)`` with its box, as
-    ``index_layout`` gives them.  Returns per block the box of the rows and
-    columns that ``separated.threshold_masks`` puts inside its threshold
-    box, or None when no row or no column is inside.  The rows of a block
-    map to rate coordinates on one side of its corner, where the rule's
-    exponent is monotone, so the rows inside are one range (for the
-    binomial, the intersection of two ranges); the box runs from the
-    first through the last of them, and likewise for the columns.
+    ``block_ranges`` pairs each block's ``(level, index)`` with its box, as
+    ``index_layout`` gives them, and holds at least one block.  Returns per
+    block the box of the rows and columns that ``separated.threshold_masks``
+    puts inside its threshold box, or None when no row or no column is
+    inside.  The rows of a block map to rate coordinates on one side of
+    its corner, where the rule's exponent is monotone, so the rows inside
+    are one range (for the binomial, the intersection of two ranges); the
+    box runs from the first through the last of them, and likewise for
+    the columns.
     """
-    regions = np.array([region for region, _ in level_ranges], dtype=np.intp)
-    boxes = np.array([box for _, box in level_ranges], dtype=np.intp)
+    regions = np.array([region for region, _ in block_ranges], dtype=np.intp)
+    boxes = np.array([box for _, box in block_ranges], dtype=np.intp)
 
     def spans(lo, hi):
         """Every index of the ranges [lo, hi), concatenated; its range's number; range starts."""
@@ -505,25 +495,6 @@ def _threshold_boxes(kmap: KernelMap, level_ranges: list, eps: float) -> list:
             for r0, r1, c0, c1 in zip(*(a.tolist() for a in inside))]
 
 
-def _level_pieces(spec: FamilySpec, kmap: KernelMap, builder: Builder, level_ranges: list,
-                  eps: float) -> list:
-    """(alpha, beta, box) of each block of one level, on its threshold box.
-
-    Either builder works on the block's threshold box alone; a block whose
-    box is empty gets a rank-0 piece on its whole box and builds nothing.
-    """
-    pieces = []
-    for (region, block_box), box in zip(level_ranges,
-                                        _threshold_boxes(kmap, level_ranges, eps)):
-        if box is None:
-            r0, r1, c0, c1 = block_box
-            pieces.append((np.zeros((r1 - r0, 0)), np.zeros((c1 - c0, 0)), block_box))
-        else:
-            approx = _compress_block(spec, kmap, builder, region, box, eps)
-            pieces.append((approx.alpha, approx.beta, box))
-    return pieces
-
-
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
              leaf_size: int = DEFAULT_LEAF) -> HMatrix:
     """Compress a family matrix into hierarchical low-rank form.
@@ -532,6 +503,13 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     exact entries; the diagonal strip and singular rows/columns are
     stored exactly.  With eps >= 1 everything is stored dense (the exact
     matrix, zero reconstruction error).
+
+    Every block is built in one pass on its threshold box (a block whose
+    box is empty gets rank 0 on its whole box and builds nothing), and
+    the matrix is assembled as ``container.load_hmatrix`` assembles it:
+    one ``stack_pieces`` over both tables, then each piece's factors
+    copied into its slots and dropped, and the dense values computed
+    straight into theirs.
     """
     n_rows, n_cols = spec.shape
     if min(n_rows, n_cols) < 4:
@@ -540,41 +518,40 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     scheme, kmap, block_ranges, cell_ranges, strips = index_layout(spec, leaf_size=leaf_size)
 
-    # Each level's blocks go into their stacks as soon as the level is
-    # built, so the factors are never held twice over more than one level.
-    tables, layouts, diagonal = [_NO_LOWRANK], [], cell_ranges
+    pieces, factors, diagonal = [], [], cell_ranges
     if eps >= 1.0:
         diagonal = block_ranges + cell_ranges
-    else:
-        # block_ranges come by level, then index
-        for _, level_ranges in itertools.groupby(block_ranges, key=lambda br: br[0][0]):
-            level_ranges = list(level_ranges)
-            pieces = _level_pieces(spec, kmap, builder, level_ranges, eps)
-            table = np.array([(*region, alpha.shape[1], *box)
-                              for (region, _), (alpha, _, box) in zip(level_ranges, pieces)],
-                             dtype=LOWRANK_RECORD)
-            layout = stack_pieces(spec.shape, table, _NO_DENSE)
-            arrays = payload_arrays(layout, table, _NO_DENSE)
-            for (alpha, beta, _), alpha_slot, beta_slot in zip(pieces, arrays[0::2], arrays[1::2]):
-                alpha_slot[...] = alpha
-                beta_slot[...] = beta
-            tables.append(table)
-            layouts.append(layout)
+    elif block_ranges:
+        for (region, block_box), box in zip(block_ranges,
+                                            _threshold_boxes(kmap, block_ranges, eps)):
+            if box is None:   # rank 0 on the whole block, nothing built
+                pieces.append((*region, 0, *block_box))
+                factors.append(None)
+            else:
+                approx = _compress_block(spec, kmap, builder, region, box, eps)
+                pieces.append((*region, approx.alpha.shape[1], *box))
+                factors.append(approx)
+    lowrank = np.array(pieces, dtype=LOWRANK_RECORD)
     records = ([("diagonal", *region, *box) for region, box in diagonal]
                + [(tag, 0, 0, *box) for tag, box in strips])
     # container order: by tag name, then by first row and column
     records.sort(key=lambda r: (r[0], r[3], r[5]))
     dense = np.array([(DENSE_TAGS.index(tag), *rest) for tag, *rest in records],
                      dtype=DENSE_RECORD)
-    layout = stack_pieces(spec.shape, _NO_LOWRANK, dense)
-    for (r0, r1, c0, c1), values in zip(table_boxes(dense).tolist(),
-                                        payload_arrays(layout, _NO_LOWRANK, dense)):
+
+    layout = stack_pieces(spec.shape, lowrank, dense)
+    slots = payload_arrays(layout, lowrank, dense)
+    for k in range(len(factors)):
+        approx, factors[k] = factors[k], None   # each piece is dropped once copied
+        if approx is not None:
+            slots[2 * k][...] = approx.alpha
+            slots[2 * k + 1][...] = approx.beta
+    for (r0, r1, c0, c1), values in zip(table_boxes(dense).tolist(), slots[2 * len(lowrank):]):
         # computed straight into the stack, on the block's open index grid
         oracle = block_oracle(spec, r0, r1, c0, c1)
         values[...] = oracle(np.arange(r1 - r0)[:, None], np.arange(c1 - c0)[None, :])
-    layouts.append(layout)
     return HMatrix(spec=spec, scheme=scheme, eps=eps, builder=builder,
-                   lowrank=np.concatenate(tables), dense=dense, layout=_joined(layouts))
+                   lowrank=lowrank, dense=dense, layout=layout)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,15 @@ def test_container_round_trip(spec, tmp_path):
             assert np.array_equal(g.to_dense(), h.to_dense())
             # the loaded matrix multiplies bit for bit like the saved one
             assert np.array_equal(matvec(g, x), matvec(h, x))
+            # compress and the loader assemble one layout from the same tables
+            assert len(g.layout.stacks) == len(h.layout.stacks)
+            for s, t in zip(g.layout.stacks, h.layout.stacks):
+                assert s.left.shape == t.left.shape
+                assert getattr(s.right, "shape", None) == getattr(t.right, "shape", None)
+                assert np.array_equal(s.piece, t.piece)
+                assert (s.rows, s.cols) == (t.rows, t.cols)
+            assert np.array_equal(g.layout.row_index, h.layout.row_index)
+            assert np.array_equal(g.layout.col_index, h.layout.col_index)
             r1 = verify(h, samples=2000, seed=7)
             r2 = verify(g, samples=2000, seed=7)
             assert r1 == r2
@@ -549,6 +559,27 @@ def test_container_l_max_at_most_one_index_per_cell(spec, tmp_path):
     path.write_bytes(_with_meta(buf, lambda m: m.update(l_max=finest + 1)))
     with pytest.raises(ValueError, match="l_max"):
         load_hmatrix(path)
+
+
+def test_container_checks_sizes_before_forming_grids(tmp_path):
+    # the coordinate grids of a 2^22-row Poisson family take 64 MiB
+    n = 2**22
+    path = tmp_path / "poisson.hlrd"
+    save_hmatrix(compress(PoissonFamily(k_max=15, lambda_max=16.0, lambda_grid=16), 1e-6,
+                          leaf_size=4), path)
+    buf = _with_meta(path.read_bytes(), lambda m: m["family_spec"].update(
+        k_max=n - 1, lambda_max=float(n), lambda_grid=n))
+    lr_at, _, _, _ = _table_offsets(buf)
+    # the header names one low-rank piece, whose record is missing
+    path.write_bytes(buf[:lr_at - 16] + struct.pack("<IIII", n, n, 1, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated in the piece tables"):
+            load_hmatrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("leaf", [0, -4])
