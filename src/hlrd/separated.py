@@ -10,10 +10,9 @@ Three builders are provided:
   the reflection maps x -> 1 - x on both intervals and grids), where it
   touches the diagonal at ``max(p_lo, q_lo)`` and lies below it
   (``Regime.LOWER``) when ``p_lo > q_lo``, above it otherwise; rescale
-  it by that corner to the unit configuration, locate the threshold points
-  at level ``m = ln(1/eps)/n'``, truncate the kernel to zero outside the
-  threshold box, and separate what remains.  The separation rests on the
-  exact identity
+  it by that corner to the unit configuration, truncate the kernel to
+  zero outside the threshold box at level ``m = ln(1/eps)/n'``, and
+  separate what remains.  The separation rests on the exact identity
 
       rate(p||q) = rate(p||1) + rate(1||q) + (p - 1) * (-ln q),
 
@@ -21,10 +20,13 @@ Three builders are provided:
   one-sided pieces split off as pure p- and q-factors ``exp(-n'*...)``;
   the remaining cross factor ``exp(-s t)`` with ``s = n'(p-1)``,
   ``t = -ln q`` is separated by Lagrange interpolation at Chebyshev
-  nodes in s, evaluated barycentrically.  The node count obeys the
-  standard factorial bound, so the degree grows like ``ln(1/eps)`` and
-  every intermediate quantity stays O(1): no catastrophic cancellation,
-  uniformly in n'.
+  nodes in s, evaluated barycentrically.  The nodes span the block's own
+  grid clipped to the threshold box, not the whole box: a staircase
+  block away from the origin covers only a sliver of its configuration,
+  and the threshold points are solved only when the grid reaches past
+  the box.  The node count obeys the standard factorial bound, so the
+  degree grows like ``ln(1/eps)`` and every intermediate quantity stays
+  O(1): no catastrophic cancellation, uniformly in n'.
 
 * ``build_product`` multiplies two expansions columnwise; the Bernoulli
   kernel is the product of the rate kernel and its reflection, so its
@@ -59,6 +61,7 @@ only.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -195,17 +198,17 @@ def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[
     ``beta Ra^T U_r / S_r``.  So only R and the SVD are computed:
     ``qr(mode="r")`` is the reduced QR's factorization and returns the same
     R bits, and the SVD is the same call; the m x w Q, whose explicit
-    formation costs about as much as the factorization, never is.  alpha
-    carries the singular values, and an exactly zero factor row stays
-    exactly zero.
+    formation costs about as much as the factorization, never is.  A
+    factor with no more rows than columns is its own R (Q = I), so its QR
+    is skipped and the formulas hold as they stand.  alpha carries the
+    singular values, and an exactly zero factor row stays exactly zero.
 
     The discarded spectral tail is at most the threshold, so the entrywise
     reconstruction error added here is at most the threshold as well.
     """
     if alpha.shape[1] == 0:
         return alpha, beta
-    ra = np.linalg.qr(alpha, mode="r")
-    rb = np.linalg.qr(beta, mode="r")
+    ra, rb = (f if f.shape[0] <= f.shape[1] else np.linalg.qr(f, mode="r") for f in (alpha, beta))
     u, s, vt = np.linalg.svd(ra @ rb.T)
     r = int(np.sum(s > threshold))
     return alpha @ (rb.T @ vt[:r].T), beta @ ((ra.T @ u[:, :r]) / s[:r])
@@ -228,24 +231,31 @@ def _cross_degree(w: float, eps: float) -> int:
     raise BuilderError(f"cross-factor degree cap {cap} exceeded for w={w:g}, eps={eps:g}")
 
 
-def _cheb_nodes_weights(d: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [0, hi] with barycentric weights."""
+@functools.lru_cache(maxsize=None)
+def _cheb_unit(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes on [0, 2] with barycentric weights, read-only."""
     k = np.arange(d + 1)
     theta = (2.0 * k + 1.0) * math.pi / (2.0 * (d + 1.0))
-    nodes = 0.5 * hi * (np.cos(theta) + 1.0)
-    weights = (-1.0) ** k * np.sin(theta)
-    return nodes, weights
+    unit, weights = np.cos(theta) + 1.0, (-1.0) ** k * np.sin(theta)
+    unit.flags.writeable = weights.flags.writeable = False
+    return unit, weights
+
+
+def _cheb_nodes_weights(d: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes on [lo, hi] with barycentric weights."""
+    unit, weights = _cheb_unit(d)
+    return lo + 0.5 * (hi - lo) * unit, weights
 
 
 def _lagrange_matrix(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Barycentric evaluation of all Lagrange basis polynomials at x."""
     diff = x[:, None] - nodes[None, :]
     exact = diff == 0.0
-    hit_rows = np.any(exact, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_over = weights[None, :] / diff
         out = w_over / np.sum(w_over, axis=1)[:, None]
-    if np.any(hit_rows):
+    if exact.any():
+        hit_rows = np.any(exact, axis=1)
         # a sample falling exactly on a node gets the cardinal basis row
         out[hit_rows, :] = exact[hit_rows, :].astype(np.float64)
     return out
@@ -277,25 +287,43 @@ def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
     outside the threshold box (``threshold_masks``' rule: a one-sided
     exponent above ln(1/eps)) are zeroed, since the kernel is below eps
     there.  The regime only sets the sign sigma = +1 (lower) or -1 (upper)
-    that keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative; the
-    Chebyshev interval of s and the degree come from ``solve_thresholds``.
+    that keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative.
+
+    The Chebyshev nodes in s sit on the grid's own interval, clipped to
+    the threshold box: s over [max(0, min s), min(max s, s_max)] and t over
+    [0, min(max t, t_max)], with the degree from the width of the first
+    times the top of the second.  ``solve_thresholds`` gives s_max and
+    t_max and is called only when a side's farthest grid point lies
+    outside the box; a grid inside the box, as ``hmatrix.compress``
+    passes, solves nothing, and a grid over the whole unit configuration
+    gets the solver's interval.  An empty grid gets width-0 factors.
     """
+    if p_hat.size == 0 or q_hat.size == 0:
+        return np.zeros((p_hat.size, 0)), np.zeros((q_hat.size, 0))
     log_inv_eps = math.log(1.0 / eps)
-    pair = solve_thresholds(log_inv_eps / n_scaled, regime)
     sigma = 1.0 if regime is Regime.LOWER else -1.0
     s = n_scaled * (sigma * (p_hat - 1.0))
-    s_max = n_scaled * (sigma * (pair.p_m - 1.0))
     with np.errstate(divide="ignore"):
         t = -sigma * np.log(q_hat)
-    t_max = sigma * pair.neg_log_q_m
 
     u = _rate_to_one(n_scaled, p_hat)
     v = _rate_from_one(n_scaled, q_hat)
     mask_p = u <= log_inv_eps
     mask_q = v <= log_inv_eps
 
-    degree = _cross_degree(s_max * t_max, eps)
-    nodes, weights = _cheb_nodes_weights(degree, s_max)
+    # the grid's own interval; the solved box clips a side only where its
+    # farthest point (largest one-sided exponent) lies outside the box
+    s_far, t_far = int(np.argmax(s)), int(np.argmax(t))
+    s_lo, s_hi, t_hi = max(0.0, float(np.min(s))), float(s[s_far]), float(t[t_far])
+    if not (mask_p[s_far] and mask_q[t_far]):
+        pair = solve_thresholds(log_inv_eps / n_scaled, regime)
+        if not mask_p[s_far]:
+            s_hi = min(s_hi, n_scaled * (sigma * (pair.p_m - 1.0)))
+        if not mask_q[t_far]:
+            t_hi = min(t_hi, sigma * pair.neg_log_q_m)
+
+    degree = _cross_degree((s_hi - s_lo) * t_hi, eps)
+    nodes, weights = _cheb_nodes_weights(degree, s_lo, s_hi)
     alpha = np.zeros((p_hat.size, nodes.size))
     if np.any(mask_p):
         alpha[mask_p, :] = (_lagrange_matrix(s[mask_p], nodes, weights)

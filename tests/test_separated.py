@@ -1,5 +1,6 @@
 """Separated-approximation builders against dense oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -325,6 +326,92 @@ def test_threshold_rule_is_the_solvers_box(regime, n_scaled, eps):
     assert np.array_equal(alpha.any(axis=1), p_in) and np.array_equal(beta.any(axis=1), q_in)
 
 
+def _unit_grids(regime, span, size, p_start=0.0):
+    """Grids over the unit configuration, ``span`` wide from the corner; p begins ``p_start`` in."""
+    if regime is Regime.LOWER:
+        return np.linspace(1.0 + p_start, 1.0 + span, size), np.linspace(1.0 - span, 1.0, size)
+    return np.linspace(1.0 - span, 1.0 - p_start, size), np.linspace(1.0, 1.0 + span, size)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("n_scaled", [0.5, 32.0, 1024.0, 2.0 ** 14])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_unit_rate_factors_accurate_on_narrow_grids(regime, n_scaled, eps):
+    # the nodes sit on the grid's own interval: a block away from the origin
+    # spans a sliver of its configuration, and the factors stay within the
+    # interpolation bound there, and exactly zero outside the threshold box;
+    # p-grids from the corner and from half-way out (s bounded away from 0)
+    log_inv_eps = math.log(1.0 / eps)
+    for span, p_start in itertools.product((0.999, 1.0 / 4, 1.0 / 16, 1.0 / 256), (0.0, 0.5)):
+        p_hat, q_hat = _unit_grids(regime, span, 129, p_start * span)
+        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
+        inside = np.outer(separated._rate_to_one(n_scaled, p_hat) <= log_inv_eps,
+                          separated._rate_from_one(n_scaled, q_hat) <= log_inv_eps)
+        approx = alpha @ beta.T
+        assert not approx[~inside].any(), (span, p_start)
+        err = np.abs(approx - rate_kernel(n_scaled, p_hat, q_hat))[inside]
+        assert np.max(err, initial=0.0) <= eps / 2, (span, p_start, np.max(err) / eps)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("n_scaled", [0.5, 32.0, 1024.0, 2.0 ** 14])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_grid_past_the_box_gets_the_solvers_interval(regime, n_scaled, eps):
+    # a grid over the whole unit configuration reaches past the threshold box
+    # (at q = 0 at least), and is clipped to the solver's interval [0, s_max]
+    # x [0, t_max]: its raw width is the degree of that whole box
+    pair = solve_thresholds(math.log(1.0 / eps) / n_scaled, regime)
+    sigma = 1.0 if regime is Regime.LOWER else -1.0
+    s_max, t_max = n_scaled * (sigma * (pair.p_m - 1.0)), sigma * pair.neg_log_q_m
+    p_hat, q_hat = _unit_grids(regime, 1.0, 2001)
+    alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
+    assert alpha.shape[1] == beta.shape[1] == separated._cross_degree(s_max * t_max, eps) + 1
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_unit_rate_factors_on_empty_and_one_point_grids(regime):
+    n_scaled, eps = 32.0, 1e-6
+    p_hat, q_hat = _unit_grids(regime, 0.25, 5)
+    empty = np.zeros(0)
+    for pg, qg in ((empty, q_hat), (p_hat, empty), (empty, empty)):
+        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, pg, qg)
+        assert alpha.shape == (pg.size, 0) and beta.shape == (qg.size, 0)
+    # one point on a side: an s-interval of width 0, or a single t
+    for pg, qg in ((p_hat[2:3], q_hat), (p_hat, q_hat[2:3]), (p_hat[2:3], q_hat[2:3])):
+        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, pg, qg)
+        assert np.max(np.abs(alpha @ beta.T - rate_kernel(n_scaled, pg, qg))) <= eps / 2
+
+
+def test_constructive_on_empty_grids_is_rank_zero():
+    blk = Block(0, 1)
+    pg, qg, empty = np.linspace(1.0, 2.0, 4), np.linspace(0.0, 1.0, 5), np.zeros(0)
+    for kind in (K.RATE, K.RATE_DUAL):
+        for p_grid, q_grid in ((empty, qg), (pg, empty), (empty, empty)):
+            ap = build_constructive(blk, kind, 32.0, 1e-6, p_grid=p_grid, q_grid=q_grid)
+            assert ap.alpha.shape == (p_grid.size, 0) and ap.beta.shape == (q_grid.size, 0)
+
+
+@pytest.mark.parametrize("n", [2 ** 8, 2 ** 11])
+@pytest.mark.parametrize("family", ["binomial", "poisson", "chisq"])
+def test_compress_solves_no_thresholds(monkeypatch, family, n):
+    # compress hands each builder its threshold box, whose farthest points
+    # lie inside it, so no threshold point is ever solved
+    calls = []
+    solve = separated.solve_thresholds
+
+    def spy(m, regime):
+        calls.append((m, regime))
+        return solve(m, regime)
+
+    monkeypatch.setattr(separated, "solve_thresholds", spy)
+    build_constructive(Block(0, 1), K.RATE, 32.0, 1e-6, grid_size=17)
+    assert len(calls) == 1   # the spy sees a whole-block grid's solve
+    calls.clear()
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+        compress(FAMILY_SPECS[family](n), eps, builder=Builder.CONSTRUCTIVE)
+    assert calls == []
+
+
 def test_unit_configuration_is_the_transformed_block_geometry():
     # for each kernel kind: the rate kernel's block lies below the diagonal
     # exactly when the kernel's divergence is rate(larger || smaller) on
@@ -407,7 +494,8 @@ def _recompress_explicit_q(alpha, beta, threshold):
 
 # |alpha beta^T - reference| <= RECOMPRESS_ULPS * eps_mach * ||alpha||_2 * ||beta||_2,
 # entry by entry.  Over the 1260 recompressions of the six n = 2^11 constructive
-# builds of the benchmark (three families, eps 1e-6 and 1e-9) the largest is 6.7.
+# builds of the benchmark (three families, eps 1e-6 and 1e-9) the largest is 10.2;
+# 256 of their 2520 factors are no taller than wide and skip the QR.
 RECOMPRESS_ULPS = 16.0
 
 
@@ -497,6 +585,14 @@ def test_recompress_keeps_zero_rows_exactly_zero():
     a, b = _check_recompress(alpha, beta, 1e-10)
     assert a.shape[1] > 0
     assert not a[zero_a].any() and not b[zero_b].any()
+    # a wide factor skips its QR (it is its own R): its zero rows stay zero too
+    wide, tall = rng.standard_normal((8, 20)), rng.standard_normal((30, 20))
+    zero_w = [0, 3, 7]
+    wide[zero_w] = 0.0
+    for alpha, beta in ((wide, tall), (tall, wide)):
+        a, b = _check_recompress(alpha, beta, 1e-10)
+        assert a.shape[1] > 0
+        assert not (a if alpha is wide else b)[zero_w].any()
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
