@@ -232,19 +232,13 @@ def _cross_degree(w: float, eps: float) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _cheb_unit(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [0, 2] with barycentric weights, read-only."""
+def _cheb_nodes_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes on [0, 2] with barycentric weights, read-only, per degree."""
     k = np.arange(d + 1)
     theta = (2.0 * k + 1.0) * math.pi / (2.0 * (d + 1.0))
-    unit, weights = np.cos(theta) + 1.0, (-1.0) ** k * np.sin(theta)
-    unit.flags.writeable = weights.flags.writeable = False
-    return unit, weights
-
-
-def _cheb_nodes_weights(d: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [lo, hi] with barycentric weights."""
-    unit, weights = _cheb_unit(d)
-    return lo + 0.5 * (hi - lo) * unit, weights
+    nodes, weights = np.cos(theta) + 1.0, (-1.0) ** k * np.sin(theta)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _lagrange_matrix(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -323,7 +317,8 @@ def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
             t_hi = min(t_hi, sigma * pair.neg_log_q_m)
 
     degree = _cross_degree((s_hi - s_lo) * t_hi, eps)
-    nodes, weights = _cheb_nodes_weights(degree, s_lo, s_hi)
+    unit_nodes, weights = _cheb_nodes_weights(degree)
+    nodes = s_lo + 0.5 * (s_hi - s_lo) * unit_nodes
     alpha = np.zeros((p_hat.size, nodes.size))
     if np.any(mask_p):
         alpha[mask_p, :] = (_lagrange_matrix(s[mask_p], nodes, weights)
