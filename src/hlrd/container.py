@@ -44,7 +44,10 @@ bytes raises ValueError, so a container that loads re-saves byte for
 byte.  An ``l_max`` finer than ``compress`` writes for the family at one
 index per diagonal cell (``scheme_for(spec, leaf_size=1)``) raises
 ValueError too, checked after the sizes: it forms the family's
-coordinate grids.
+coordinate grids.  Before that, a dense table with no piece raises:
+every family has a singular row or column strip, which ``compress``
+stores dense, so a header that names no dense piece (and no payload to
+go with it) forms no grids.
 """
 
 from __future__ import annotations
@@ -206,8 +209,12 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         if size - off != 8 * floats:
             raise ValueError(f"container holds {size - off} payload bytes; "
                              f"its tables describe {8 * floats}")
-        # after the size checks: for the Poisson and chi-squared families
-        # scheme_for forms both O(rows + cols) coordinate grids
+        # every family has a singular row or column, which compress stores as a
+        # dense strip; checked before scheme_for, which for the Poisson and
+        # chi-squared families forms both O(rows + cols) coordinate grids
+        if n_dn == 0:
+            raise ValueError("container names no dense piece: every family has a singular "
+                             "strip, which compress stores dense")
         finest = scheme_for(spec, leaf_size=1).l_max
         if scheme.l_max > finest:
             raise ValueError(f"container l_max {scheme.l_max} is finer than the level "

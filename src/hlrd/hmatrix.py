@@ -67,8 +67,9 @@ from .families import (FamilySpec, KernelMap, block_oracle, entry_exact, kernel_
                        kernel_map)
 from .partition import (Block, PartitionScheme, QuarterPlane, UnitSquare, block_intervals,
                         build_scheme)
+# build_product is unused here; perfbench/tracing.py wraps both builders by this module's names
 from .separated import (BuilderError, SeparatedApprox, aca_build, build_constructive,
-                        build_product, threshold_masks)
+                        build_product, threshold_masks)  # noqa: F401
 
 __all__ = [
     "Builder",
@@ -422,18 +423,16 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
 
 def _constructive_block(spec: FamilySpec, kmap: KernelMap, blk: Block,
                         rng: tuple[int, int, int, int], eps: float) -> SeparatedApprox:
+    """The constructive expansion of the family's kernel on the box ``rng`` of a block.
+
+    One ``build_constructive`` call on the box's kernel coordinates for
+    every family (the binomial's Bernoulli KL included), with the exact
+    prefactor folded into the factor on its axis.
+    """
     r0, r1, c0, c1 = rng
     p_vals = kmap.p_of_row[r0:r1]
     q_vals = kmap.q_of_col[c0:c1]
-    if kmap.kind is DivergenceKind.BERNOULLI:
-        part_a = build_constructive(blk, DivergenceKind.RATE, kmap.n_eff, eps,
-                                    p_grid=p_vals, q_grid=q_vals)
-        part_b = build_constructive(blk, DivergenceKind.RATE_REFLECTED, kmap.n_eff, eps,
-                                    p_grid=p_vals, q_grid=q_vals)
-        approx = build_product(part_a, part_b, eps)
-    else:
-        approx = build_constructive(blk, kmap.kind, kmap.n_eff, eps,
-                                    p_grid=p_vals, q_grid=q_vals)
+    approx = build_constructive(blk, kmap.kind, kmap.n_eff, eps, p_grid=p_vals, q_grid=q_vals)
     # fold the exact prefactor into the matching factor
     if kmap.prefactor_axis == "row":
         scale = np.exp(kmap.exact_log_prefactor[r0:r1])

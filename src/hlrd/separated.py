@@ -28,9 +28,23 @@ Three builders are provided:
   degree grows like ``ln(1/eps)`` and every intermediate quantity stays
   O(1): no catastrophic cancellation, uniformly in n'.
 
-* ``build_product`` multiplies two expansions columnwise; the Bernoulli
-  kernel is the product of the rate kernel and its reflection, so its
-  expansion is the (recompressed) product of theirs.
+  The Bernoulli kernel is built by the same pipeline in its own
+  coordinates: at the block's diagonal corner c the Bernoulli KL splits
+  as
+
+      KL(p||q) = KL(p||c) + KL(c||q) + (p - c)(logit c - logit q),
+
+  three non-negative terms, with the cross factor ``exp(-s t)``,
+  ``s = n(p - c)`` and ``t = logit c - logit q`` (signs flipped above
+  the diagonal), interpolated in s over the grid's points inside the
+  threshold box, so no threshold is solved.  One expansion and one
+  recompression per block, as for the rate kernels.
+
+* ``build_product`` multiplies two expansions columnwise and
+  recompresses the product.  The Bernoulli kernel is the product of the
+  rate kernel and its reflection, and the product of their expansions
+  is the paper's construction of its blocks; ``build_constructive``
+  does not take that route.
 
 * ``aca_build`` is adaptive cross approximation with partial pivoting,
   the practical route that needs only an entry oracle.
@@ -68,7 +82,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergence import DivergenceKind, Regime, solve_thresholds
+from .divergence import DivergenceKind, Regime, _bernoulli, solve_thresholds
 from .partition import Block
 
 __all__ = [
@@ -316,18 +330,75 @@ def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
         if not mask_q[t_far]:
             t_hi = min(t_hi, sigma * pair.neg_log_q_m)
 
+    return _cross_factors(s, t, u, v, mask_p, mask_q, (s_lo, s_hi, t_hi), eps)
+
+
+def _cross_factors(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
+                   mask_p: np.ndarray, mask_q: np.ndarray, box: tuple[float, float, float],
+                   eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of exp(-u) exp(-s t) exp(-v), zero outside the masks.
+
+    The cross factor ``exp(-s t)`` is interpolated in s at Chebyshev nodes
+    over ``box = (s_lo, s_hi, t_hi)``, s in [s_lo, s_hi] and t in
+    [0, t_hi], with the degree ``_cross_degree`` gives their product.
+    alpha holds the p-side, the Lagrange basis at s times ``exp(-u)``;
+    beta the q-side, ``exp(-t * node - v)`` per node.
+    """
+    s_lo, s_hi, t_hi = box
     degree = _cross_degree((s_hi - s_lo) * t_hi, eps)
     unit_nodes, weights = _cheb_nodes_weights(degree)
     nodes = s_lo + 0.5 * (s_hi - s_lo) * unit_nodes
-    alpha = np.zeros((p_hat.size, nodes.size))
+    alpha = np.zeros((s.size, nodes.size))
     if np.any(mask_p):
         alpha[mask_p, :] = (_lagrange_matrix(s[mask_p], nodes, weights)
                             * np.exp(-u[mask_p])[:, None])
 
-    beta = np.zeros((q_hat.size, nodes.size))
+    beta = np.zeros((t.size, nodes.size))
     if np.any(mask_q):
         beta[mask_q, :] = np.exp(-np.outer(t[mask_q], nodes) - v[mask_q, None])
     return alpha, beta
+
+
+def _unit_bernoulli_factors(p_interval: tuple[float, float], q_interval: tuple[float, float],
+                            n: float, eps: float,
+                            p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separated factors of exp(-n * KL(p || q)) on a unit-square block.
+
+    At the block's diagonal corner c (``_unit_configuration``) the
+    Bernoulli KL splits like the rate divergence at 1, with logit in place
+    of log:
+
+        KL(p||q) = KL(p||c) + KL(c||q) + (p - c)(logit c - logit q),
+
+    and all three terms are non-negative where p and q lie on either side
+    of c.  With sigma = +1 (lower regime, p >= c >= q) or -1 (upper), the
+    cross term is s t with ``s = sigma n (p - c)`` and
+    ``t = sigma (log1p((c - q)/q) + log1p((c - q)/(1 - c)))``, both
+    non-negative, and the one-sided terms ``n KL(p||c)`` and ``n KL(c||q)``
+    are evaluated in the bd0 form.  The factors are zero outside the
+    block's threshold box (``threshold_masks``, the box ``hmatrix.compress``
+    stores), and the nodes span the s and t of the grid points inside it:
+    no threshold is solved.  A grid with no point inside on a side gets
+    width-0 factors.
+    """
+    regime, corner = _unit_configuration(p_interval, q_interval)
+    intervals = tuple(np.array([x]) for x in (*p_interval, *q_interval))
+    mask_p, mask_q = threshold_masks(DivergenceKind.BERNOULLI, n, eps, intervals,
+                                     p, np.zeros(p.size, dtype=np.intp),
+                                     q, np.zeros(q.size, dtype=np.intp))
+    if not (np.any(mask_p) and np.any(mask_q)):
+        return np.zeros((p.size, 0)), np.zeros((q.size, 0))
+    sigma = 1.0 if regime is Regime.LOWER else -1.0
+    s = n * (sigma * (p - corner))
+    u = n * _bernoulli(p, corner)
+    d = corner - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # both are infinite or undefined only at q = 0 and q = 1, outside the box
+        v = n * _bernoulli(corner, q)
+        t = sigma * (np.log1p(d / q) + np.log1p(d / (1.0 - corner)))
+    s_in, t_in = s[mask_p], t[mask_q]
+    box = (max(0.0, float(np.min(s_in))), float(np.max(s_in)), float(np.max(t_in)))
+    return _cross_factors(s, t, u, v, mask_p, mask_q, box, eps)
 
 
 def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
@@ -343,11 +414,17 @@ def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
     if kind is DivergenceKind.RATE_DUAL:
         return q_interval, p_interval, q_grid, p_grid
     if kind is DivergenceKind.RATE_REFLECTED:
+        _check_unit_square(p_interval, q_interval, "reflected")
         (plo, phi), (qlo, qhi) = p_interval, q_interval
-        if not np.all((0.0 <= plo) & (phi <= 1.0) & (0.0 <= qlo) & (qhi <= 1.0)):
-            raise BuilderError("reflected kernels need a unit-square block")
         return (1.0 - phi, 1.0 - plo), (1.0 - qhi, 1.0 - qlo), 1.0 - p_grid, 1.0 - q_grid
     raise ValueError(f"unknown divergence kind {kind!r}")  # pragma: no cover
+
+
+def _check_unit_square(p_interval: tuple, q_interval: tuple, what: str) -> None:
+    """BuilderError unless both intervals (or arrays of them) lie in [0, 1]."""
+    (plo, phi), (qlo, qhi) = p_interval, q_interval
+    if not np.all((0.0 <= plo) & (phi <= 1.0) & (0.0 <= qlo) & (qhi <= 1.0)):
+        raise BuilderError(f"{what} kernels need a unit-square block")
 
 
 def _unit_configuration(p_interval: tuple[float, float],
@@ -374,10 +451,12 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     Since ``n' rate(p || q)`` is at least each of them, the kernel
     ``exp(-n * divergence)`` is below eps at every pair outside the box.
     The Bernoulli kernel is the product of the rate kernel and its
-    reflection; its box is the intersection of theirs.  Returns boolean
-    masks over ``p_grid`` and ``q_grid``; ``hmatrix.compress`` stores a
-    low-rank piece on its block's threshold box (its block's box at rank
-    0), from the first through the last point inside on each axis.
+    reflection; its box is the intersection of theirs, and
+    ``_unit_bernoulli_factors`` masks its factors with this function.
+    Returns boolean masks over ``p_grid`` and ``q_grid``;
+    ``hmatrix.compress`` stores a low-rank piece on its block's threshold
+    box (its block's box at rank 0), from the first through the last point
+    inside on each axis.
     """
     if kind is DivergenceKind.BERNOULLI:
         parts = [threshold_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
@@ -401,18 +480,19 @@ def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
                        q_grid: Optional[np.ndarray] = None) -> SeparatedApprox:
     """Constructive separated approximation of exp(-n * divergence) on a block.
 
-    Supports the rate kernel, its dual (roles of the axes swapped) and its
-    reflection (both coordinates complemented; unit-square blocks only).
-    The Bernoulli kernel is a pointwise product of rate and reflected-rate
-    kernels: build those two and combine with ``build_product``.
+    Supports the rate kernel, its dual (roles of the axes swapped), its
+    reflection (both coordinates complemented) and the Bernoulli KL; the
+    last two on unit-square blocks only.  Every kind is one interpolated
+    cross factor between a p- and a q-factor and one recompression: the
+    rate kinds in the rate kernel's unit configuration
+    (``_unit_rate_factors``), the Bernoulli KL split at the block's
+    diagonal corner (``_unit_bernoulli_factors``).
 
     The factors are sampled on uniform grids over the block unless
     explicit grids (e.g. a family's native discretization) are passed.
     Reconstruction error on the grid is below 10*eps: interpolation,
     zero-truncation and recompression each contribute at most ~eps.
     """
-    if kind is DivergenceKind.BERNOULLI:
-        raise ValueError("Bernoulli kernels are built as products; see build_product")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     if not (n > 0.0):
@@ -426,13 +506,18 @@ def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
     p_grid = np.asarray(p_grid, dtype=np.float64)
     q_grid = np.asarray(q_grid, dtype=np.float64)
 
-    # rescaled by its corner, the block in rate coordinates is the unit configuration
-    p_interval, q_interval, p_vals, q_vals = _rate_coordinates(kind, p_interval, q_interval,
-                                                               p_grid, q_grid)
-    regime, corner = _unit_configuration(p_interval, q_interval)
-    alpha, beta = _unit_rate_factors(regime, n * corner, eps, p_vals / corner, q_vals / corner)
-    if kind is DivergenceKind.RATE_DUAL:
-        alpha, beta = beta, alpha
+    if kind is DivergenceKind.BERNOULLI:
+        _check_unit_square(p_interval, q_interval, "Bernoulli")
+        alpha, beta = _unit_bernoulli_factors(p_interval, q_interval, n, eps, p_grid, q_grid)
+    else:
+        # rescaled by its corner, the block in rate coordinates is the unit configuration
+        p_interval, q_interval, p_vals, q_vals = _rate_coordinates(kind, p_interval, q_interval,
+                                                                   p_grid, q_grid)
+        regime, corner = _unit_configuration(p_interval, q_interval)
+        alpha, beta = _unit_rate_factors(regime, n * corner, eps,
+                                         p_vals / corner, q_vals / corner)
+        if kind is DivergenceKind.RATE_DUAL:
+            alpha, beta = beta, alpha
     alpha, beta = _recompress(alpha, beta, eps)
     return SeparatedApprox(p_grid=p_grid, q_grid=q_grid, alpha=alpha, beta=beta)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlrd import families, hmatrix
+from hlrd import container, families, hmatrix, separated
 from hlrd.container import load_hmatrix, save_hmatrix
 from hlrd.divergence import DivergenceKind, divergence
 from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily, dense_matrix
@@ -29,7 +29,8 @@ from hlrd.hmatrix import (
     table_boxes,
     verify,
 )
-from hlrd.partition import Block
+from hlrd.partition import Block, QuarterPlane, build_scheme
+from hlrd.separated import RankConvention, numerical_rank
 
 SMALL_FAMILIES = [
     BinomialFamily(n=48),
@@ -582,6 +583,26 @@ def test_container_checks_sizes_before_forming_grids(tmp_path):
     assert peak < 2**20
 
 
+def test_container_without_pieces_forms_no_grids(tmp_path):
+    # a 2^24-row Poisson header naming no piece: every size check passes,
+    # and the l_max bound would form the family's coordinate grids (hundreds of MiB)
+    n = 2**24
+    spec = PoissonFamily(k_max=n - 1, lambda_max=float(n), lambda_grid=n)
+    meta = container._meta_bytes(spec, 1e-6, Builder.CONSTRUCTIVE,
+                                 build_scheme(QuarterPlane(extent=float(n), l_max=0)))
+    path = tmp_path / "empty.hlrd"
+    path.write_bytes(b"HLRD1" + struct.pack("<I", len(meta)) + meta
+                     + struct.pack("<IIII", n, n, 0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no dense piece"):
+            load_hmatrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("leaf", [0, -4])
 def test_leaf_size_below_one_rejected(leaf):
     spec = BinomialFamily(n=64)
@@ -809,6 +830,32 @@ def test_pieces_sit_on_their_threshold_boxes(name, n, leaf, eps, builder):
         if left.any() and right.any():
             # tight: no factor row inside the box underflows to zero at either end
             assert left[[0, -1]].any(axis=1).all() and right[[0, -1]].any(axis=1).all()
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_binomial_constructive_blocks_from_one_cross_factor(eps, monkeypatch):
+    def no_product(*args, **kwargs):
+        raise AssertionError("build_product called")
+
+    monkeypatch.setattr(hmatrix, "build_product", no_product)
+    monkeypatch.setattr(separated, "build_product", no_product)
+    spec = BinomialFamily(n=2**10)
+    kmap = families.kernel_map(spec)
+    h = compress(spec, eps, builder=Builder.CONSTRUCTIVE)
+    exact, approx = dense_matrix(spec), h.to_dense()
+    _, _, block_ranges, _, _ = index_layout(spec)
+    for region, (r0, r1, c0, c1) in block_ranges:
+        # every entry of the block, the part outside its piece's box included
+        err = np.max(np.abs(approx[r0:r1, c0:c1] - exact[r0:r1, c0:c1]))
+        assert err <= 10.0 * eps, (region, err / eps)
+    for rec, _, right in _pieces(h):
+        if right is None or rec["rank"] == 0:
+            continue
+        r0, r1, c0, c1 = _box(rec)
+        p, q = np.meshgrid(kmap.p_of_row[r0:r1], kmap.q_of_col[c0:c1], indexing="ij")
+        kernel = np.exp(-kmap.n_eff * divergence(DivergenceKind.BERNOULLI, p, q))
+        svd_rank = numerical_rank(kernel, eps, RankConvention.ABSOLUTE)
+        assert rec["rank"] <= svd_rank + 1, (int(rec["level"]), int(rec["index"]), svd_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -261,13 +261,24 @@ def test_constructive_reflected_on_unit_square():
 
 
 def test_constructive_reflected_needs_unit_square():
-    with pytest.raises(BuilderError):
-        build_constructive(Block(-1, 1), K.RATE_REFLECTED, 4.0, 1e-6, grid_size=16)
+    for kind in (K.RATE_REFLECTED, K.BERNOULLI):
+        with pytest.raises(BuilderError):
+            build_constructive(Block(-1, 1), kind, 4.0, 1e-6, grid_size=16)
 
 
-def test_constructive_rejects_bernoulli_directly():
-    with pytest.raises(ValueError):
-        build_constructive(Block(1, 0), K.BERNOULLI, 8.0, 1e-6)
+@pytest.mark.parametrize("blk", [Block(1, 0), Block(1, 1), Block(3, 4), Block(3, 5),
+                                 Block(8, 100), Block(8, 101)])
+def test_constructive_builds_bernoulli_kernel(blk):
+    # one cross factor at the diagonal corner: within 10 eps of the kernel,
+    # at most one term past the SVD's absolute-threshold rank
+    pg = np.linspace(*blk.p_interval, 64)
+    qg = np.linspace(*blk.q_interval, 64)
+    for n, eps in itertools.product([8.0, 2.0 ** 10, 2.0 ** 14, 2.0 ** 20],
+                                    [1e-4, 1e-6, 1e-9, 1e-12]):
+        ap = build_constructive(blk, K.BERNOULLI, n, eps, p_grid=pg, q_grid=qg)
+        exact = bernoulli_kernel(n, pg, qg)
+        assert np.max(np.abs(ap.reconstruct() - exact)) <= 10.0 * eps, (n, eps)
+        assert ap.rank <= numerical_rank(exact, eps, RankConvention.ABSOLUTE) + 1, (n, eps)
 
 
 def test_constructive_matches_family_scaling():
@@ -493,9 +504,9 @@ def _recompress_explicit_q(alpha, beta, threshold):
 
 
 # |alpha beta^T - reference| <= RECOMPRESS_ULPS * eps_mach * ||alpha||_2 * ||beta||_2,
-# entry by entry.  Over the 1260 recompressions of the six n = 2^11 constructive
+# entry by entry.  Over the 756 recompressions of the six n = 2^11 constructive
 # builds of the benchmark (three families, eps 1e-6 and 1e-9) the largest is 10.2;
-# 256 of their 2520 factors are no taller than wide and skip the QR.
+# 21 of their 1512 factors are no taller than wide and skip the QR.
 RECOMPRESS_ULPS = 16.0
 
 
