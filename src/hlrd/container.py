@@ -42,12 +42,10 @@ the writer writes (``_meta_bytes``): the family and the partition check
 their own fields, and metadata that does not encode back to the file's
 bytes raises ValueError, so a container that loads re-saves byte for
 byte.  An ``l_max`` finer than ``compress`` writes for the family at one
-index per diagonal cell (``scheme_for(spec, leaf_size=1)``) raises
-ValueError too, checked after the sizes: it forms the family's
-coordinate grids.  Before that, a dense table with no piece raises:
-every family has a singular row or column strip, which ``compress``
-stores dense, so a header that names no dense piece (and no payload to
-go with it) forms no grids.
+index per diagonal cell (``scheme_for(spec, leaf_size=1)``, from the
+family's parameters alone: no coordinate grid is formed) raises
+ValueError too, and so does a dense table with no piece: every family
+has a singular row or column strip, which ``compress`` stores dense.
 """
 
 from __future__ import annotations
@@ -209,9 +207,7 @@ def load_hmatrix(path: Union[str, Path]) -> HMatrix:
         if size - off != 8 * floats:
             raise ValueError(f"container holds {size - off} payload bytes; "
                              f"its tables describe {8 * floats}")
-        # every family has a singular row or column, which compress stores as a
-        # dense strip; checked before scheme_for, which for the Poisson and
-        # chi-squared families forms both O(rows + cols) coordinate grids
+        # every family has a singular row or column, which compress stores as a dense strip
         if n_dn == 0:
             raise ValueError("container names no dense piece: every family has a singular "
                              "strip, which compress stores dense")

@@ -49,7 +49,6 @@ __all__ = [
     "dense_matrix",
     "entry_exact",
     "entry_stirling",
-    "kernel_coordinates",
     "kernel_map",
 ]
 
@@ -260,6 +259,14 @@ class PoissonFamily(_Family):
         j = np.arange(1, self.lambda_grid + 1, dtype=np.float64)
         return j * (self.lambda_max / self.lambda_grid)
 
+    def coordinate_bounds(self) -> tuple[float, float, float]:
+        """(largest p, largest q, nominal step of the finer axis), from the parameters alone.
+
+        The largest values are the grids' last points by the operations
+        that form them, bit for bit."""
+        step = self.lambda_max / self.lambda_grid
+        return float(self.k_max), float(self.lambda_grid) * step, min(1.0, step)
+
     # rate divergence with p = k, q = lambda, n_eff = 1; row prefactor k^k e^{-k} / k!
     kind: ClassVar[DivergenceKind] = DivergenceKind.RATE
     prefactor_axis: ClassVar[str] = "row"
@@ -302,6 +309,12 @@ class ChiSquaredFamily(_Family):
 
     def col_values(self) -> np.ndarray:
         return np.arange(1, self.k_max + 1, dtype=np.float64)
+
+    def coordinate_bounds(self) -> tuple[float, float, float]:
+        """``PoissonFamily.coordinate_bounds`` for p = x/2 and q = k/2 - 1."""
+        step = self.x_max / self.x_grid
+        return (0.5 * (float(self.x_grid) * step), 0.5 * float(self.k_max) - 1.0,
+                0.5 * min(step, 1.0))
 
     # dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1; column
     # prefactor q^q e^{-q} / (2 Gamma(q+1))
@@ -403,11 +416,6 @@ def kernel_map(spec: FamilySpec) -> KernelMap:
     chi^2     -> dual rate divergence with p = x/2, q = k/2 - 1, n_eff = 1
     """
     return _family(spec)._kernel_map
-
-
-def kernel_coordinates(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(p_of_row, q_of_col)`` of ``kernel_map(spec)``, without the prefactors."""
-    return _family(spec)._coordinates
 
 
 def _family(spec: FamilySpec) -> FamilySpec:

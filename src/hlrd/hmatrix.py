@@ -63,8 +63,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .divergence import DivergenceKind
-from .families import (FamilySpec, KernelMap, block_oracle, entry_exact, kernel_coordinates,
-                       kernel_map)
+from .families import FamilySpec, KernelMap, block_oracle, entry_exact, kernel_map
 from .partition import (Block, PartitionScheme, QuarterPlane, UnitSquare, block_intervals,
                         build_scheme)
 # build_product is unused here; perfbench/tracing.py wraps both builders by this module's names
@@ -319,8 +318,9 @@ def scheme_for(spec: FamilySpec, leaf_size: int = DEFAULT_LEAF) -> PartitionSche
 
     The finest level is chosen so a diagonal cell holds on the order of
     ``leaf_size`` indices per side; the quarter-plane extent is the
-    smallest power of two covering both coordinate ranges.  ``leaf_size``
-    below 1 raises ValueError.
+    smallest power of two covering both coordinate ranges.  Both come from
+    the family's parameters (``coordinate_bounds``), so no grid is formed.
+    ``leaf_size`` below 1 raises ValueError.
     """
     if not leaf_size >= 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size!r}")
@@ -328,12 +328,9 @@ def scheme_for(spec: FamilySpec, leaf_size: int = DEFAULT_LEAF) -> PartitionSche
         rows = spec.shape[0]
         l_max = max(1, int(round(math.log2(max(2.0, rows / leaf_size)))))
         return build_scheme(UnitSquare(l_max=l_max))
-    p_of_row, q_of_col = kernel_coordinates(spec)
-    p_max = float(np.max(p_of_row))
-    q_max = float(np.max(q_of_col))
+    p_max, q_max, spacing = spec.coordinate_bounds()
     a = max(0, int(math.ceil(math.log2(max(p_max, q_max)))))
     extent = 2.0 ** a
-    spacing = min(float(np.min(np.diff(p_of_row))), float(np.min(np.diff(q_of_col))))
     l_max = int(round(-math.log2(max(leaf_size * spacing, spacing))))
     l_max = max(l_max, -a + 1)
     return build_scheme(QuarterPlane(extent=extent, l_max=l_max))

@@ -21,12 +21,12 @@ Three builders are provided:
   the remaining cross factor ``exp(-s t)`` with ``s = n'(p-1)``,
   ``t = -ln q`` is separated by Lagrange interpolation at Chebyshev
   nodes in s, evaluated barycentrically.  The nodes span the block's own
-  grid clipped to the threshold box, not the whole box: a staircase
+  grid points inside the threshold box, not the whole box: a staircase
   block away from the origin covers only a sliver of its configuration,
-  and the threshold points are solved only when the grid reaches past
-  the box.  The node count obeys the standard factorial bound, so the
-  degree grows like ``ln(1/eps)`` and every intermediate quantity stays
-  O(1): no catastrophic cancellation, uniformly in n'.
+  and no threshold is solved.  The node count obeys the standard
+  factorial bound, so the degree grows like ``ln(1/eps)`` and every
+  intermediate quantity stays O(1): no catastrophic cancellation,
+  uniformly in n'.
 
   The Bernoulli kernel is built by the same pipeline in its own
   coordinates: at the block's diagonal corner c the Bernoulli KL splits
@@ -36,9 +36,9 @@ Three builders are provided:
 
   three non-negative terms, with the cross factor ``exp(-s t)``,
   ``s = n(p - c)`` and ``t = logit c - logit q`` (signs flipped above
-  the diagonal), interpolated in s over the grid's points inside the
-  threshold box, so no threshold is solved.  One expansion and one
-  recompression per block, as for the rate kernels.
+  the diagonal).  Every kind then takes the same steps: split at the
+  corner, mask the grids with the threshold box, interpolate the cross
+  factor over the points inside (``_cross_factors``), recompress.
 
 * ``build_product`` multiplies two expansions columnwise and
   recompresses the product.  The Bernoulli kernel is the product of the
@@ -56,11 +56,13 @@ threshold box when ``n' rate(p || 1) <= ln(1/eps)`` and a q-point when
 below eps at every pair outside, so a builder may store zeros there.
 ``hmatrix.compress`` runs either builder on the box alone: a low-rank
 piece's box is its block's threshold box (its block's box at rank 0).
-``build_constructive`` also masks its factors with the rule, so that on
-whole-block grids it is zero outside the box.  A family entry is the
-kernel times an exact prefactor, so the absolute error the box adds is
-eps times the largest prefactor on the ridge: at most eps/2 for the
-binomial, eps/e for the Poisson and 0.242 eps for the chi-squared.
+``build_constructive`` also masks its factors with the rule and spans
+its expansion over the points inside, so that on whole-block grids it is
+zero outside the box and equal, bit for bit, to the expansion built from
+the points inside alone.  A family entry is the kernel times an exact
+prefactor, so the absolute error the box adds is eps times the largest
+prefactor on the ridge: at most eps/2 for the binomial, eps/e for the
+Poisson and 0.242 eps for the chi-squared.
 
 ``singular_values`` is the SVD oracle the builders are measured against,
 and ``numerical_rank`` counts its values above a threshold.  It takes the
@@ -82,7 +84,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergence import DivergenceKind, Regime, _bernoulli, solve_thresholds
+# solve_thresholds is unused here; perfbench/tracing.py wraps it by this module's name
+from .divergence import DivergenceKind, Regime, _bernoulli, solve_thresholds  # noqa: F401
 from .partition import Block
 
 __all__ = [
@@ -291,71 +294,47 @@ def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
     """Separated factors of exp(-n' * rate(p, q)) on the unit configuration.
 
     Lower regime: p in [1, 2], q in [0, 1].  Upper regime: p in [0, 1],
-    q in [1, 2].  Returns (alpha, beta) sampled on the given grids; values
+    q in [1, 2].  Returns (alpha, beta) sampled on the given grids, zero
     outside the threshold box (``threshold_masks``' rule: a one-sided
-    exponent above ln(1/eps)) are zeroed, since the kernel is below eps
-    there.  The regime only sets the sign sigma = +1 (lower) or -1 (upper)
-    that keeps s = n' sigma (p - 1) and t = -sigma ln q non-negative.
-
-    The Chebyshev nodes in s sit on the grid's own interval, clipped to
-    the threshold box: s over [max(0, min s), min(max s, s_max)] and t over
-    [0, min(max t, t_max)], with the degree from the width of the first
-    times the top of the second.  ``solve_thresholds`` gives s_max and
-    t_max and is called only when a side's farthest grid point lies
-    outside the box; a grid inside the box, as ``hmatrix.compress``
-    passes, solves nothing, and a grid over the whole unit configuration
-    gets the solver's interval.  An empty grid gets width-0 factors.
+    exponent above ln(1/eps)), since the kernel is below eps there.  The
+    regime only sets the sign sigma = +1 (lower) or -1 (upper) that keeps
+    s = n' sigma (p - 1) and t = -sigma ln q non-negative;
+    ``_cross_factors`` takes the interval from the grid points inside the box.
     """
-    if p_hat.size == 0 or q_hat.size == 0:
-        return np.zeros((p_hat.size, 0)), np.zeros((q_hat.size, 0))
     log_inv_eps = math.log(1.0 / eps)
     sigma = 1.0 if regime is Regime.LOWER else -1.0
     s = n_scaled * (sigma * (p_hat - 1.0))
     with np.errstate(divide="ignore"):
         t = -sigma * np.log(q_hat)
-
     u = _rate_to_one(n_scaled, p_hat)
     v = _rate_from_one(n_scaled, q_hat)
-    mask_p = u <= log_inv_eps
-    mask_q = v <= log_inv_eps
-
-    # the grid's own interval; the solved box clips a side only where its
-    # farthest point (largest one-sided exponent) lies outside the box
-    s_far, t_far = int(np.argmax(s)), int(np.argmax(t))
-    s_lo, s_hi, t_hi = max(0.0, float(np.min(s))), float(s[s_far]), float(t[t_far])
-    if not (mask_p[s_far] and mask_q[t_far]):
-        pair = solve_thresholds(log_inv_eps / n_scaled, regime)
-        if not mask_p[s_far]:
-            s_hi = min(s_hi, n_scaled * (sigma * (pair.p_m - 1.0)))
-        if not mask_q[t_far]:
-            t_hi = min(t_hi, sigma * pair.neg_log_q_m)
-
-    return _cross_factors(s, t, u, v, mask_p, mask_q, (s_lo, s_hi, t_hi), eps)
+    return _cross_factors(s, t, u, v, u <= log_inv_eps, v <= log_inv_eps, eps)
 
 
 def _cross_factors(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
-                   mask_p: np.ndarray, mask_q: np.ndarray, box: tuple[float, float, float],
-                   eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of exp(-u) exp(-s t) exp(-v), zero outside the masks.
+                   mask_p: np.ndarray, mask_q: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of exp(-u) exp(-s t) exp(-v) on the threshold box, zero outside the masks.
 
     The cross factor ``exp(-s t)`` is interpolated in s at Chebyshev nodes
-    over ``box = (s_lo, s_hi, t_hi)``, s in [s_lo, s_hi] and t in
-    [0, t_hi], with the degree ``_cross_degree`` gives their product.
-    alpha holds the p-side, the Lagrange basis at s times ``exp(-u)``;
-    beta the q-side, ``exp(-t * node - v)`` per node.
+    over the points inside the box: s in [max(0, min s), max s] over
+    ``mask_p`` and t in [0, max t] over ``mask_q``, with the degree
+    ``_cross_degree`` gives the s-width times the t-top.  So the expansion
+    depends only on the grid points inside the box, and no threshold is
+    solved.  alpha holds the p-side, the Lagrange basis at s times
+    ``exp(-u)``; beta the q-side, ``exp(-t * node - v)`` per node.  A side
+    with no point inside gives width-0 factors.
     """
-    s_lo, s_hi, t_hi = box
-    degree = _cross_degree((s_hi - s_lo) * t_hi, eps)
+    if not (np.any(mask_p) and np.any(mask_q)):
+        return np.zeros((s.size, 0)), np.zeros((t.size, 0))
+    s_in, t_in = s[mask_p], t[mask_q]
+    s_lo, s_hi = max(0.0, float(np.min(s_in))), float(np.max(s_in))
+    degree = _cross_degree((s_hi - s_lo) * float(np.max(t_in)), eps)
     unit_nodes, weights = _cheb_nodes_weights(degree)
     nodes = s_lo + 0.5 * (s_hi - s_lo) * unit_nodes
     alpha = np.zeros((s.size, nodes.size))
-    if np.any(mask_p):
-        alpha[mask_p, :] = (_lagrange_matrix(s[mask_p], nodes, weights)
-                            * np.exp(-u[mask_p])[:, None])
-
+    alpha[mask_p, :] = _lagrange_matrix(s_in, nodes, weights) * np.exp(-u[mask_p])[:, None]
     beta = np.zeros((t.size, nodes.size))
-    if np.any(mask_q):
-        beta[mask_q, :] = np.exp(-np.outer(t[mask_q], nodes) - v[mask_q, None])
+    beta[mask_q, :] = np.exp(-np.outer(t_in, nodes) - v[mask_q, None])
     return alpha, beta
 
 
@@ -375,19 +354,14 @@ def _unit_bernoulli_factors(p_interval: tuple[float, float], q_interval: tuple[f
     cross term is s t with ``s = sigma n (p - c)`` and
     ``t = sigma (log1p((c - q)/q) + log1p((c - q)/(1 - c)))``, both
     non-negative, and the one-sided terms ``n KL(p||c)`` and ``n KL(c||q)``
-    are evaluated in the bd0 form.  The factors are zero outside the
-    block's threshold box (``threshold_masks``, the box ``hmatrix.compress``
-    stores), and the nodes span the s and t of the grid points inside it:
-    no threshold is solved.  A grid with no point inside on a side gets
-    width-0 factors.
+    are evaluated in the bd0 form.  The masks are the block's threshold
+    box (``threshold_masks``, the box ``hmatrix.compress`` stores).
     """
     regime, corner = _unit_configuration(p_interval, q_interval)
     intervals = tuple(np.array([x]) for x in (*p_interval, *q_interval))
     mask_p, mask_q = threshold_masks(DivergenceKind.BERNOULLI, n, eps, intervals,
                                      p, np.zeros(p.size, dtype=np.intp),
                                      q, np.zeros(q.size, dtype=np.intp))
-    if not (np.any(mask_p) and np.any(mask_q)):
-        return np.zeros((p.size, 0)), np.zeros((q.size, 0))
     sigma = 1.0 if regime is Regime.LOWER else -1.0
     s = n * (sigma * (p - corner))
     u = n * _bernoulli(p, corner)
@@ -396,9 +370,7 @@ def _unit_bernoulli_factors(p_interval: tuple[float, float], q_interval: tuple[f
         # both are infinite or undefined only at q = 0 and q = 1, outside the box
         v = n * _bernoulli(corner, q)
         t = sigma * (np.log1p(d / q) + np.log1p(d / (1.0 - corner)))
-    s_in, t_in = s[mask_p], t[mask_q]
-    box = (max(0.0, float(np.min(s_in))), float(np.max(s_in)), float(np.max(t_in)))
-    return _cross_factors(s, t, u, v, mask_p, mask_q, box, eps)
+    return _cross_factors(s, t, u, v, mask_p, mask_q, eps)
 
 
 def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
@@ -445,18 +417,19 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     configuration (``_rate_coordinates``, then division by the corner of
     ``_unit_configuration``) a rate-p point is inside when
     ``n' rate(p || 1) <= ln(1/eps)`` and a rate-q point when
-    ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: these are
-    the left-hand sides of ``solve_thresholds``' equations, and the same
-    exponents ``_unit_rate_factors`` masks its factors with, bit for bit.
-    Since ``n' rate(p || q)`` is at least each of them, the kernel
-    ``exp(-n * divergence)`` is below eps at every pair outside the box.
-    The Bernoulli kernel is the product of the rate kernel and its
+    ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: the
+    left-hand sides of ``divergence.solve_thresholds``' equations, which
+    ``_unit_rate_factors`` compares with ln(1/eps) in the same way, bit
+    for bit.  Since ``n' rate(p || q)`` is at least each of them, the
+    kernel ``exp(-n * divergence)`` is below eps at every pair outside the
+    box.  The Bernoulli kernel is the product of the rate kernel and its
     reflection; its box is the intersection of theirs, and
-    ``_unit_bernoulli_factors`` masks its factors with this function.
-    Returns boolean masks over ``p_grid`` and ``q_grid``;
-    ``hmatrix.compress`` stores a low-rank piece on its block's threshold
-    box (its block's box at rank 0), from the first through the last point
-    inside on each axis.
+    ``_unit_bernoulli_factors`` takes its masks from this function.  The
+    constructive builder interpolates over the points the masks keep
+    (``_cross_factors``).  Returns boolean masks over ``p_grid`` and
+    ``q_grid``; ``hmatrix.compress`` stores a low-rank piece on its
+    block's threshold box (its block's box at rank 0), from the first
+    through the last point inside on each axis.
     """
     if kind is DivergenceKind.BERNOULLI:
         parts = [threshold_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
@@ -486,7 +459,8 @@ def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
     cross factor between a p- and a q-factor and one recompression: the
     rate kinds in the rate kernel's unit configuration
     (``_unit_rate_factors``), the Bernoulli KL split at the block's
-    diagonal corner (``_unit_bernoulli_factors``).
+    diagonal corner (``_unit_bernoulli_factors``), each over the grid
+    points inside the block's threshold box (``_cross_factors``).
 
     The factors are sampled on uniform grids over the block unless
     explicit grids (e.g. a family's native discretization) are passed.

@@ -290,6 +290,24 @@ def test_kernel_map_chisq():
     assert km.prefactor_axis == "col"
 
 
+@pytest.mark.parametrize("spec", [
+    PoissonFamily(k_max=48, lambda_max=48.0, lambda_grid=48),
+    PoissonFamily(k_max=7, lambda_max=1.0 / 3.0, lambda_grid=1000),
+    PoissonFamily(k_max=1000, lambda_max=7.77, lambda_grid=4097),
+    ChiSquaredFamily(x_max=48.0, x_grid=48, k_max=48),
+    ChiSquaredFamily(x_max=0.3, x_grid=127, k_max=3),
+    ChiSquaredFamily(x_max=4321.5, x_grid=1023, k_max=255),
+])
+def test_coordinate_bounds_are_the_grids(spec):
+    # the largest coordinates bit for bit, the step within rounding of the grids' least
+    km = kernel_map(spec)
+    p_max, q_max, step = spec.coordinate_bounds()
+    assert (p_max, q_max) == (km.p_of_row[-1], km.q_of_col[-1])
+    assert (p_max, q_max) == (np.max(km.p_of_row), np.max(km.q_of_col))
+    least = min(np.min(np.diff(km.p_of_row)), np.min(np.diff(km.q_of_col)))
+    assert step == pytest.approx(least, rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [5, 64, 1448, 2**14])
 def test_exact_prefactor_is_the_distribution_on_the_ridge(n):
     # exp(exact prefactor) is the entry where the divergence is zero:

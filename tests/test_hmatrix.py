@@ -583,24 +583,50 @@ def test_container_checks_sizes_before_forming_grids(tmp_path):
     assert peak < 2**20
 
 
-def test_container_without_pieces_forms_no_grids(tmp_path):
-    # a 2^24-row Poisson header naming no piece: every size check passes,
-    # and the l_max bound would form the family's coordinate grids (hundreds of MiB)
+def _huge_poisson_container(path, dense: np.ndarray) -> None:
+    """A 2^24-row Poisson container holding ``dense``'s records, each a 1 x 1 piece."""
     n = 2**24
     spec = PoissonFamily(k_max=n - 1, lambda_max=float(n), lambda_grid=n)
     meta = container._meta_bytes(spec, 1e-6, Builder.CONSTRUCTIVE,
                                  build_scheme(QuarterPlane(extent=float(n), l_max=0)))
-    path = tmp_path / "empty.hlrd"
     path.write_bytes(b"HLRD1" + struct.pack("<I", len(meta)) + meta
-                     + struct.pack("<IIII", n, n, 0, 0))
+                     + struct.pack("<IIII", n, n, 0, dense.size) + dense.tobytes()
+                     + np.ones(dense.size).tobytes())
+
+
+def _load_peak(path) -> tuple[object, int]:
+    """(the loaded matrix, or the ValueError raised, and the tracemalloc peak in bytes)."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="no dense piece"):
-            load_hmatrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        try:
+            got = load_hmatrix(path)
+        except ValueError as exc:
+            got = exc
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_container_without_pieces_forms_no_grids(tmp_path):
+    # a 2^24-row Poisson header naming no piece: every size check passes,
+    # and the family's coordinate grids would take hundreds of MiB
+    path = tmp_path / "empty.hlrd"
+    _huge_poisson_container(path, np.zeros(0, dtype=DENSE_RECORD))
+    got, peak = _load_peak(path)
+    assert isinstance(got, ValueError) and "no dense piece" in str(got)
     assert peak < 2**20
+
+
+def test_container_l_max_bound_forms_no_grids(tmp_path):
+    # one 1 x 1 row strip passes every check up to the l_max bound, which
+    # reads the family's parameters, not its 2^24-point grids (384 MiB)
+    strip = np.zeros(1, dtype=DENSE_RECORD)
+    strip["tag"], strip["row_hi"], strip["col_hi"] = DENSE_TAGS.index("rows"), 1, 1
+    path = tmp_path / "strip.hlrd"
+    _huge_poisson_container(path, strip)
+    got, peak = _load_peak(path)
+    assert peak < 2**20
+    assert not isinstance(got, ValueError) and got.stored_entries == 1
 
 
 @pytest.mark.parametrize("leaf", [0, -4])

@@ -290,9 +290,20 @@ def test_constructive_matches_family_scaling():
     assert np.max(np.abs(ap.reconstruct() - exact)) <= 10.0 * eps
 
 
+def _solved_box_degree(regime, n_scaled, eps):
+    """Interpolation degree on the whole threshold box [0, s_max] x [0, t_max], as solved."""
+    pair = solve_thresholds(math.log(1.0 / eps) / n_scaled, regime)
+    sigma = 1.0 if regime is Regime.LOWER else -1.0
+    s_max, t_max = n_scaled * (sigma * (pair.p_m - 1.0)), sigma * pair.neg_log_q_m
+    return separated._cross_degree(s_max * t_max, eps)
+
+
 def test_constructive_degree_grows_like_log_accuracy():
     # raw factor width (interpolation nodes) of the builder itself, before
-    # recompression: non-decreasing, at most 3 ln(1/eps), and linear in ln(1/eps)
+    # recompression: non-decreasing, at most 3 ln(1/eps) and at most the
+    # solved box's degree + 1; that degree, the paper's bound, is linear in
+    # ln(1/eps) (the builder's widths follow the grid's points inside the
+    # box, which move one grid point at a time)
     eps_list = [10.0 ** -t for t in range(3, 13)]
     logs = np.array([math.log(1.0 / e) for e in eps_list])
     grids = {Regime.LOWER: (np.linspace(1.0, 2.0, 17), np.linspace(0.0, 1.0, 17)),
@@ -302,12 +313,15 @@ def test_constructive_degree_grows_like_log_accuracy():
         for n_scaled in (1.0, 32.0, 1024.0, 2.0 ** 14):
             widths = np.array([separated._unit_rate_factors(regime, n_scaled, e, pg, qg)[0].shape[1]
                                for e in eps_list], dtype=float)
+            solved = np.array([_solved_box_degree(regime, n_scaled, e) for e in eps_list],
+                              dtype=float)
             assert np.all(np.diff(widths) >= 0), (regime, n_scaled, widths)
             assert np.all(widths <= 3.0 * logs), (regime, n_scaled, widths)
+            assert np.all(widths <= solved + 1), (regime, n_scaled, widths, solved)
             A = np.vstack([logs, np.ones_like(logs)]).T
-            _, res, *_ = np.linalg.lstsq(A, widths, rcond=None)
-            r2 = 1.0 - res[0] / np.sum((widths - widths.mean()) ** 2)
-            assert r2 >= 0.95, (regime, n_scaled, widths, r2)
+            _, res, *_ = np.linalg.lstsq(A, solved, rcond=None)
+            r2 = 1.0 - res[0] / np.sum((solved - solved.mean()) ** 2)
+            assert r2 >= 0.95, (regime, n_scaled, solved, r2)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -364,19 +378,48 @@ def test_unit_rate_factors_accurate_on_narrow_grids(regime, n_scaled, eps):
         assert np.max(err, initial=0.0) <= eps / 2, (span, p_start, np.max(err) / eps)
 
 
+def _check_box_invariance(build, p, q, p_in, q_in):
+    """Factors on the whole grids: zero outside the box, bit for bit those of the points inside."""
+    alpha, beta = build(p, q)
+    alpha_in, beta_in = build(p[p_in], q[q_in])
+    assert np.array_equal(alpha[p_in], alpha_in) and np.array_equal(beta[q_in], beta_in)
+    assert not alpha[~p_in].any() and not beta[~q_in].any()
+    return alpha.shape[1]
+
+
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("n_scaled", [0.5, 32.0, 1024.0, 2.0 ** 14])
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
 def test_grid_past_the_box_gets_the_solvers_interval(regime, n_scaled, eps):
     # a grid over the whole unit configuration reaches past the threshold box
-    # (at q = 0 at least), and is clipped to the solver's interval [0, s_max]
-    # x [0, t_max]: its raw width is the degree of that whole box
-    pair = solve_thresholds(math.log(1.0 / eps) / n_scaled, regime)
-    sigma = 1.0 if regime is Regime.LOWER else -1.0
-    s_max, t_max = n_scaled * (sigma * (pair.p_m - 1.0)), sigma * pair.neg_log_q_m
-    p_hat, q_hat = _unit_grids(regime, 1.0, 2001)
-    alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
-    assert alpha.shape[1] == beta.shape[1] == separated._cross_degree(s_max * t_max, eps) + 1
+    # (at q = 0 in the lower regime); its expansion is the one its points
+    # inside the box give alone, so the interval it interpolates over is the
+    # solver's [0, s_max] x [0, t_max] traced on the grid, and its raw width
+    # is at most that box's degree + 1
+    log_inv_eps = math.log(1.0 / eps)
+    p_hat, q_hat = _unit_grids(regime, 1.0, 513)
+    p_in = separated._rate_to_one(n_scaled, p_hat) <= log_inv_eps
+    q_in = separated._rate_from_one(n_scaled, q_hat) <= log_inv_eps
+    width = _check_box_invariance(
+        lambda p, q: separated._unit_rate_factors(regime, n_scaled, eps, p, q),
+        p_hat, q_hat, p_in, q_in)
+    assert width <= _solved_box_degree(regime, n_scaled, eps) + 1
+
+
+@pytest.mark.parametrize("blk", [Block(1, 0), Block(1, 1), Block(3, 4), Block(3, 5),
+                                 Block(8, 100), Block(8, 101)])
+def test_bernoulli_expansion_depends_only_on_points_in_the_box(blk):
+    pg = np.linspace(*blk.p_interval, 257)
+    qg = np.linspace(*blk.q_interval, 257)
+    intervals = tuple(np.array([x]) for x in (*blk.p_interval, *blk.q_interval))
+    at = np.zeros(pg.size, dtype=np.intp)
+    for n, eps in itertools.product([8.0, 2.0 ** 10, 2.0 ** 14, 2.0 ** 20],
+                                    [1e-3, 1e-6, 1e-9, 1e-12]):
+        p_in, q_in = separated.threshold_masks(K.BERNOULLI, n, eps, intervals, pg, at, qg, at)
+        _check_box_invariance(
+            lambda p, q: separated._unit_bernoulli_factors(blk.p_interval, blk.q_interval,
+                                                           n, eps, p, q),
+            pg, qg, p_in, q_in)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -405,8 +448,8 @@ def test_constructive_on_empty_grids_is_rank_zero():
 @pytest.mark.parametrize("n", [2 ** 8, 2 ** 11])
 @pytest.mark.parametrize("family", ["binomial", "poisson", "chisq"])
 def test_compress_solves_no_thresholds(monkeypatch, family, n):
-    # compress hands each builder its threshold box, whose farthest points
-    # lie inside it, so no threshold point is ever solved
+    # the constructive builder interpolates over the grid points inside the
+    # threshold box, so neither a whole-block grid nor compress solves one
     calls = []
     solve = separated.solve_thresholds
 
@@ -416,8 +459,6 @@ def test_compress_solves_no_thresholds(monkeypatch, family, n):
 
     monkeypatch.setattr(separated, "solve_thresholds", spy)
     build_constructive(Block(0, 1), K.RATE, 32.0, 1e-6, grid_size=17)
-    assert len(calls) == 1   # the spy sees a whole-block grid's solve
-    calls.clear()
     for eps in (1e-3, 1e-6, 1e-9, 1e-12):
         compress(FAMILY_SPECS[family](n), eps, builder=Builder.CONSTRUCTIVE)
     assert calls == []
