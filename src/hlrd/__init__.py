@@ -31,6 +31,7 @@ from .separated import (
     BuilderError,
     RankConvention,
     SeparatedApprox,
+    aca_blocks,
     aca_build,
     build_constructive,
     build_product,

@@ -38,9 +38,10 @@ from .families import (
     block_oracle,
     dense_matrix,
 )
-from .hmatrix import Builder, compress, index_layout, matvec, storage_report, verify
+from .hmatrix import Builder, aca_by_level, compress, index_layout, matvec, storage_report, verify
 from .partition import QuarterPlane, UnitSquare, build_scheme, verify_tiling
-from .separated import (
+# aca_build is unused here; perfbench/tracing.py wraps it by this module's name
+from .separated import (  # noqa: F401
     BuilderError,
     RankConvention,
     aca_build,
@@ -123,17 +124,15 @@ def _family_params(spec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def _blocks(spec, leaf: int):
-    """Yield ``(region, box, block, separated.singular_values(block))`` per off-diagonal block.
+def _singular_values(spec, block_ranges: list):
+    """Yield ``separated.singular_values`` of each off-diagonal block, in ``index_layout`` order.
 
     Each block is formed on its own open index grid by ``families.block_oracle``,
     one at a time, so the largest block, not the whole matrix, sets the peak memory.
     """
-    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=leaf)
-    for region, (r0, r1, c0, c1) in block_ranges:
-        block = block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
-                                                   np.arange(c1 - c0)[None, :])
-        yield region, (r0, r1, c0, c1), block, singular_values(block)
+    for _, (r0, r1, c0, c1) in block_ranges:
+        yield singular_values(block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
+                                                                 np.arange(c1 - c0)[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +144,15 @@ def _cmd_rank_map(args) -> int:
     eps = args.eps
     convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
                   else RankConvention.ABSOLUTE)
+    _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
+    # ACA on each whole block, the blocks of a level in lockstep
+    aca = aca_by_level(spec, kmap, [level for (level, _), _ in block_ranges],
+                       [box for _, box in block_ranges], eps)
     rows = []
-    for (level, index), (r0, r1, c0, c1), block, s in _blocks(spec, args.leaf):
-        svd_rank = rank_from_singular_values(s, eps, convention)
-        # ACA reads the entries of the block already formed
-        aca_rank = aca_build(lambda i, j: block[i, j], r1 - r0, c1 - c0, eps).rank
-        rows.append([level, index, r0, r1, c0, c1, svd_rank, aca_rank])
+    for ((level, index), box), s, approx in zip(block_ranges,
+                                                _singular_values(spec, block_ranges), aca):
+        rows.append([level, index, *box, rank_from_singular_values(s, eps, convention),
+                     approx.rank])
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
     _write_csv(out, ["level", "index", "row_lo", "row_hi", "col_lo", "col_hi",
@@ -170,7 +172,8 @@ def _cmd_eps_sweep(args) -> int:
                   else RankConvention.ABSOLUTE)
     eps_list = np.array(sorted(args.eps))
     max_rank = np.zeros(eps_list.size, dtype=int)
-    for _, _, _, s in _blocks(spec, args.leaf):
+    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
+    for s in _singular_values(spec, block_ranges):
         np.maximum(max_rank, rank_from_singular_values(s, eps_list, convention), out=max_rank)
     rows = [[float(eps), int(rank)] for eps, rank in zip(eps_list, max_rank)]
     out = Path(args.out)

@@ -367,11 +367,6 @@ def entry_exact(spec: FamilySpec, row, col):
     return float(out) if scalar else out
 
 
-# A box this small is formed whole: each of ACA's requests costs some ten numpy
-# calls, and in the benchmark's 2^11 ACA builds 71% of them go to such boxes.
-_FORMED_AREA = 4096
-
-
 def block_oracle(spec: FamilySpec, r0: int, r1: int, c0: int, c1: int) -> Callable:
     """Exact entries of the block rows [r0, r1) x cols [c0, c1), by block-local index.
 
@@ -389,13 +384,8 @@ def block_oracle(spec: FamilySpec, r0: int, r1: int, c0: int, c1: int) -> Callab
                          f"outside the family of shape {spec.shape}")
     kmap = kernel_map(spec)
     if any(r0 <= i < r1 for i in kmap.singular_rows) or any(c0 <= j < c1 for j in kmap.singular_cols):
-        oracle = lambda i, j: entry_exact(spec, i + r0, j + c0)
-    else:
-        oracle = spec._formula(r0, r1, c0, c1)
-    if (r1 - r0) * (c1 - c0) > _FORMED_AREA:
-        return oracle
-    block = oracle(np.arange(r1 - r0)[:, None], np.arange(c1 - c0)[None, :])
-    return lambda i, j: block[i, j]
+        return lambda i, j: entry_exact(spec, i + r0, j + c0)
+    return spec._formula(r0, r1, c0, c1)
 
 
 def dense_matrix(spec: FamilySpec) -> np.ndarray:

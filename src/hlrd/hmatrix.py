@@ -4,7 +4,8 @@
 coordinate space, builds the staircase partition there, and stores
 
 * every off-diagonal block as a separated approximation (built by ACA
-  against the block's exact-entry oracle ``families.block_oracle``, or by the
+  against the exact-entry oracle ``families.block_oracle``, all the blocks
+  of a level in one lockstep ``separated.aca_blocks`` call, or by the
   constructive divergence pipeline with the exact row/column prefactor of
   ``families.kernel_map`` folded into the factors) that is zero outside
   the block's threshold box,
@@ -66,9 +67,10 @@ from .divergence import DivergenceKind
 from .families import FamilySpec, KernelMap, block_oracle, entry_exact, kernel_map
 from .partition import (Block, PartitionScheme, QuarterPlane, UnitSquare, block_intervals,
                         build_scheme)
-# build_product is unused here; perfbench/tracing.py wraps both builders by this module's names
-from .separated import (BuilderError, SeparatedApprox, aca_build, build_constructive,
-                        build_product, threshold_masks)  # noqa: F401
+# aca_build and build_product are unused here; perfbench/tracing.py wraps them by this
+# module's names
+from .separated import (BuilderError, SeparatedApprox, aca_blocks, aca_build,
+                        build_constructive, build_product, threshold_masks)  # noqa: F401
 
 __all__ = [
     "Builder",
@@ -79,6 +81,7 @@ __all__ = [
     "StackedLayout",
     "StorageReport",
     "VerifyReport",
+    "aca_by_level",
     "compress",
     "index_layout",
     "matvec",
@@ -418,18 +421,26 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
 # compression
 # ---------------------------------------------------------------------------
 
-def _constructive_block(spec: FamilySpec, kmap: KernelMap, blk: Block,
+def _constructive_block(spec: FamilySpec, kmap: KernelMap, region: tuple[int, int],
                         rng: tuple[int, int, int, int], eps: float) -> SeparatedApprox:
     """The constructive expansion of the family's kernel on the box ``rng`` of a block.
 
     One ``build_constructive`` call on the box's kernel coordinates for
     every family (the binomial's Bernoulli KL included), with the exact
-    prefactor folded into the factor on its axis.
+    prefactor folded into the factor on its axis.  A ``BuilderError`` names
+    the block.
     """
     r0, r1, c0, c1 = rng
     p_vals = kmap.p_of_row[r0:r1]
     q_vals = kmap.q_of_col[c0:c1]
-    approx = build_constructive(blk, kmap.kind, kmap.n_eff, eps, p_grid=p_vals, q_grid=q_vals)
+    try:
+        approx = build_constructive(Block(*region), kmap.kind, kmap.n_eff, eps,
+                                    p_grid=p_vals, q_grid=q_vals)
+    except BuilderError as exc:
+        level, index = region
+        raise BuilderError(
+            f"builder failed on block level={level} index={index} "
+            f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
     # fold the exact prefactor into the matching factor
     if kmap.prefactor_axis == "row":
         scale = np.exp(kmap.exact_log_prefactor[r0:r1])
@@ -440,19 +451,29 @@ def _constructive_block(spec: FamilySpec, kmap: KernelMap, blk: Block,
     return approx
 
 
-def _compress_block(spec: FamilySpec, kmap: KernelMap, builder: Builder,
-                    region: tuple[int, int], rng: tuple[int, int, int, int],
-                    eps: float) -> SeparatedApprox:
-    r0, r1, c0, c1 = rng
-    try:
-        if builder is Builder.ACA:
-            return aca_build(block_oracle(spec, *rng), r1 - r0, c1 - c0, eps)
-        return _constructive_block(spec, kmap, Block(*region), rng, eps)
-    except BuilderError as exc:
-        level, index = region
-        raise BuilderError(
-            f"builder failed on block level={level} index={index} "
-            f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
+def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
+                 eps: float) -> list:
+    """ACA factors of the blocks on their boxes, one lockstep ``aca_blocks`` call per level.
+
+    ``levels`` and ``boxes`` name each block's level and its box in matrix
+    indices (None: nothing to build, and None comes back).  Every box lies
+    in the interior, the matrix without its singular rows and columns, and
+    the oracle is ``families.block_oracle`` over the interior: the family's
+    entry formula, bit for bit ``entry_exact``.
+    """
+    r0, r1 = _interior(kmap.singular_rows, spec.shape[0])
+    c0, c1 = _interior(kmap.singular_cols, spec.shape[1])
+    oracle = block_oracle(spec, r0, r1, c0, c1)
+    by_level: dict = {}
+    for k, (level, box) in enumerate(zip(levels, boxes)):
+        if box is not None:
+            by_level.setdefault(level, []).append(k)
+    out = [None] * len(boxes)
+    for at in by_level.values():
+        local = np.array([boxes[k] for k in at], dtype=np.intp) - [r0, r0, c0, c0]
+        for k, approx in zip(at, aca_blocks(oracle, local, eps)):
+            out[k] = approx
+    return out
 
 
 def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
@@ -500,9 +521,10 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     stored exactly.  With eps >= 1 everything is stored dense (the exact
     matrix, zero reconstruction error).
 
-    Every block is built in one pass on its threshold box (a block whose
-    box is empty gets rank 0 on its whole box and builds nothing), and
-    the matrix is assembled as ``container.load_hmatrix`` assembles it:
+    Every block is built on its threshold box, by ACA a level at a time
+    (``aca_by_level``) or by the constructive builder a block at a time; a
+    block whose box is empty gets rank 0 on its whole box and builds
+    nothing.  The matrix is assembled as ``container.load_hmatrix`` assembles it:
     one ``stack_pieces`` over both tables, then each piece's factors
     copied into its slots and dropped, and the dense values computed
     straight into theirs.
@@ -518,15 +540,16 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     if eps >= 1.0:
         diagonal = block_ranges + cell_ranges
     elif block_ranges:
-        for (region, block_box), box in zip(block_ranges,
-                                            _threshold_boxes(kmap, block_ranges, eps)):
-            if box is None:   # rank 0 on the whole block, nothing built
-                pieces.append((*region, 0, *block_box))
-                factors.append(None)
-            else:
-                approx = _compress_block(spec, kmap, builder, region, box, eps)
-                pieces.append((*region, approx.alpha.shape[1], *box))
-                factors.append(approx)
+        boxes = _threshold_boxes(kmap, block_ranges, eps)
+        if builder is Builder.ACA:
+            factors = aca_by_level(spec, kmap, [region[0] for region, _ in block_ranges], boxes, eps)
+        else:
+            factors = [None if box is None else _constructive_block(spec, kmap, region, box, eps)
+                       for (region, _), box in zip(block_ranges, boxes)]
+        for (region, block_box), box, approx in zip(block_ranges, boxes, factors):
+            # an empty box: rank 0 on the whole block, nothing built
+            pieces.append((*region, 0, *block_box) if approx is None
+                          else (*region, approx.alpha.shape[1], *box))
     lowrank = np.array(pieces, dtype=LOWRANK_RECORD)
     records = ([("diagonal", *region, *box) for region, box in diagonal]
                + [(tag, 0, 0, *box) for tag, box in strips])

@@ -46,8 +46,9 @@ Three builders are provided:
   is the paper's construction of its blocks; ``build_constructive``
   does not take that route.
 
-* ``aca_build`` is adaptive cross approximation with partial pivoting,
-  the practical route that needs only an entry oracle.
+* ``aca_blocks`` is adaptive cross approximation with partial pivoting,
+  the practical route that needs only an entry oracle, run on a group of
+  blocks in lockstep; ``aca_build`` is the same loop on one block.
 
 ``threshold_masks`` is the support rule both builders share.  In the
 unit configuration, with ``n' = n * corner``, a p-point lies in the
@@ -92,6 +93,7 @@ __all__ = [
     "BuilderError",
     "RankConvention",
     "SeparatedApprox",
+    "aca_blocks",
     "aca_build",
     "build_constructive",
     "build_product",
@@ -516,107 +518,199 @@ def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> Separat
 # ---------------------------------------------------------------------------
 
 _ACA_PANEL_WIDTH = 16
+# entries of one window of a degenerate-row walk (8 MiB): a whole 2^14 block
+# opens with thousands of rows that underflow to zero
+_ACA_WALK_ENTRIES = 2 ** 20
+
+
+def _sum_crosses(coef: np.ndarray, panel: np.ndarray) -> np.ndarray:
+    """``sum_c coef[:, c, None] * panel[:, c]`` for each block, the crosses added in order.
+
+    numpy sums along an axis that is not the fastest in memory one element
+    at a time, in index order, so the zero crosses past a block's own count
+    change no bit: a block's residuals are the same in every group.
+    """
+    return (coef[:, :, None] * panel).sum(axis=1)
+
+
+def aca_blocks(entry_oracle: Callable, boxes, eps: float) -> list[SeparatedApprox]:
+    """Adaptive cross approximation with partial pivoting, on a group of blocks in lockstep.
+
+    ``boxes`` is a ``(g, 4)`` array of ``(row_lo, row_hi, col_lo, col_hi)``,
+    one box per block.  ``entry_oracle(i, j)`` takes integer indices that
+    broadcast against each other and lie inside one box, and returns the
+    entries at the broadcast index pairs, in the broadcast shape.  Each
+    step asks it once for the pivot rows of the blocks still running, as
+    the ``(g, 1) x (g, cols)`` index grid, and once for their pivot
+    columns, as ``(g, rows) x (g, 1)``, where rows and cols are the
+    group's largest box extents: a block's indices past its own extent
+    repeat its last row or column and the entries read there are dropped,
+    so no index leaves its box.  The dense fallback asks for its block's
+    open grid.  ``families.block_oracle`` over a box that holds all the
+    boxes is such an oracle.
+
+    Every block follows the rule of partial-pivoting ACA (Bebendorf, 2000)
+    on its own, and its factors do not depend on the group it runs in.
+    Its k crosses so far are the first k rows of two zero-padded factor
+    panels, U (width x rows) and V (width x cols); the width starts at 16
+    and doubles when a block fills it, up to the group's largest
+    min(rows, cols).  The residual of the pivot row is its oracle row
+    minus ``U[:k, pivot_row] @ V[:k]``, the residual of the pivot column
+    its oracle column minus ``V[:k, pivot_col] @ U[:k]``, and the squared
+    Frobenius norm of the approximation grows by
+    ``|u|^2 |v|^2 + 2 (U[:k] @ u) @ (V[:k] @ v)``; one batched product
+    gives each of them for the whole group.  The pivot column is the
+    largest residual entry in the unused columns, and the next pivot row
+    the largest entry of the new cross's column in the unused rows.  A
+    pivot row whose residual is at most 1e-300 in every unused column adds
+    no cross, and its block moves on to its first unused row.  A block
+    with no cross yet walks such rows in windows of 2, 4, 8, ... rows (of
+    at most 2^20 entries in all), all such blocks in one
+    ``(g, h, 1) x (g, 1, cols)`` request per window: the same walk in a
+    few requests, since without a cross a row's residual is its oracle row.
+
+    A block ends, without keeping it, at the first cross past its first
+    whose norm is at most eps times the running Frobenius-norm estimate,
+    or when no unused row is left.  A block that reaches min(rows, cols)
+    crosses without ending is formed densely and truncated by SVD instead.
+    Ended blocks leave the group.  Returns one ``SeparatedApprox`` per box,
+    in order, with C-contiguous factors.
+    """
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    boxes = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
+    rows, cols = boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2]
+    if np.any(rows < 1) or np.any(cols < 1):
+        raise ValueError("every box needs rows and cols >= 1")
+    out: list = [None] * len(boxes)
+    if not out:
+        return out
+    n_rows, n_cols = int(rows.max()), int(cols.max())
+    row_at = boxes[:, :1] + np.minimum(np.arange(n_rows), rows[:, None] - 1)
+    col_at = boxes[:, 2:3] + np.minimum(np.arange(n_cols), cols[:, None] - 1)
+    row_pad = np.arange(n_rows) >= rows[:, None]
+    col_pad = np.arange(n_cols) >= cols[:, None]
+    used_rows, used_cols = row_pad.copy(), col_pad.copy()   # padding is never a pivot
+    limit = np.minimum(rows, cols)
+    width = min(_ACA_PANEL_WIDTH, int(limit.max()))
+    # cross c of a block is row c of its panels, zero past its count
+    u_panel = np.zeros((len(boxes), width, n_rows))
+    v_panel = np.zeros((len(boxes), width, n_cols))
+    block = np.arange(len(boxes))
+    k = np.zeros(len(boxes), dtype=np.intp)
+    norm2 = np.zeros(len(boxes))
+    pivot_row = np.zeros(len(boxes), dtype=np.intp)
+    to_dense = np.zeros(len(boxes), dtype=bool)
+    tol2 = eps * eps
+
+    while block.size:
+        at = np.arange(block.size)
+        top = int(k.max())
+        r = np.asarray(entry_oracle(row_at[at, pivot_row][:, None], col_at), dtype=np.float64)
+        if top:
+            r = r - _sum_crosses(u_panel[at, :top, pivot_row], v_panel[:, :top])
+        r = np.where(col_pad, 0.0, r)
+        r_abs = np.where(used_cols, -1.0, np.abs(r))
+        pivot_col = r_abs.argmax(axis=1)
+        used_rows[at, pivot_row] = True
+        done = np.zeros(block.size, dtype=bool)
+        live = r_abs[at, pivot_col] > 1e-300
+        on = at
+        if not live.all():
+            # degenerate rows: the residual vanishes there; try the first unused row
+            idle, on = np.flatnonzero(~live), np.flatnonzero(live)
+            unused = ~used_rows[idle]
+            nxt = np.where(unused.any(axis=1), unused.argmax(axis=1), n_rows)
+            fresh, height = np.flatnonzero(k[idle] == 0), 1
+            while fresh.size:
+                # with no cross yet, a row's residual is its oracle row and the rows from the
+                # first unused one on are all unused: walk them in windows of doubling
+                # height, one request for all such blocks per window
+                height = max(1, min(2 * height, _ACA_WALK_ENTRIES // (fresh.size * n_cols)))
+                b = idle[fresh]
+                ahead = nxt[fresh, None] + np.arange(height)
+                window = row_at[b[:, None], np.minimum(ahead, rows[b, None] - 1)]
+                vals = np.abs(entry_oracle(window[:, :, None], col_at[b, None, :]))
+                hit = (ahead < rows[b, None]) & np.any((vals > 1e-300) & ~col_pad[b, None], axis=2)
+                found = hit.any(axis=1)
+                nxt[fresh] = np.where(found, ahead[np.arange(b.size), hit.argmax(axis=1)],
+                                      ahead[:, -1] + 1)
+                fresh = fresh[~found & (nxt[fresh] < rows[b])]
+            # the rows walked are used; every row before the first unused one already was
+            used_rows[idle] |= np.arange(n_rows) < nxt[:, None]
+            pivot_row[idle] = nxt
+            done[idle] = nxt >= rows[idle]
+
+        if on.size:
+            us, vs = (u_panel, v_panel) if on is at else (u_panel[on], v_panel[on])
+            sub = np.arange(on.size)
+            j = pivot_col[on]
+            v = r[on]
+            v /= v[sub, j][:, None]
+            u = np.asarray(entry_oracle(row_at[on], col_at[on, j][:, None]), dtype=np.float64)
+            if top:
+                u = u - _sum_crosses(vs[sub, :top, j], us[:, :top])
+            u = np.where(row_pad[on], 0.0, u)
+            cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v)
+            norm2_new = norm2[on] + cross2
+            if top:
+                norm2_new += 2.0 * np.einsum("ak,ak->a", np.einsum("akr,ar->ak", us[:, :top], u),
+                                             np.einsum("akc,ac->ak", vs[:, :top], v))
+            norm2_new = np.maximum(norm2_new, cross2)
+            # the residual left is below tolerance: the block ends without this cross
+            stop = (k[on] > 0) & (cross2 <= tol2 * norm2_new)
+            if stop.any():
+                done[on[stop]] = True
+                go = ~stop
+                on, j, u, v, norm2_new = on[go], j[go], u[go], v[go], norm2_new[go]
+            if on.size and int(k[on].max()) == width:
+                extra = min(width, int(limit.max()) - width)
+                u_panel = np.concatenate([u_panel, np.zeros((block.size, extra, n_rows))], axis=1)
+                v_panel = np.concatenate([v_panel, np.zeros((block.size, extra, n_cols))], axis=1)
+                width += extra
+            norm2[on] = norm2_new
+            used_cols[on, j] = True
+            u_panel[on, k[on]] = u
+            v_panel[on, k[on]] = v
+            k[on] += 1
+            u_abs = np.where(used_rows[on], -1.0, np.abs(u))
+            pivot_row[on] = u_abs.argmax(axis=1)
+            # no unused row left: converged; min(rows, cols) crosses and no end: dense
+            exhausted = u_abs.max(axis=1, initial=-1.0) < 0.0
+            dense = on[~exhausted & (k[on] == limit[on])]
+            to_dense[block[dense]] = True
+            done[on[exhausted]] = done[dense] = True
+
+        if done.any():
+            for a in np.flatnonzero(done).tolist():
+                if to_dense[block[a]]:
+                    # non-convergence: dense SVD truncation fallback
+                    full = np.asarray(entry_oracle(row_at[a, :rows[a], None],
+                                                   col_at[a, None, :cols[a]]), dtype=np.float64)
+                    uu, s, vt = np.linalg.svd(full, full_matrices=False)
+                    rank = rank_from_singular_values(s, eps)
+                    alpha, beta = uu[:, :rank] * s[:rank], vt[:rank].T
+                else:
+                    alpha, beta = u_panel[a, :k[a], :rows[a]].T, v_panel[a, :k[a], :cols[a]].T
+                out[block[a]] = SeparatedApprox(p_grid=None, q_grid=None,
+                                                alpha=np.ascontiguousarray(alpha),
+                                                beta=np.ascontiguousarray(beta))
+            left = ~done
+            block, k, norm2, pivot_row, rows, cols, limit = (
+                x[left] for x in (block, k, norm2, pivot_row, rows, cols, limit))
+            row_at, col_at, row_pad, col_pad, used_rows, used_cols, u_panel, v_panel = (
+                x[left] for x in (row_at, col_at, row_pad, col_pad, used_rows, used_cols,
+                                  u_panel, v_panel))
+    return out
 
 
 def aca_build(entry_oracle: Callable, rows: int, cols: int, eps: float) -> SeparatedApprox:
-    """Adaptive cross approximation with partial pivoting.
+    """``aca_blocks`` on the one block rows [0, rows) x cols [0, cols).
 
-    ``entry_oracle(i, j)`` is called with integer indices that broadcast
-    against each other and lie inside the block (``0 <= i < rows``,
-    ``0 <= j < cols``): 0-d or 1-D arrays, or the open grid
-    ``(i[:, None], j[None, :])``.  It must return the entries at the
-    broadcast index pairs, in the broadcast shape.  ACA asks it for one
-    row at a time as ``(0-d row, 1-D columns)``, one column at a time as
-    ``(1-D rows, 0-d column)``, and for the whole block as the open grid
-    when it falls back to the dense SVD.  ``families.block_oracle`` is
-    such an oracle for a family's block.
-
-    The k crosses found so far are the first k rows of two factor panels,
-    U (width x rows) and V (width x cols); the width starts at 16 and
-    doubles when full, up to min(rows, cols).  The residual of the pivot
-    row is its oracle row minus ``U[:k, pivot_row] @ V[:k]``, the residual
-    of the pivot column its oracle column minus ``V[:k, pivot_col] @ U[:k]``,
-    and the squared Frobenius norm of the approximation grows by
-    ``|u|^2 |v|^2 + 2 (U[:k] @ u) @ (V[:k] @ v)``.  So each cross costs
-    O((rows + cols) k) in a few BLAS products, with no Python loop over
-    earlier crosses.
-
-    Crosses are added until the last cross norm falls below eps times the
-    running Frobenius-norm estimate of the approximation.  If no
-    convergence happens within min(rows, cols) steps, the block is
-    assembled densely and truncated by SVD instead.  Both paths return
-    C-contiguous factors.
+    The oracle is asked for the pivot row as ``(1, 1) x (1, cols)``
+    indices, for the pivot column as ``(1, rows) x (1, 1)``, and for the
+    dense fallback as the open grid ``(rows, 1) x (1, cols)``.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    if not (0.0 < eps < math.inf):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    limit = min(rows, cols)
-    all_rows = np.arange(rows, dtype=np.intp)
-    all_cols = np.arange(cols, dtype=np.intp)
-
-    # cross i is row i of both panels: the crosses in use are one contiguous block
-    u_panel = np.empty((min(_ACA_PANEL_WIDTH, limit), rows))
-    v_panel = np.empty((u_panel.shape[0], cols))
-    k = 0
-    used_rows = np.zeros(rows, dtype=bool)
-    used_cols = np.zeros(cols, dtype=bool)
-    norm2 = 0.0
-    converged = False
-    pivot_row = 0
-
-    while k < limit:
-        r = (np.asarray(entry_oracle(np.intp(pivot_row), all_cols), dtype=np.float64)
-             - u_panel[:k, pivot_row] @ v_panel[:k])
-        r_abs = np.abs(r)
-        r_abs[used_cols] = -1.0
-        pivot_col = int(r_abs.argmax())
-        used_rows[pivot_row] = True
-        if r_abs[pivot_col] <= 1e-300:
-            # degenerate row: residual vanishes there; try another row
-            remaining = np.nonzero(~used_rows)[0]
-            if remaining.size == 0:
-                converged = True
-                break
-            pivot_row = int(remaining[0])
-            continue
-        v = r / r[pivot_col]
-        u = (np.asarray(entry_oracle(all_rows, np.intp(pivot_col)), dtype=np.float64)
-             - v_panel[:k, pivot_col] @ u_panel[:k])
-
-        cross2 = float(u @ u) * float(v @ v)
-        norm2_new = max(norm2 + cross2
-                        + 2.0 * float((u_panel[:k] @ u) @ (v_panel[:k] @ v)), cross2)
-        if k and cross2 <= eps * eps * norm2_new:
-            # remaining residual is below tolerance; do not keep this cross
-            converged = True
-            break
-        used_cols[pivot_col] = True
-        norm2 = norm2_new
-        if k == u_panel.shape[0]:
-            extra = min(k, limit - k)
-            u_panel = np.vstack([u_panel, np.empty((extra, rows))])
-            v_panel = np.vstack([v_panel, np.empty((extra, cols))])
-        u_panel[k] = u
-        v_panel[k] = v
-        k += 1
-
-        u_abs = np.abs(u)
-        u_abs[used_rows] = -1.0
-        pivot_row = int(u_abs.argmax())
-        if u_abs[pivot_row] < 0.0:
-            converged = True
-            break
-
-    if converged:
-        alpha = np.ascontiguousarray(u_panel[:k].T)
-        beta = np.ascontiguousarray(v_panel[:k].T)
-    else:
-        # non-convergence: dense SVD truncation fallback
-        dense = np.asarray(entry_oracle(all_rows[:, None], all_cols[None, :]), dtype=np.float64)
-        uu, s, vt = np.linalg.svd(dense, full_matrices=False)
-        r = rank_from_singular_values(s, eps)
-        alpha = np.ascontiguousarray(uu[:, :r] * s[:r])
-        beta = np.ascontiguousarray(vt[:r].T)
-
-    return SeparatedApprox(p_grid=None, q_grid=None, alpha=alpha, beta=beta)
+    return aca_blocks(entry_oracle, [(0, rows, 0, cols)], eps)[0]

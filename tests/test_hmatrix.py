@@ -983,33 +983,43 @@ def test_empty_threshold_box_gives_rank_zero_without_oracle_calls(monkeypatch):
     empty = {region: box for region, box in block_ranges
              if max(a.min() for a in _box_exponents(spec, region, box)) > level}
     assert empty
-    asked = []
+    asked = []   # every (row, col) pair an oracle is asked for, in matrix indices
     real_oracle = hmatrix.block_oracle
-    monkeypatch.setattr(hmatrix, "block_oracle",
-                        lambda spec, *box: asked.append(box) or real_oracle(spec, *box))
+
+    def recording(spec, r0, r1, c0, c1):
+        oracle = real_oracle(spec, r0, r1, c0, c1)
+
+        def asking(i, j):
+            ii, jj = np.broadcast_arrays(i, j)
+            asked.append(np.stack([ii.ravel() + r0, jj.ravel() + c0], axis=1))
+            return oracle(i, j)
+        return asking
+
+    monkeypatch.setattr(hmatrix, "block_oracle", recording)
     h = compress(spec, eps, builder=Builder.ACA, leaf_size=leaf)
     for rec in h.lowrank:
         region = (int(rec["level"]), int(rec["index"]))
         if region in empty:
             assert int(rec["rank"]) == 0 and _box(rec) == empty[region]
-    for r0, r1, c0, c1 in asked:
-        for b0, b1, d0, d1 in empty.values():
-            assert r1 <= b0 or b1 <= r0 or c1 <= d0 or d1 <= c0
+    i, j = np.concatenate(asked).T
+    for b0, b1, d0, d1 in empty.values():
+        assert not np.any((b0 <= i) & (i < b1) & (d0 <= j) & (j < d1))
     assert np.max(np.abs(h.to_dense() - dense_matrix(spec))) <= 10.0 * eps
 
 
 def test_aca_requests_on_the_threshold_box(monkeypatch):
-    # ACA on the whole blocks asked for 2.62 M entries here
+    # ACA on the whole blocks asked for 2.62 M entries here; the count includes
+    # the entries read past each block's extent in the lockstep index grids
     requested = [0]
-    real_aca = hmatrix.aca_build
+    real_aca = hmatrix.aca_blocks
 
-    def counting(oracle, rows, cols, eps):
+    def counting(oracle, boxes, eps):
         def counted(i, j):
             requested[0] += int(np.prod(np.broadcast_shapes(np.shape(i), np.shape(j))))
             return oracle(i, j)
-        return real_aca(counted, rows, cols, eps)
+        return real_aca(counted, boxes, eps)
 
-    monkeypatch.setattr(hmatrix, "aca_build", counting)
+    monkeypatch.setattr(hmatrix, "aca_blocks", counting)
     compress(BinomialFamily(n=2**12), 1e-6, builder=Builder.ACA)
     assert 0 < requested[0] < 2.62e6 / 2
 

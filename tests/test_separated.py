@@ -21,6 +21,7 @@ from hlrd.separated import (
     BuilderError,
     RankConvention,
     SeparatedApprox,
+    aca_blocks,
     aca_build,
     build_constructive,
     build_product,
@@ -702,20 +703,96 @@ def test_aca_oracle_stays_inside_block():
         assert np.all((0 <= i) & (i < 5)) and np.all(j == 0)
 
 
-def test_aca_asks_pivot_row_and_column_with_0d_index():
-    # a smooth kernel that converges at rank > 1, so no dense fallback
+def test_aca_asks_pivot_rows_and_columns_as_index_grids():
+    # smooth kernels that converge at rank > 1, so no dense fallback, in one group
     m = 1.0 / (1.0 + np.arange(40.0)[:, None] + np.arange(30.0)[None, :])
+    boxes = [(0, 40, 0, 30), (5, 25, 10, 30), (0, 12, 3, 30)]
     calls = []
 
     def oracle(i, j):
-        calls.append((np.ndim(i), np.ndim(j)))
+        calls.append((np.shape(i), np.shape(j)))
         return m[i, j]
 
-    ap = aca_build(oracle, 40, 30, 1e-8)
-    assert ap.rank >= 3
-    # requests alternate: the pivot row (0-d row, 1-D columns), then its pivot column
-    assert calls[0::2] == [(0, 1)] * len(calls[0::2])
-    assert calls[1::2] == [(1, 0)] * len(calls[1::2])
+    res = aca_blocks(oracle, boxes, 1e-8)
+    assert min(ap.rank for ap in res) >= 3
+    # requests alternate: the pivot rows as a (g, 1) x (g, cols) grid, then their pivot
+    # columns as (g, rows) x (g, 1), g the blocks still running, rows and cols the largest extents
+    rows, cols = zip(*calls[0::2])
+    assert all(r[1] == 1 and c == (r[0], 30) for r, c in zip(rows, cols))
+    rows, cols = zip(*calls[1::2])
+    assert all(c[1] == 1 and r == (c[0], 40) for r, c in zip(rows, cols))
+    assert [r[0] for r, _ in calls] == sorted((r[0] for r, _ in calls), reverse=True)
+    assert calls[0] == ((3, 1), (3, 30)) and calls[-1][1] == (1, 1)
+
+
+def test_aca_blocks_match_each_block_alone():
+    # one lockstep group of mixed blocks: each comes out as ACA gives it alone
+    rng = np.random.default_rng(7)
+    leading_zeros = _hilbert(50, 40)
+    leading_zeros[:7] = 0.0                                     # the degenerate-row walk
+    mats = [_hilbert(30, 20),
+            _hilbert(1, 17), _hilbert(13, 1), _hilbert(1, 1),  # one-row and one-column boxes
+            leading_zeros,
+            _hilbert(300, 200),                                 # rank 22: the panels widen
+            np.linalg.qr(rng.standard_normal((24, 24)))[0],     # full rank: every row used
+            np.linalg.qr(rng.standard_normal((30, 20)))[0],     # 20 crosses: the dense fallback
+            np.zeros((9, 6))]
+    boxes = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0)
+    boxes = np.concatenate([boxes[:-1, :1], boxes[1:, :1], boxes[:-1, 1:], boxes[1:, 1:]], axis=1)
+    big = np.full(boxes[-1, [1, 3]], np.nan)                    # NaN off the boxes
+    for (r0, r1, c0, c1), m in zip(boxes, mats):
+        big[r0:r1, c0:c1] = m
+    calls = []
+
+    def oracle(i, j):
+        calls.append((np.shape(i), np.shape(j)))
+        return big[i, j]
+
+    eps = 1e-14
+    group = aca_blocks(oracle, boxes, eps)
+    assert [ap.rank for ap in group][-4:] == [22, 24, 20, 0]
+    # the tall block alone asks for its whole open grid
+    assert calls.count(((30, 1), (1, 20))) == 1
+    for m, ap in zip(mats, group):
+        alone = aca_build(lambda i, j: m[i, j], *m.shape, eps)
+        assert ap.rank == alone.rank
+        assert np.array_equal(ap.alpha, alone.alpha) and np.array_equal(ap.beta, alone.beta)
+        assert ap.alpha.flags.c_contiguous and ap.beta.flags.c_contiguous
+        assert ap.alpha.shape == (m.shape[0], ap.rank) and ap.beta.shape == (m.shape[1], ap.rank)
+        assert np.max(np.abs(ap.reconstruct() - m)) <= 10.0 * eps * max(np.max(np.abs(m)), 1.0)
+
+
+def test_aca_walks_leading_zero_rows_in_few_requests():
+    # 255 zero rows over a Hilbert block: ACA walks past them to row 255, the first
+    # row of its last window, and then finds the crosses of the block without them,
+    # zero on the walked rows
+    m = np.zeros((295, 30))
+    m[255:] = _hilbert(40, 30)
+    calls = []
+
+    def oracle(i, j):
+        calls.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
+        return m[i, j]
+
+    ap = aca_build(oracle, *m.shape, 1e-10)
+    walk, calls[:] = calls[:9], calls[9:]
+    trimmed = m[255:]
+    ref = aca_build(lambda i, j: trimmed[i, j], *trimmed.shape, 1e-10)
+    assert ap.rank == ref.rank > 1
+    assert np.all(ap.alpha[:255] == 0.0) and np.array_equal(ap.alpha[255:], ref.alpha)
+    assert np.array_equal(ap.beta, ref.beta)
+    # row 0, then windows of 2, 4, ..., 256 rows from row 1 on: 9 requests, not 255
+    assert walk == [(1, 30)] + [(1, 2 ** h, 30) for h in range(1, 9)]
+    assert calls[0::2] == [(1, 30)] * len(calls[0::2])
+    assert calls[1::2] == [(1, 295)] * len(calls[1::2])
+    # three full-rank rows under the zeros: the walked rows count as used, so the
+    # block ends when its three crosses have used every row
+    m = np.zeros((303, 30))
+    m[300:] = np.random.default_rng(5).standard_normal((3, 30))
+    calls.clear()
+    ap = aca_build(oracle, *m.shape, 1e-10)
+    assert ap.rank == 3 and np.max(np.abs(ap.reconstruct() - m)) <= 1e-12
+    assert len(calls) == 1 + 8 + 2 * 3
 
 
 def _entry_exact_oracle(spec, r0, c0):
@@ -811,7 +888,7 @@ def test_aca_panels_widen_past_their_first_width(m, eps):
     calls = []
 
     def oracle(i, j):
-        calls.append((np.ndim(i), np.ndim(j)))
+        calls.append((np.shape(i), np.shape(j)))
         return m[i, j]
 
     ap = aca_build(oracle, *m.shape, eps)
@@ -819,8 +896,9 @@ def test_aca_panels_widen_past_their_first_width(m, eps):
     assert 16 < nr <= ap.rank <= nr + 2
     assert np.max(np.abs(ap.reconstruct() - m)) <= 10.0 * eps * np.max(np.abs(m))
     # converged: no dense fallback, and requests still alternate row, column
-    assert calls[0::2] == [(0, 1)] * len(calls[0::2])
-    assert calls[1::2] == [(1, 0)] * len(calls[1::2])
+    rows, cols = m.shape
+    assert calls[0::2] == [((1, 1), (1, cols))] * len(calls[0::2])
+    assert calls[1::2] == [((1, rows), (1, 1))] * len(calls[1::2])
 
 
 @pytest.mark.parametrize("m,eps,rank", [
