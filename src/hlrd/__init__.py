@@ -35,6 +35,7 @@ from .separated import (
     aca_build,
     build_constructive,
     build_product,
+    constructive_blocks,
     numerical_rank,
     rank_from_singular_values,
     singular_values,

@@ -3,12 +3,13 @@
 ``compress`` maps the matrix indices of a family into the kernel's (p, q)
 coordinate space, builds the staircase partition there, and stores
 
-* every off-diagonal block as a separated approximation (built by ACA
-  against the exact-entry oracle ``families.block_oracle``, all the blocks
-  of a level in one lockstep ``separated.aca_blocks`` call, or by the
-  constructive divergence pipeline with the exact row/column prefactor of
-  ``families.kernel_map`` folded into the factors) that is zero outside
-  the block's threshold box,
+* every off-diagonal block as a separated approximation that is zero
+  outside the block's threshold box, built a level at a time: by ACA
+  against the exact-entry oracle ``families.block_oracle``, all the
+  blocks of a level in one lockstep ``separated.aca_blocks`` call, or by
+  the constructive divergence pipeline, all the blocks of a level in one
+  ``separated.constructive_blocks`` call, with the exact row/column
+  prefactor of ``families.kernel_map`` folded into the factors,
 * the finest-level diagonal strip exactly,
 * the singular rows/columns (binomial outcomes k = 0 and k = n, the
   Poisson k = 0 row, chi-squared columns with k <= 2) exactly as dense
@@ -65,12 +66,11 @@ import numpy as np
 
 from .divergence import DivergenceKind
 from .families import FamilySpec, KernelMap, block_oracle, entry_exact, kernel_map
-from .partition import (Block, PartitionScheme, QuarterPlane, UnitSquare, block_intervals,
-                        build_scheme)
-# aca_build and build_product are unused here; perfbench/tracing.py wraps them by this
-# module's names
-from .separated import (BuilderError, SeparatedApprox, aca_blocks, aca_build,
-                        build_constructive, build_product, threshold_masks)  # noqa: F401
+from .partition import PartitionScheme, QuarterPlane, UnitSquare, block_intervals, build_scheme
+# aca_build, build_constructive and build_product are unused here; perfbench/tracing.py
+# wraps them by this module's names
+from .separated import (BuilderError, aca_blocks, aca_build, build_constructive,
+                        build_product, constructive_blocks, threshold_masks)  # noqa: F401
 
 __all__ = [
     "Builder",
@@ -83,6 +83,7 @@ __all__ = [
     "VerifyReport",
     "aca_by_level",
     "compress",
+    "constructive_by_level",
     "index_layout",
     "matvec",
     "payload_arrays",
@@ -421,34 +422,55 @@ def index_layout(spec: FamilySpec, scheme: Optional[PartitionScheme] = None,
 # compression
 # ---------------------------------------------------------------------------
 
-def _constructive_block(spec: FamilySpec, kmap: KernelMap, region: tuple[int, int],
-                        rng: tuple[int, int, int, int], eps: float) -> SeparatedApprox:
-    """The constructive expansion of the family's kernel on the box ``rng`` of a block.
+def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: float) -> list:
+    """Constructive factors of the blocks on their boxes, a ``constructive_blocks`` call per level.
 
-    One ``build_constructive`` call on the box's kernel coordinates for
-    every family (the binomial's Bernoulli KL included), with the exact
-    prefactor folded into the factor on its axis.  A ``BuilderError`` names
-    the block.
+    ``regions`` and ``boxes`` name each block's ``(level, index)`` and its
+    box in matrix indices (None: nothing to build, and None comes back),
+    the blocks by level as ``index_layout`` gives them.  The boxes' kernel
+    coordinates and their threshold masks are formed for all levels at
+    once; then each level is built on its own, and the exact prefactor,
+    exponentiated once, is folded into the factor on its axis.  A
+    ``BuilderError`` names the failing block's level, index, rows and
+    columns.
     """
-    r0, r1, c0, c1 = rng
-    p_vals = kmap.p_of_row[r0:r1]
-    q_vals = kmap.q_of_col[c0:c1]
-    try:
-        approx = build_constructive(Block(*region), kmap.kind, kmap.n_eff, eps,
-                                    p_grid=p_vals, q_grid=q_vals)
-    except BuilderError as exc:
-        level, index = region
-        raise BuilderError(
-            f"builder failed on block level={level} index={index} "
-            f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
-    # fold the exact prefactor into the matching factor
-    if kmap.prefactor_axis == "row":
-        scale = np.exp(kmap.exact_log_prefactor[r0:r1])
-        approx.alpha = approx.alpha * scale[:, None]
-    else:
-        scale = np.exp(kmap.exact_log_prefactor[c0:c1])
-        approx.beta = approx.beta * scale[:, None]
-    return approx
+    at = [k for k, box in enumerate(boxes) if box is not None]
+    out = [None] * len(boxes)
+    if not at:
+        return out
+    region = np.array([regions[k] for k in at], dtype=np.intp)
+    box = np.array([boxes[k] for k in at], dtype=np.intp)
+    rows, row_block, row_starts = _spans(box[:, 0], box[:, 1])
+    cols, col_block, col_starts = _spans(box[:, 2], box[:, 3])
+    intervals = block_intervals(region[:, 0], region[:, 1])
+    p_grid, q_grid = kmap.p_of_row[rows], kmap.q_of_col[cols]
+    p_in, q_in = threshold_masks(kmap.kind, kmap.n_eff, eps, intervals,
+                                 p_grid, row_block, q_grid, col_block)
+    scale = np.exp(kmap.exact_log_prefactor)
+    on_rows = kmap.prefactor_axis == "row"
+    level_starts = [0, *(np.flatnonzero(np.diff(region[:, 0])) + 1).tolist(), len(at)]
+    row_starts, col_starts = np.append(row_starts, rows.size), np.append(col_starts, cols.size)
+    for a, b in zip(level_starts[:-1], level_starts[1:]):
+        r, c = slice(row_starts[a], row_starts[b]), slice(col_starts[a], col_starts[b])
+        try:
+            level = constructive_blocks(kmap.kind, kmap.n_eff, eps,
+                                        tuple(x[a:b] for x in intervals),
+                                        p_grid[r], row_block[r] - a, q_grid[c], col_block[c] - a,
+                                        inside=(p_in[r], q_in[c]))
+        except BuilderError as exc:
+            if exc.block is None:
+                raise
+            (level_no, index), (r0, r1, c0, c1) = region[a + exc.block], box[a + exc.block]
+            raise BuilderError(
+                f"builder failed on block level={level_no} index={index} "
+                f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
+        for k, (r0, r1, c0, c1), approx in zip(at[a:b], box[a:b].tolist(), level):
+            if on_rows:
+                approx.alpha = approx.alpha * scale[r0:r1, None]
+            else:
+                approx.beta = approx.beta * scale[c0:c1, None]
+            out[k] = approx
+    return out
 
 
 def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
@@ -476,6 +498,14 @@ def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
     return out
 
 
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Every index of the ranges [lo, hi), concatenated; its range's number; the range starts."""
+    sizes = hi - lo
+    starts = np.cumsum(sizes) - sizes
+    return (np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes),
+            np.repeat(np.arange(sizes.size), sizes), starts)
+
+
 def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
     """Each block's threshold box in index space, for all the blocks at once.
 
@@ -491,16 +521,8 @@ def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
     """
     regions = np.array([region for region, _ in block_ranges], dtype=np.intp)
     boxes = np.array([box for _, box in block_ranges], dtype=np.intp)
-
-    def spans(lo, hi):
-        """Every index of the ranges [lo, hi), concatenated; its range's number; range starts."""
-        sizes = hi - lo
-        starts = np.cumsum(sizes) - sizes
-        return (np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes),
-                np.repeat(np.arange(sizes.size), sizes), starts)
-
-    rows, row_block, row_starts = spans(boxes[:, 0], boxes[:, 1])
-    cols, col_block, col_starts = spans(boxes[:, 2], boxes[:, 3])
+    rows, row_block, row_starts = _spans(boxes[:, 0], boxes[:, 1])
+    cols, col_block, col_starts = _spans(boxes[:, 2], boxes[:, 3])
     row_in, col_in = threshold_masks(kmap.kind, kmap.n_eff, eps,
                                      block_intervals(regions[:, 0], regions[:, 1]),
                                      kmap.p_of_row[rows], row_block, kmap.q_of_col[cols], col_block)
@@ -521,13 +543,13 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     stored exactly.  With eps >= 1 everything is stored dense (the exact
     matrix, zero reconstruction error).
 
-    Every block is built on its threshold box, by ACA a level at a time
-    (``aca_by_level``) or by the constructive builder a block at a time; a
-    block whose box is empty gets rank 0 on its whole box and builds
-    nothing.  The matrix is assembled as ``container.load_hmatrix`` assembles it:
-    one ``stack_pieces`` over both tables, then each piece's factors
-    copied into its slots and dropped, and the dense values computed
-    straight into theirs.
+    Every block is built on its threshold box, a level at a time, by ACA
+    (``aca_by_level``) or by the constructive builder
+    (``constructive_by_level``); a block whose box is empty gets rank 0 on
+    its whole box and builds nothing.  The matrix is assembled as
+    ``container.load_hmatrix`` assembles it: one ``stack_pieces`` over
+    both tables, then each piece's factors copied into its slots and
+    dropped, and the dense values computed straight into theirs.
     """
     n_rows, n_cols = spec.shape
     if min(n_rows, n_cols) < 4:
@@ -544,8 +566,8 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
         if builder is Builder.ACA:
             factors = aca_by_level(spec, kmap, [region[0] for region, _ in block_ranges], boxes, eps)
         else:
-            factors = [None if box is None else _constructive_block(spec, kmap, region, box, eps)
-                       for (region, _), box in zip(block_ranges, boxes)]
+            regions = [region for region, _ in block_ranges]
+            factors = constructive_by_level(kmap, regions, boxes, eps)
         for (region, block_box), box, approx in zip(block_ranges, boxes, factors):
             # an empty box: rank 0 on the whole block, nothing built
             pieces.append((*region, 0, *block_box) if approx is None

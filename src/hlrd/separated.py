@@ -4,15 +4,17 @@ A separated approximation of a bivariate kernel on a block is an
 expansion ``sum_i alpha_i(p) beta_i(q)``; its length is the block's rank.
 Three builders are provided:
 
-* ``build_constructive`` realizes the analytic pipeline for the rate
-  kernels ``exp(-n * divergence)``: map the block to the rate kernel's
-  coordinates (the dual swaps the p and q intervals, grids and factors;
-  the reflection maps x -> 1 - x on both intervals and grids), where it
-  touches the diagonal at ``max(p_lo, q_lo)`` and lies below it
-  (``Regime.LOWER``) when ``p_lo > q_lo``, above it otherwise; rescale
-  it by that corner to the unit configuration, truncate the kernel to
-  zero outside the threshold box at level ``m = ln(1/eps)/n'``, and
-  separate what remains.  The separation rests on the exact identity
+* ``constructive_blocks`` realizes the analytic pipeline for the rate
+  kernels ``exp(-n * divergence)`` on many blocks at once, and
+  ``build_constructive`` is the same call on one block.  Each block is
+  mapped to the rate kernel's coordinates (the dual swaps the p and q
+  intervals, grids and factors; the reflection maps x -> 1 - x on both
+  intervals and grids), where it touches the diagonal at
+  ``max(p_lo, q_lo)`` and lies below it (``Regime.LOWER``) when
+  ``p_lo > q_lo``, above it otherwise; it is rescaled by that corner to
+  the unit configuration, the kernel is truncated to zero outside the
+  threshold box at level ``m = ln(1/eps)/n'``, and what remains is
+  separated.  The separation rests on the exact identity
 
       rate(p||q) = rate(p||1) + rate(1||q) + (p - 1) * (-ln q),
 
@@ -37,13 +39,17 @@ Three builders are provided:
   three non-negative terms, with the cross factor ``exp(-s t)``,
   ``s = n(p - c)`` and ``t = logit c - logit q`` (signs flipped above
   the diagonal).  Every kind then takes the same steps: split at the
-  corner, mask the grids with the threshold box, interpolate the cross
-  factor over the points inside (``_cross_factors``), recompress.
+  corner (``_split_at_corner``), mask the grids with the threshold box,
+  interpolate the cross factor over the points inside
+  (``_cross_factors``), recompress.  The first three run over all the
+  blocks in a few numpy passes, the interpolation one pass per degree;
+  only ``_recompress`` runs block by block.  A block's factors are bit
+  for bit those it gets alone.
 
 * ``build_product`` multiplies two expansions columnwise and
   recompresses the product.  The Bernoulli kernel is the product of the
   rate kernel and its reflection, and the product of their expansions
-  is the paper's construction of its blocks; ``build_constructive``
+  is the paper's construction of its blocks; the constructive builder
   does not take that route.
 
 * ``aca_blocks`` is adaptive cross approximation with partial pivoting,
@@ -55,15 +61,15 @@ unit configuration, with ``n' = n * corner``, a p-point lies in the
 threshold box when ``n' rate(p || 1) <= ln(1/eps)`` and a q-point when
 ``n' rate(1 || q) <= ln(1/eps)``: by the identity above the kernel is
 below eps at every pair outside, so a builder may store zeros there.
-``hmatrix.compress`` runs either builder on the box alone: a low-rank
-piece's box is its block's threshold box (its block's box at rank 0).
-``build_constructive`` also masks its factors with the rule and spans
-its expansion over the points inside, so that on whole-block grids it is
-zero outside the box and equal, bit for bit, to the expansion built from
-the points inside alone.  A family entry is the kernel times an exact
-prefactor, so the absolute error the box adds is eps times the largest
-prefactor on the ridge: at most eps/2 for the binomial, eps/e for the
-Poisson and 0.242 eps for the chi-squared.
+``hmatrix.compress`` runs either builder on the box alone, a level at a
+time: a low-rank piece's box is its block's threshold box (its block's
+box at rank 0).  The constructive builder also masks its factors with
+the rule and spans its expansion over the points inside, so that on
+whole-block grids it is zero outside the box and equal, bit for bit, to
+the expansion built from the points inside alone.  A family entry is
+the kernel times an exact prefactor, so the absolute error the box adds
+is eps times the largest prefactor on the ridge: at most eps/2 for the
+binomial, eps/e for the Poisson and 0.242 eps for the chi-squared.
 
 ``singular_values`` is the SVD oracle the builders are measured against,
 and ``numerical_rank`` counts its values above a threshold.  It takes the
@@ -86,7 +92,7 @@ from typing import Callable, Optional
 import numpy as np
 
 # solve_thresholds is unused here; perfbench/tracing.py wraps it by this module's name
-from .divergence import DivergenceKind, Regime, _bernoulli, solve_thresholds  # noqa: F401
+from .divergence import DivergenceKind, _bernoulli, solve_thresholds  # noqa: F401
 from .partition import Block
 
 __all__ = [
@@ -97,6 +103,7 @@ __all__ = [
     "aca_build",
     "build_constructive",
     "build_product",
+    "constructive_blocks",
     "numerical_rank",
     "rank_from_singular_values",
     "singular_values",
@@ -105,7 +112,15 @@ __all__ = [
 
 
 class BuilderError(RuntimeError):
-    """A separated-approximation builder could not meet its contract."""
+    """A separated-approximation builder could not meet its contract.
+
+    ``block`` is the failing block's position in a many-block call
+    (``constructive_blocks``), or None.
+    """
+
+    def __init__(self, message: str, block: Optional[int] = None):
+        super().__init__(message)
+        self.block = block
 
 
 class RankConvention(enum.Enum):
@@ -207,6 +222,28 @@ def numerical_rank(matrix: np.ndarray, eps: float,
 # recompression
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _strictly_lower(w: int) -> np.ndarray:
+    """Read-only boolean mask of a w x w matrix's strictly lower triangle, per width."""
+    mask = np.tri(w, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _r_factor(f: np.ndarray) -> np.ndarray:
+    """R of the reduced QR of a factor with more rows than columns, bit for bit ``qr(mode="r")``.
+
+    ``qr(mode="raw")`` returns, transposed, the copy numpy factors in
+    place; its leading rows hold R above the diagonal and the Householder
+    vectors below it, which are zeroed in place: the same R as
+    ``mode="r"``, without ``np.triu``'s mask and copy.
+    """
+    w = f.shape[1]
+    r = np.linalg.qr(f, mode="raw")[0].T[:w]
+    r[_strictly_lower(w)] = 0.0
+    return r
+
+
 def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Truncate the factor pair's singular values <= threshold, without forming Q.
 
@@ -215,7 +252,7 @@ def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[
     ``Qb V_r``.  Since ``U_r S_r = Ra Rb^T V_r`` and
     ``V_r = Rb Ra^T U_r / S_r``, they equal ``alpha Rb^T V_r`` and
     ``beta Ra^T U_r / S_r``.  So only R and the SVD are computed:
-    ``qr(mode="r")`` is the reduced QR's factorization and returns the same
+    ``_r_factor`` is the reduced QR's factorization and returns the same
     R bits, and the SVD is the same call; the m x w Q, whose explicit
     formation costs about as much as the factorization, never is.  A
     factor with no more rows than columns is its own R (Q = I), so its QR
@@ -227,7 +264,7 @@ def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[
     """
     if alpha.shape[1] == 0:
         return alpha, beta
-    ra, rb = (f if f.shape[0] <= f.shape[1] else np.linalg.qr(f, mode="r") for f in (alpha, beta))
+    ra, rb = (f if f.shape[0] <= f.shape[1] else _r_factor(f) for f in (alpha, beta))
     u, s, vt = np.linalg.svd(ra @ rb.T)
     r = int(np.sum(s > threshold))
     return alpha @ (rb.T @ vt[:r].T), beta @ ((ra.T @ u[:, :r]) / s[:r])
@@ -261,8 +298,11 @@ def _cheb_nodes_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lagrange_matrix(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation of all Lagrange basis polynomials at x."""
-    diff = x[:, None] - nodes[None, :]
+    """Barycentric evaluation of all Lagrange basis polynomials at x.
+
+    ``nodes`` is one node set for every sample, or one row of nodes per sample.
+    """
+    diff = x[:, None] - nodes
     exact = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         w_over = weights[None, :] / diff
@@ -291,88 +331,126 @@ def _rate_from_one(n_scaled: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
         return n_scaled * (q_hat - 1.0 - np.log(q_hat))
 
 
-def _unit_rate_factors(regime: Regime, n_scaled: float, eps: float,
-                       p_hat: np.ndarray, q_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Separated factors of exp(-n' * rate(p, q)) on the unit configuration.
-
-    Lower regime: p in [1, 2], q in [0, 1].  Upper regime: p in [0, 1],
-    q in [1, 2].  Returns (alpha, beta) sampled on the given grids, zero
-    outside the threshold box (``threshold_masks``' rule: a one-sided
-    exponent above ln(1/eps)), since the kernel is below eps there.  The
-    regime only sets the sign sigma = +1 (lower) or -1 (upper) that keeps
-    s = n' sigma (p - 1) and t = -sigma ln q non-negative;
-    ``_cross_factors`` takes the interval from the grid points inside the box.
-    """
-    log_inv_eps = math.log(1.0 / eps)
-    sigma = 1.0 if regime is Regime.LOWER else -1.0
-    s = n_scaled * (sigma * (p_hat - 1.0))
-    with np.errstate(divide="ignore"):
-        t = -sigma * np.log(q_hat)
-    u = _rate_to_one(n_scaled, p_hat)
-    v = _rate_from_one(n_scaled, q_hat)
-    return _cross_factors(s, t, u, v, u <= log_inv_eps, v <= log_inv_eps, eps)
+def _per_block(reduce: np.ufunc, values: np.ndarray, edges: np.ndarray, empty: float) -> np.ndarray:
+    """``reduce`` over each block's values ``values[edges[b]:edges[b + 1]]``; ``empty`` where
+    a block has none."""
+    out = np.full(edges.size - 1, empty)
+    held = np.flatnonzero(edges[1:] > edges[:-1])
+    if held.size:
+        # the segment of a block that holds values ends where the next such block starts
+        out[held] = reduce.reduceat(values, edges[held])
+    return out
 
 
 def _cross_factors(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
-                   mask_p: np.ndarray, mask_q: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of exp(-u) exp(-s t) exp(-v) on the threshold box, zero outside the masks.
+                   p_in: np.ndarray, p_block: np.ndarray, q_in: np.ndarray, q_block: np.ndarray,
+                   count: int, eps: float) -> list:
+    """Factors of exp(-u) exp(-s t) exp(-v) for each of ``count`` blocks, zero outside the masks.
 
-    The cross factor ``exp(-s t)`` is interpolated in s at Chebyshev nodes
-    over the points inside the box: s in [max(0, min s), max s] over
-    ``mask_p`` and t in [0, max t] over ``mask_q``, with the degree
-    ``_cross_degree`` gives the s-width times the t-top.  So the expansion
-    depends only on the grid points inside the box, and no threshold is
-    solved.  alpha holds the p-side, the Lagrange basis at s times
-    ``exp(-u)``; beta the q-side, ``exp(-t * node - v)`` per node.  A side
-    with no point inside gives width-0 factors.
+    p-point i lies in block ``p_block[i]``, q-point j in ``q_block[j]``,
+    each block's points consecutive.  A block's cross factor ``exp(-s t)``
+    is interpolated in s at Chebyshev nodes over its points inside the
+    threshold box: s in [max(0, min s), max s] over ``p_in`` and t in
+    [0, max t] over ``q_in``, with the degree ``_cross_degree`` gives the
+    s-width times the t-top.  So a block's expansion depends only on its
+    grid points inside the box, and no threshold is solved.  alpha holds
+    the p-side, the Lagrange basis at s times ``exp(-u)``; beta the
+    q-side, ``exp(-t * node - v)`` per node.  A block with no point inside
+    on a side gets width-0 factors.
+
+    The blocks are formed a degree at a time: one pass gives the Lagrange
+    rows and one the q-factors of every block of that degree, each row
+    against its own block's nodes, and a block's factors are views of its
+    group's.  A row sums the same number of terms as it would alone, so
+    every factor is bit for bit the one its block gives on its own.
+    Returns one (alpha, beta) pair per block.
     """
-    if not (np.any(mask_p) and np.any(mask_q)):
-        return np.zeros((s.size, 0)), np.zeros((t.size, 0))
-    s_in, t_in = s[mask_p], t[mask_q]
-    s_lo, s_hi = max(0.0, float(np.min(s_in))), float(np.max(s_in))
-    degree = _cross_degree((s_hi - s_lo) * float(np.max(t_in)), eps)
-    unit_nodes, weights = _cheb_nodes_weights(degree)
-    nodes = s_lo + 0.5 * (s_hi - s_lo) * unit_nodes
-    alpha = np.zeros((s.size, nodes.size))
-    alpha[mask_p, :] = _lagrange_matrix(s_in, nodes, weights) * np.exp(-u[mask_p])[:, None]
-    beta = np.zeros((t.size, nodes.size))
-    beta[mask_q, :] = np.exp(-np.outer(t_in, nodes) - v[mask_q, None])
-    return alpha, beta
+    blocks = np.arange(count + 1)
+    p_edges, q_edges = np.searchsorted(p_block, blocks), np.searchsorted(q_block, blocks)
+    s_lo = np.maximum(0.0, _per_block(np.minimum, np.where(p_in, s, np.inf), p_edges, np.inf))
+    s_hi = _per_block(np.maximum, np.where(p_in, s, -np.inf), p_edges, -np.inf)
+    t_top = _per_block(np.maximum, np.where(q_in, t, -np.inf), q_edges, -np.inf)
+    live = np.flatnonzero((s_hi > -np.inf) & (t_top > -np.inf))
+    degree = np.full(count, -1)
+    for b, w in zip(live.tolist(), ((s_hi - s_lo) * t_top)[live].tolist()):
+        try:
+            degree[b] = _cross_degree(w, eps)
+        except BuilderError as exc:
+            raise BuilderError(str(exc), block=b) from exc
+    p_sizes, q_sizes = np.diff(p_edges), np.diff(q_edges)
+    out = [None] * count
+    for b in np.flatnonzero(degree < 0).tolist():
+        out[b] = (np.zeros((p_sizes[b], 0)), np.zeros((q_sizes[b], 0)))
+    p_degree, q_degree = degree[p_block], degree[q_block]
+    for d in np.unique(degree[live]).tolist():
+        group = np.flatnonzero(degree == d)
+        unit_nodes, weights = _cheb_nodes_weights(d)
+        nodes = s_lo[group, None] + (0.5 * (s_hi - s_lo))[group, None] * unit_nodes
+        # the points of the group's blocks; those inside take their block's nodes
+        p_rows, q_rows = np.flatnonzero(p_degree == d), np.flatnonzero(q_degree == d)
+        p_at, q_at = p_in[p_rows], q_in[q_rows]
+        p_sel, q_sel = p_rows[p_at], q_rows[q_at]
+        alpha = np.zeros((p_rows.size, d + 1))
+        alpha[p_at] = (_lagrange_matrix(s[p_sel], nodes[np.searchsorted(group, p_block[p_sel])],
+                                        weights) * np.exp(-u[p_sel])[:, None])
+        beta = np.zeros((q_rows.size, d + 1))
+        beta[q_at] = np.exp(-(t[q_sel, None] * nodes[np.searchsorted(group, q_block[q_sel])])
+                            - v[q_sel, None])
+        p_ends, q_ends = np.cumsum(p_sizes[group]).tolist(), np.cumsum(q_sizes[group]).tolist()
+        for b, p0, p1, q0, q1 in zip(group.tolist(), [0, *p_ends], p_ends, [0, *q_ends], q_ends):
+            out[b] = (alpha[p0:p1], beta[q0:q1])
+    return out
 
 
-def _unit_bernoulli_factors(p_interval: tuple[float, float], q_interval: tuple[float, float],
-                            n: float, eps: float,
-                            p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Separated factors of exp(-n * KL(p || q)) on a unit-square block.
+def _split_at_corner(kind: DivergenceKind, n: float, intervals: tuple, p_grid: np.ndarray,
+                     p_block: np.ndarray, q_grid: np.ndarray, q_block: np.ndarray) -> tuple:
+    """(s, t, u, v) of each grid point: the kernel split at its block's corner.
 
-    At the block's diagonal corner c (``_unit_configuration``) the
-    Bernoulli KL splits like the rate divergence at 1, with logit in place
-    of log:
+    exp(-n * divergence) = exp(-u) exp(-s t) exp(-v), with u and s on the
+    p side, t and v on the q side, all non-negative on the block.  With
+    sigma = +1 below the diagonal and -1 above it:
 
-        KL(p||q) = KL(p||c) + KL(c||q) + (p - c)(logit c - logit q),
+    * the rate kinds in the rate kernel's coordinates (``_rate_coordinates``:
+      the dual swaps the axes, so the p side is then the q axis), rescaled
+      by the corner of ``_unit_configuration`` to the unit configuration,
+      ``n' = n * corner``: ``s = n' sigma (p - 1)``, ``t = -sigma ln q``,
+      ``u = n' rate(p || 1)`` and ``v = n' rate(1 || q)``, by the identity
+      rate(p||q) = rate(p||1) + rate(1||q) + (p - 1)(-ln q);
+    * the Bernoulli KL at the block's diagonal corner c, where it splits
+      like the rate divergence at 1, with logit in place of log,
 
-    and all three terms are non-negative where p and q lie on either side
-    of c.  With sigma = +1 (lower regime, p >= c >= q) or -1 (upper), the
-    cross term is s t with ``s = sigma n (p - c)`` and
-    ``t = sigma (log1p((c - q)/q) + log1p((c - q)/(1 - c)))``, both
-    non-negative, and the one-sided terms ``n KL(p||c)`` and ``n KL(c||q)``
-    are evaluated in the bd0 form.  The masks are the block's threshold
-    box (``threshold_masks``, the box ``hmatrix.compress`` stores).
+          KL(p||q) = KL(p||c) + KL(c||q) + (p - c)(logit c - logit q):
+
+      ``s = sigma n (p - c)``,
+      ``t = sigma (log1p((c - q)/q) + log1p((c - q)/(1 - c)))`` and the
+      one-sided terms ``u = n KL(p||c)``, ``v = n KL(c||q)`` in the bd0 form.
     """
-    regime, corner = _unit_configuration(p_interval, q_interval)
-    intervals = tuple(np.array([x]) for x in (*p_interval, *q_interval))
-    mask_p, mask_q = threshold_masks(DivergenceKind.BERNOULLI, n, eps, intervals,
-                                     p, np.zeros(p.size, dtype=np.intp),
-                                     q, np.zeros(q.size, dtype=np.intp))
-    sigma = 1.0 if regime is Regime.LOWER else -1.0
-    s = n * (sigma * (p - corner))
-    u = n * _bernoulli(p, corner)
-    d = corner - q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # both are infinite or undefined only at q = 0 and q = 1, outside the box
-        v = n * _bernoulli(corner, q)
-        t = sigma * (np.log1p(d / q) + np.log1p(d / (1.0 - corner)))
-    return _cross_factors(s, t, u, v, mask_p, mask_q, eps)
+    p_lo, p_hi, q_lo, q_hi = intervals
+    if kind is DivergenceKind.BERNOULLI:
+        _check_unit_square((p_lo, p_hi), (q_lo, q_hi), "Bernoulli")
+        lower, corner = _unit_configuration((p_lo, p_hi), (q_lo, q_hi))
+        sigma = np.where(lower, 1.0, -1.0)
+        p_corner, q_corner = corner[p_block], corner[q_block]
+        s = n * (sigma[p_block] * (p_grid - p_corner))
+        u = n * _bernoulli(p_grid, p_corner)
+        d = q_corner - q_grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # both are infinite or undefined only at q = 0 and q = 1, outside the box
+            v = n * _bernoulli(q_corner, q_grid)
+            t = sigma[q_block] * (np.log1p(d / q_grid) + np.log1p(d / (1.0 - q_corner)))
+        return s, t, u, v
+    p_int, q_int, p_vals, q_vals = _rate_coordinates(kind, (p_lo, p_hi), (q_lo, q_hi),
+                                                     p_grid, q_grid)
+    if kind is DivergenceKind.RATE_DUAL:
+        p_block, q_block = q_block, p_block
+    lower, corner = _unit_configuration(p_int, q_int)
+    sigma = np.where(lower, 1.0, -1.0)
+    p_scaled, q_scaled = n * corner[p_block], n * corner[q_block]
+    p_hat, q_hat = p_vals / corner[p_block], q_vals / corner[q_block]
+    s = p_scaled * (sigma[p_block] * (p_hat - 1.0))
+    with np.errstate(divide="ignore"):
+        t = -sigma[q_block] * np.log(q_hat)
+    return s, t, _rate_to_one(p_scaled, p_hat), _rate_from_one(q_scaled, q_hat)
 
 
 def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
@@ -395,17 +473,22 @@ def _rate_coordinates(kind: DivergenceKind, p_interval: tuple[float, float],
 
 
 def _check_unit_square(p_interval: tuple, q_interval: tuple, what: str) -> None:
-    """BuilderError unless both intervals (or arrays of them) lie in [0, 1]."""
+    """BuilderError, naming the first offending block, unless both intervals (or arrays of
+    them) lie in [0, 1]."""
     (plo, phi), (qlo, qhi) = p_interval, q_interval
-    if not np.all((0.0 <= plo) & (phi <= 1.0) & (0.0 <= qlo) & (qhi <= 1.0)):
-        raise BuilderError(f"{what} kernels need a unit-square block")
+    bad = np.flatnonzero(np.logical_not((0.0 <= plo) & (phi <= 1.0) & (0.0 <= qlo) & (qhi <= 1.0)))
+    if bad.size:
+        raise BuilderError(f"{what} kernels need a unit-square block", block=int(bad[0]))
 
 
-def _unit_configuration(p_interval: tuple[float, float],
-                        q_interval: tuple[float, float]) -> tuple[Regime, float]:
-    """(regime, corner) of a block in rate coordinates: below the diagonal when p starts past q."""
+def _unit_configuration(p_interval: tuple, q_interval: tuple) -> tuple:
+    """(lower, corner) of blocks in rate coordinates, elementwise over arrays of intervals.
+
+    A block lies below the diagonal (``Regime.LOWER``) when p starts past
+    q, and touches it at its corner ``max(p_lo, q_lo)``.
+    """
     p_lo, q_lo = p_interval[0], q_interval[0]
-    return (Regime.LOWER if p_lo > q_lo else Regime.UPPER), max(p_lo, q_lo)
+    return p_lo > q_lo, np.maximum(p_lo, q_lo)
 
 
 def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
@@ -420,13 +503,12 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     ``_unit_configuration``) a rate-p point is inside when
     ``n' rate(p || 1) <= ln(1/eps)`` and a rate-q point when
     ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: the
-    left-hand sides of ``divergence.solve_thresholds``' equations, which
-    ``_unit_rate_factors`` compares with ln(1/eps) in the same way, bit
-    for bit.  Since ``n' rate(p || q)`` is at least each of them, the
-    kernel ``exp(-n * divergence)`` is below eps at every pair outside the
-    box.  The Bernoulli kernel is the product of the rate kernel and its
-    reflection; its box is the intersection of theirs, and
-    ``_unit_bernoulli_factors`` takes its masks from this function.  The
+    left-hand sides of ``divergence.solve_thresholds``' equations, and
+    bit for bit the exponents u and v of the constructive builder's split
+    (``_split_at_corner``).  Since ``n' rate(p || q)`` is at least each of
+    them, the kernel ``exp(-n * divergence)`` is below eps at every pair
+    outside the box.  The Bernoulli kernel is the product of the rate
+    kernel and its reflection; its box is the intersection of theirs.  The
     constructive builder interpolates over the points the masks keep
     (``_cross_factors``).  Returns boolean masks over ``p_grid`` and
     ``q_grid``; ``hmatrix.compress`` stores a low-rank piece on its
@@ -434,13 +516,20 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     through the last point inside on each axis.
     """
     if kind is DivergenceKind.BERNOULLI:
-        parts = [threshold_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
+        parts = [_rate_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
                  for part in (DivergenceKind.RATE, DivergenceKind.RATE_REFLECTED)]
         return parts[0][0] & parts[1][0], parts[0][1] & parts[1][1]
+    return _rate_masks(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block)
+
+
+def _rate_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+                p_grid: np.ndarray, p_block: np.ndarray,
+                q_grid: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``threshold_masks`` for one of the rate kinds."""
     p_lo, p_hi, q_lo, q_hi = intervals
-    (p_lo, _), (q_lo, _), p_vals, q_vals = _rate_coordinates(kind, (p_lo, p_hi), (q_lo, q_hi),
-                                                             p_grid, q_grid)
-    corner = np.maximum(p_lo, q_lo)   # _unit_configuration's corner, per block
+    p_int, q_int, p_vals, q_vals = _rate_coordinates(kind, (p_lo, p_hi), (q_lo, q_hi),
+                                                     p_grid, q_grid)
+    _, corner = _unit_configuration(p_int, q_int)
     if kind is DivergenceKind.RATE_DUAL:
         p_block, q_block = q_block, p_block
     log_inv_eps = math.log(1.0 / eps)
@@ -449,53 +538,97 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     return (q_in, p_in) if kind is DivergenceKind.RATE_DUAL else (p_in, q_in)
 
 
-def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
-                       grid_size: int = 128,
-                       p_grid: Optional[np.ndarray] = None,
-                       q_grid: Optional[np.ndarray] = None) -> SeparatedApprox:
-    """Constructive separated approximation of exp(-n * divergence) on a block.
-
-    Supports the rate kernel, its dual (roles of the axes swapped), its
-    reflection (both coordinates complemented) and the Bernoulli KL; the
-    last two on unit-square blocks only.  Every kind is one interpolated
-    cross factor between a p- and a q-factor and one recompression: the
-    rate kinds in the rate kernel's unit configuration
-    (``_unit_rate_factors``), the Bernoulli KL split at the block's
-    diagonal corner (``_unit_bernoulli_factors``), each over the grid
-    points inside the block's threshold box (``_cross_factors``).
-
-    The factors are sampled on uniform grids over the block unless
-    explicit grids (e.g. a family's native discretization) are passed.
-    Reconstruction error on the grid is below 10*eps: interpolation,
-    zero-truncation and recompression each contribute at most ~eps.
-    """
+def _constructive_factors(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+                          p_grid: np.ndarray, p_block: np.ndarray,
+                          q_grid: np.ndarray, q_block: np.ndarray,
+                          inside: Optional[tuple] = None) -> list:
+    """``constructive_blocks``' raw factors: an (alpha, beta) pair per block, not recompressed."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     if not (n > 0.0):
         raise ValueError("n must be positive")
-    p_interval, q_interval = block.p_interval, block.q_interval
+    intervals = tuple(np.asarray(x, dtype=np.float64).reshape(-1) for x in intervals)
+    count = intervals[0].size
+    p_grid, q_grid = (np.asarray(g, dtype=np.float64) for g in (p_grid, q_grid))
+    p_block, q_block = (np.asarray(b, dtype=np.intp) for b in (p_block, q_block))
+    for block in (p_block, q_block):
+        if block.size and (block[0] < 0 or block[-1] >= count or np.any(block[1:] < block[:-1])):
+            raise ValueError("block ids must ascend and lie in [0, blocks)")
+    s, t, u, v = _split_at_corner(kind, n, intervals, p_grid, p_block, q_grid, q_block)
+    p_in, q_in = inside if inside is not None else threshold_masks(kind, n, eps, intervals, p_grid,
+                                                                   p_block, q_grid, q_block)
+    if kind is DivergenceKind.RATE_DUAL:
+        # the rate kernel's p side is the q axis
+        pairs = _cross_factors(s, t, u, v, q_in, q_block, p_in, p_block, count, eps)
+        return [(beta, alpha) for alpha, beta in pairs]
+    return _cross_factors(s, t, u, v, p_in, p_block, q_in, q_block, count, eps)
+
+
+def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+                        p_grid: np.ndarray, p_block: np.ndarray,
+                        q_grid: np.ndarray, q_block: np.ndarray,
+                        inside: Optional[tuple] = None) -> list[SeparatedApprox]:
+    """Constructive separated approximations of exp(-n * divergence) on many blocks at once.
+
+    The blocks and grids are given as ``threshold_masks`` takes them:
+    ``intervals`` is ``(p_lo, p_hi, q_lo, q_hi)``, one entry per block,
+    and grid point i of the p axis lies in block ``p_block[i]``, likewise
+    for q; the block ids ascend, so each block's points are consecutive.
+    ``inside`` is the pair of masks ``threshold_masks`` gives for these
+    grids, when the caller has them; otherwise they are computed.
+
+    Supports the rate kernel, its dual (roles of the axes swapped), its
+    reflection (both coordinates complemented) and the Bernoulli KL; the
+    last two on unit-square blocks only.  Every kind is one interpolated
+    cross factor between a p- and a q-factor: the kernel is split at each
+    block's corner (``_split_at_corner``), all blocks in one pass; the
+    cross factor is interpolated over each block's grid points inside its
+    threshold box, all blocks of one degree in one pass
+    (``_cross_factors``); and each block's factors are recompressed by
+    ``_recompress``, one call per block.  A block's expansion is bit for
+    bit the one it gets alone.  Reconstruction error on the grid is below
+    10*eps: interpolation, zero-truncation and recompression each
+    contribute at most ~eps.  A ``BuilderError`` carries the failing
+    block's position as ``block``.
+
+    Returns one ``SeparatedApprox`` per block, in order, on its own grid points.
+    """
+    factors = _constructive_factors(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block,
+                                    inside)
+    p_grid, q_grid = (np.asarray(g, dtype=np.float64) for g in (p_grid, q_grid))
+    blocks = np.arange(len(factors) + 1)
+    p_edges = np.searchsorted(p_block, blocks).tolist()
+    q_edges = np.searchsorted(q_block, blocks).tolist()
+    out = []
+    for b, (alpha, beta) in enumerate(factors):
+        alpha, beta = _recompress(alpha, beta, eps)
+        out.append(SeparatedApprox(p_grid[p_edges[b]:p_edges[b + 1]],
+                                   q_grid[q_edges[b]:q_edges[b + 1]], alpha, beta))
+    return out
+
+
+def build_constructive(block: Block, kind: DivergenceKind, n: float, eps: float,
+                       grid_size: int = 128,
+                       p_grid: Optional[np.ndarray] = None,
+                       q_grid: Optional[np.ndarray] = None) -> SeparatedApprox:
+    """Constructive separated approximation of exp(-n * divergence) on one block.
+
+    ``constructive_blocks`` on the one block, as ``aca_build`` is
+    ``aca_blocks`` on one box.  The factors are sampled on uniform grids
+    over the block unless explicit grids (e.g. a family's native
+    discretization) are passed.
+    """
     if p_grid is None or q_grid is None:
         if grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        p_grid = np.linspace(*p_interval, grid_size) if p_grid is None else p_grid
-        q_grid = np.linspace(*q_interval, grid_size) if q_grid is None else q_grid
+        p_grid = np.linspace(*block.p_interval, grid_size) if p_grid is None else p_grid
+        q_grid = np.linspace(*block.q_interval, grid_size) if q_grid is None else q_grid
     p_grid = np.asarray(p_grid, dtype=np.float64)
     q_grid = np.asarray(q_grid, dtype=np.float64)
-
-    if kind is DivergenceKind.BERNOULLI:
-        _check_unit_square(p_interval, q_interval, "Bernoulli")
-        alpha, beta = _unit_bernoulli_factors(p_interval, q_interval, n, eps, p_grid, q_grid)
-    else:
-        # rescaled by its corner, the block in rate coordinates is the unit configuration
-        p_interval, q_interval, p_vals, q_vals = _rate_coordinates(kind, p_interval, q_interval,
-                                                                   p_grid, q_grid)
-        regime, corner = _unit_configuration(p_interval, q_interval)
-        alpha, beta = _unit_rate_factors(regime, n * corner, eps,
-                                         p_vals / corner, q_vals / corner)
-        if kind is DivergenceKind.RATE_DUAL:
-            alpha, beta = beta, alpha
-    alpha, beta = _recompress(alpha, beta, eps)
-    return SeparatedApprox(p_grid=p_grid, q_grid=q_grid, alpha=alpha, beta=beta)
+    intervals = tuple(np.array([x]) for x in (*block.p_interval, *block.q_interval))
+    return constructive_blocks(kind, n, eps, intervals,
+                               p_grid, np.zeros(p_grid.size, dtype=np.intp),
+                               q_grid, np.zeros(q_grid.size, dtype=np.intp))[0]
 
 
 def build_product(a: SeparatedApprox, b: SeparatedApprox, eps: float) -> SeparatedApprox:

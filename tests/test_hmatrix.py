@@ -884,6 +884,59 @@ def test_binomial_constructive_blocks_from_one_cross_factor(eps, monkeypatch):
         assert rec["rank"] <= svd_rank + 1, (int(rec["level"]), int(rec["index"]), svd_rank)
 
 
+@pytest.mark.parametrize("name", ["binomial", "poisson", "chisq"])
+def test_constructive_compress_masks_once_and_recompresses_each_box(name, monkeypatch):
+    # one threshold_masks call finds the boxes and one masks the box grids of all
+    # levels; then one _recompress per block with a nonempty box
+    spec, eps = _family(name, 2**10), 1e-9
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    built = sum(box is not None for box in hmatrix._threshold_boxes(kmap, block_ranges, eps))
+    masks, recompressed = [], []
+    real_masks, real_recompress = separated.threshold_masks, separated._recompress
+
+    def masking(*args):
+        masks.append(args[0])
+        return real_masks(*args)
+
+    def recompressing(alpha, beta, threshold):
+        recompressed.append(alpha.shape)
+        return real_recompress(alpha, beta, threshold)
+
+    monkeypatch.setattr(separated, "threshold_masks", masking)
+    monkeypatch.setattr(hmatrix, "threshold_masks", masking)
+    monkeypatch.setattr(separated, "_recompress", recompressing)
+    h = compress(spec, eps, builder=Builder.CONSTRUCTIVE)
+    assert len(masks) <= 2
+    assert len(recompressed) == built == int(np.count_nonzero(h.lowrank["rank"])) > 50
+
+
+def test_builder_error_names_the_block(monkeypatch):
+    # the fifth block built is the third of level 2: the error is raised inside a
+    # level call and names the block by level, index and box
+    spec, eps = BinomialFamily(n=2**10), 1e-9
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    built = [(region, box) for (region, _), box
+             in zip(block_ranges, hmatrix._threshold_boxes(kmap, block_ranges, eps))
+             if box is not None]
+    calls = []
+    real_degree = separated._cross_degree
+
+    def failing(w, e):
+        calls.append(w)
+        if len(calls) == 5:
+            raise separated.BuilderError("cross-factor degree cap exceeded")
+        return real_degree(w, e)
+
+    monkeypatch.setattr(separated, "_cross_degree", failing)
+    with pytest.raises(separated.BuilderError) as info:
+        compress(spec, eps, builder=Builder.CONSTRUCTIVE)
+    (level, index), (r0, r1, c0, c1) = built[4]
+    assert level == 2
+    assert str(info.value) == (f"builder failed on block level={level} index={index} "
+                               f"rows [{r0},{r1}) cols [{c0},{c1}): "
+                               "cross-factor degree cap exceeded")
+
+
 # ---------------------------------------------------------------------------
 # the threshold box
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hlrd.divergence import DivergenceKind, Regime, divergence, solve_thresholds
+from hlrd.divergence import DivergenceKind, Regime, _bernoulli, divergence, solve_thresholds
 from hlrd.families import (
     BinomialFamily,
     ChiSquaredFamily,
@@ -14,9 +14,10 @@ from hlrd.families import (
     block_oracle,
     dense_matrix,
     entry_exact,
+    kernel_map,
 )
 from hlrd.hmatrix import Builder, compress, index_layout
-from hlrd.partition import Block, QuarterPlane, UnitSquare, build_scheme
+from hlrd.partition import Block, QuarterPlane, UnitSquare, block_intervals, build_scheme
 from hlrd.separated import (
     BuilderError,
     RankConvention,
@@ -28,7 +29,7 @@ from hlrd.separated import (
     numerical_rank,
     rank_from_singular_values,
 )
-from hlrd import separated
+from hlrd import hmatrix, separated
 
 K = DivergenceKind
 
@@ -197,6 +198,24 @@ def test_rank_grows_at_most_linearly_in_log_accuracy():
 # constructive builder
 # ---------------------------------------------------------------------------
 
+def _one_block_factors(kind, n, eps, intervals, p, q):
+    """The level builder's raw factors for one block with the given intervals and grids."""
+    at_p, at_q = np.zeros(np.size(p), dtype=np.intp), np.zeros(np.size(q), dtype=np.intp)
+    return separated._constructive_factors(kind, n, eps, tuple(np.array([x]) for x in intervals),
+                                           p, at_p, q, at_q)[0]
+
+
+def _unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat):
+    """Raw factors of exp(-n' rate(p, q)) on the unit configuration: a block with corner 1."""
+    intervals = (1.0, 2.0, 0.0, 1.0) if regime is Regime.LOWER else (0.0, 1.0, 1.0, 2.0)
+    return _one_block_factors(K.RATE, n_scaled, eps, intervals, p_hat, q_hat)
+
+
+def _unit_bernoulli_factors(p_interval, q_interval, n, eps, p, q):
+    """Raw factors of exp(-n KL(p || q)) on a unit-square block."""
+    return _one_block_factors(K.BERNOULLI, n, eps, (*p_interval, *q_interval), p, q)
+
+
 @pytest.mark.parametrize("n_eff", [1.0, 32.0, 1024.0])
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_constructive_unit_configuration(n_eff, eps):
@@ -312,7 +331,7 @@ def test_constructive_degree_grows_like_log_accuracy():
     for regime in Regime:
         pg, qg = grids[regime]
         for n_scaled in (1.0, 32.0, 1024.0, 2.0 ** 14):
-            widths = np.array([separated._unit_rate_factors(regime, n_scaled, e, pg, qg)[0].shape[1]
+            widths = np.array([_unit_rate_factors(regime, n_scaled, e, pg, qg)[0].shape[1]
                                for e in eps_list], dtype=float)
             solved = np.array([_solved_box_degree(regime, n_scaled, e) for e in eps_list],
                               dtype=float)
@@ -348,7 +367,7 @@ def test_threshold_rule_is_the_solvers_box(regime, n_scaled, eps):
     with np.errstate(divide="ignore"):
         solver_q = -sigma * np.log(q_hat) <= sigma * pair.neg_log_q_m
     assert np.array_equal(q_in[~near_q], solver_q[~near_q])
-    alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
+    alpha, beta = _unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
     assert np.array_equal(alpha.any(axis=1), p_in) and np.array_equal(beta.any(axis=1), q_in)
 
 
@@ -370,7 +389,7 @@ def test_unit_rate_factors_accurate_on_narrow_grids(regime, n_scaled, eps):
     log_inv_eps = math.log(1.0 / eps)
     for span, p_start in itertools.product((0.999, 1.0 / 4, 1.0 / 16, 1.0 / 256), (0.0, 0.5)):
         p_hat, q_hat = _unit_grids(regime, span, 129, p_start * span)
-        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
+        alpha, beta = _unit_rate_factors(regime, n_scaled, eps, p_hat, q_hat)
         inside = np.outer(separated._rate_to_one(n_scaled, p_hat) <= log_inv_eps,
                           separated._rate_from_one(n_scaled, q_hat) <= log_inv_eps)
         approx = alpha @ beta.T
@@ -402,7 +421,7 @@ def test_grid_past_the_box_gets_the_solvers_interval(regime, n_scaled, eps):
     p_in = separated._rate_to_one(n_scaled, p_hat) <= log_inv_eps
     q_in = separated._rate_from_one(n_scaled, q_hat) <= log_inv_eps
     width = _check_box_invariance(
-        lambda p, q: separated._unit_rate_factors(regime, n_scaled, eps, p, q),
+        lambda p, q: _unit_rate_factors(regime, n_scaled, eps, p, q),
         p_hat, q_hat, p_in, q_in)
     assert width <= _solved_box_degree(regime, n_scaled, eps) + 1
 
@@ -418,7 +437,7 @@ def test_bernoulli_expansion_depends_only_on_points_in_the_box(blk):
                                     [1e-3, 1e-6, 1e-9, 1e-12]):
         p_in, q_in = separated.threshold_masks(K.BERNOULLI, n, eps, intervals, pg, at, qg, at)
         _check_box_invariance(
-            lambda p, q: separated._unit_bernoulli_factors(blk.p_interval, blk.q_interval,
+            lambda p, q: _unit_bernoulli_factors(blk.p_interval, blk.q_interval,
                                                            n, eps, p, q),
             pg, qg, p_in, q_in)
 
@@ -429,11 +448,11 @@ def test_unit_rate_factors_on_empty_and_one_point_grids(regime):
     p_hat, q_hat = _unit_grids(regime, 0.25, 5)
     empty = np.zeros(0)
     for pg, qg in ((empty, q_hat), (p_hat, empty), (empty, empty)):
-        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, pg, qg)
+        alpha, beta = _unit_rate_factors(regime, n_scaled, eps, pg, qg)
         assert alpha.shape == (pg.size, 0) and beta.shape == (qg.size, 0)
     # one point on a side: an s-interval of width 0, or a single t
     for pg, qg in ((p_hat[2:3], q_hat), (p_hat, q_hat[2:3]), (p_hat[2:3], q_hat[2:3])):
-        alpha, beta = separated._unit_rate_factors(regime, n_scaled, eps, pg, qg)
+        alpha, beta = _unit_rate_factors(regime, n_scaled, eps, pg, qg)
         assert np.max(np.abs(alpha @ beta.T - rate_kernel(n_scaled, pg, qg))) <= eps / 2
 
 
@@ -485,9 +504,131 @@ def test_unit_configuration_is_the_transformed_block_geometry():
                 for kind, (lower, point) in expected.items():
                     p_int, q_int, _, _ = separated._rate_coordinates(
                         kind, blk.p_interval, blk.q_interval, grid, grid)
-                    regime, got = separated._unit_configuration(p_int, q_int)
-                    assert regime is (Regime.LOWER if lower else Regime.UPPER), (blk, kind)
+                    below_got, got = separated._unit_configuration(p_int, q_int)
+                    assert bool(below_got) is lower, (blk, kind)
                     assert got == point, (blk, kind)
+
+
+# The per-block constructive path that the level builder replaced, pinned here as
+# the reference its raw factors must match bit for bit: each block split at its
+# corner on its own, masked by its own threshold_masks call, interpolated alone.
+
+def _reference_lagrange_matrix(x, nodes, weights):
+    diff = x[:, None] - nodes[None, :]
+    exact = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_over = weights[None, :] / diff
+        out = w_over / np.sum(w_over, axis=1)[:, None]
+    if exact.any():
+        hit_rows = np.any(exact, axis=1)
+        out[hit_rows, :] = exact[hit_rows, :].astype(np.float64)
+    return out
+
+
+def _reference_cross_factors(s, t, u, v, mask_p, mask_q, eps):
+    if not (np.any(mask_p) and np.any(mask_q)):
+        return np.zeros((s.size, 0)), np.zeros((t.size, 0))
+    s_in, t_in = s[mask_p], t[mask_q]
+    s_lo, s_hi = max(0.0, float(np.min(s_in))), float(np.max(s_in))
+    degree = separated._cross_degree((s_hi - s_lo) * float(np.max(t_in)), eps)
+    unit_nodes, weights = separated._cheb_nodes_weights(degree)
+    nodes = s_lo + 0.5 * (s_hi - s_lo) * unit_nodes
+    alpha = np.zeros((s.size, nodes.size))
+    alpha[mask_p, :] = (_reference_lagrange_matrix(s_in, nodes, weights)
+                        * np.exp(-u[mask_p])[:, None])
+    beta = np.zeros((t.size, nodes.size))
+    beta[mask_q, :] = np.exp(-np.outer(t_in, nodes) - v[mask_q, None])
+    return alpha, beta
+
+
+def _reference_raw_factors(blk, kind, n, eps, p_grid, q_grid):
+    """The parent's ``build_constructive`` up to its ``_recompress``."""
+    (plo, phi), (qlo, qhi) = blk.p_interval, blk.q_interval
+    log_inv_eps = math.log(1.0 / eps)
+    if kind is K.BERNOULLI:
+        sigma = 1.0 if plo > qlo else -1.0
+        corner = max(plo, qlo)
+        intervals = tuple(np.array([x]) for x in (plo, phi, qlo, qhi))
+        mask_p, mask_q = separated.threshold_masks(K.BERNOULLI, n, eps, intervals,
+                                                   p_grid, np.zeros(p_grid.size, dtype=np.intp),
+                                                   q_grid, np.zeros(q_grid.size, dtype=np.intp))
+        s = n * (sigma * (p_grid - corner))
+        u = n * _bernoulli(p_grid, corner)
+        d = corner - q_grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = n * _bernoulli(corner, q_grid)
+            t = sigma * (np.log1p(d / q_grid) + np.log1p(d / (1.0 - corner)))
+        return _reference_cross_factors(s, t, u, v, mask_p, mask_q, eps)
+    p_vals, q_vals = p_grid, q_grid
+    if kind is K.RATE_DUAL:
+        (plo, phi), (qlo, qhi), p_vals, q_vals = (qlo, qhi), (plo, phi), q_grid, p_grid
+    elif kind is K.RATE_REFLECTED:
+        (plo, phi), (qlo, qhi), p_vals, q_vals = (1.0 - phi, 1.0 - plo), (1.0 - qhi, 1.0 - qlo), \
+            1.0 - p_grid, 1.0 - q_grid
+    sigma = 1.0 if plo > qlo else -1.0
+    corner = max(plo, qlo)
+    n_scaled, p_hat, q_hat = n * corner, p_vals / corner, q_vals / corner
+    s = n_scaled * (sigma * (p_hat - 1.0))
+    with np.errstate(divide="ignore"):
+        t = -sigma * np.log(q_hat)
+    u = separated._rate_to_one(n_scaled, p_hat)
+    v = separated._rate_from_one(n_scaled, q_hat)
+    alpha, beta = _reference_cross_factors(s, t, u, v, u <= log_inv_eps, v <= log_inv_eps, eps)
+    return (beta, alpha) if kind is K.RATE_DUAL else (alpha, beta)
+
+
+def _level_call(kmap, eps, regions, boxes):
+    """The level builder's raw factors for the blocks ``regions`` on the index boxes ``boxes``."""
+    regions, boxes = np.array(regions, dtype=np.intp), np.array(boxes, dtype=np.intp)
+    rows, row_block, _ = hmatrix._spans(boxes[:, 0], boxes[:, 1])
+    cols, col_block, _ = hmatrix._spans(boxes[:, 2], boxes[:, 3])
+    return separated._constructive_factors(
+        kmap.kind, kmap.n_eff, eps, block_intervals(regions[:, 0], regions[:, 1]),
+        kmap.p_of_row[rows], row_block, kmap.q_of_col[cols], col_block)
+
+
+def _assert_same_bits(got, ref, where):
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), where
+
+
+@pytest.mark.parametrize("n", [2 ** 8, 2 ** 11, 2 ** 12])
+@pytest.mark.parametrize("family", ["binomial", "poisson", "chisq"])
+def test_level_builder_matches_the_per_block_path(family, n):
+    # one call over all of a matrix's blocks: on the threshold boxes, plus a
+    # one-row and a one-column cut of every fourth box (degrees from 0 up mixed
+    # in one call); and on the whole blocks, whose grids reach past the box (zero
+    # rows there, the interval from the points inside) or hold no point inside
+    spec = FAMILY_SPECS[family](n)
+    kmap = kernel_map(spec)
+    _, _, block_ranges, _, _ = index_layout(spec)
+    for eps in (1e-6, 1e-9, 1e-12):
+        boxes = hmatrix._threshold_boxes(kmap, block_ranges, eps)
+        built = [(region, box) for (region, _), box in zip(block_ranges, boxes) if box is not None]
+        cuts = [(region, (r0, r0 + 1, c0, c1)) for region, (r0, r1, c0, c1) in built[::4]]
+        cuts += [(region, (r0, r1, c1 - 1, c1)) for region, (r0, r1, c0, c1) in built[1::4]]
+        for case, blocks in (("box", built + cuts), ("block", block_ranges)):
+            regions, grids = zip(*blocks)
+            got = _level_call(kmap, eps, regions, grids)
+            widths, zero_rows = set(), 0
+            for (level, index), (r0, r1, c0, c1), pair in zip(regions, grids, got):
+                ref = _reference_raw_factors(Block(level, index), kmap.kind, kmap.n_eff, eps,
+                                             kmap.p_of_row[r0:r1], kmap.q_of_col[c0:c1])
+                _assert_same_bits(pair, ref, (eps, case, level, index))
+                widths.add(pair[0].shape[1])
+                zero_rows += sum(int(np.sum(~f.any(axis=1))) for f in pair if f.shape[1])
+            assert len(widths) > 2, (eps, case, widths)
+            # on box grids every point is inside; whole blocks reach past their boxes
+            assert (zero_rows > 0) is (case == "block"), (eps, case)
+
+
+def test_level_builder_checks_its_block_ids():
+    intervals = tuple(np.array([x, x]) for x in (1.0, 2.0, 0.0, 1.0))
+    grid, ok = np.linspace(1.0, 2.0, 4), np.array([0, 0, 1, 1])
+    for bad in (np.array([0, 1, 0, 1]), np.array([0, 0, 1, 2]), np.array([-1, 0, 1, 1])):
+        with pytest.raises(ValueError, match="block ids"):
+            separated._constructive_factors(K.RATE, 8.0, 1e-6, intervals,
+                                            grid, bad, 1.0 - grid / 2, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +732,24 @@ def test_recompress_matches_explicit_q_on_builder_inputs(monkeypatch, spec, eps)
     assert len(inputs) > 20
     for alpha, beta, threshold in inputs:
         _check_recompress(alpha, beta, threshold)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-12])
+@pytest.mark.parametrize("spec", [
+    BinomialFamily(n=256),
+    PoissonFamily(k_max=256, lambda_max=256.0, lambda_grid=256),
+    ChiSquaredFamily(x_max=256.0, x_grid=256, k_max=256),
+], ids=["binomial", "poisson", "chisq"])
+def test_r_factor_is_qr_mode_r_bit_for_bit(monkeypatch, spec, eps):
+    # R zeroed in place in numpy's factored copy: the same bits and layout as
+    # qr(mode="r")'s triu copy, on every factor the builder recompresses with a QR
+    tall = [f for alpha, beta, _ in _builder_inputs(monkeypatch, spec, eps)
+            for f in (alpha, beta) if f.shape[0] > f.shape[1]]
+    assert len(tall) > 10
+    for f in tall:
+        r, ref = separated._r_factor(f), np.linalg.qr(f, mode="r")
+        assert r.shape == ref.shape and r.tobytes() == ref.tobytes()
+        assert r.flags.c_contiguous and ref.flags.c_contiguous
 
 
 def test_recompress_matches_explicit_q_on_random_low_rank():
