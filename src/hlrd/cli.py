@@ -35,10 +35,10 @@ from .families import (
     BinomialFamily,
     ChiSquaredFamily,
     PoissonFamily,
-    block_oracle,
     dense_matrix,
 )
-from .hmatrix import Builder, aca_by_level, compress, index_layout, matvec, storage_report, verify
+from .hmatrix import (Builder, aca_by_level, block_spectra, compress, first_live_rows,
+                      index_layout, matvec, storage_report, verify)
 from .partition import QuarterPlane, UnitSquare, build_scheme, verify_tiling
 # aca_build is unused here; perfbench/tracing.py wraps it by this module's name
 from .separated import (  # noqa: F401
@@ -46,7 +46,6 @@ from .separated import (  # noqa: F401
     RankConvention,
     aca_build,
     rank_from_singular_values,
-    singular_values,
 )
 
 EXIT_OK = 0
@@ -124,17 +123,6 @@ def _family_params(spec) -> dict:
     return dataclasses.asdict(spec)
 
 
-def _singular_values(spec, block_ranges: list):
-    """Yield ``separated.singular_values`` of each off-diagonal block, in ``index_layout`` order.
-
-    Each block is formed on its own open index grid by ``families.block_oracle``,
-    one at a time, so the largest block, not the whole matrix, sets the peak memory.
-    """
-    for _, (r0, r1, c0, c1) in block_ranges:
-        yield singular_values(block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
-                                                                 np.arange(c1 - c0)[None, :]))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -147,10 +135,11 @@ def _cmd_rank_map(args) -> int:
     _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
     # ACA on each whole block, the blocks of a level in lockstep
     aca = aca_by_level(spec, kmap, [level for (level, _), _ in block_ranges],
-                       [box for _, box in block_ranges], eps)
+                       [box for _, box in block_ranges], eps,
+                       first_rows=first_live_rows(kmap, block_ranges))
     rows = []
     for ((level, index), box), s, approx in zip(block_ranges,
-                                                _singular_values(spec, block_ranges), aca):
+                                                block_spectra(spec, kmap, block_ranges), aca):
         rows.append([level, index, *box, rank_from_singular_values(s, eps, convention),
                      approx.rank])
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -172,8 +161,8 @@ def _cmd_eps_sweep(args) -> int:
                   else RankConvention.ABSOLUTE)
     eps_list = np.array(sorted(args.eps))
     max_rank = np.zeros(eps_list.size, dtype=int)
-    _, _, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
-    for s in _singular_values(spec, block_ranges):
+    _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
+    for s in block_spectra(spec, kmap, block_ranges):
         np.maximum(max_rank, rank_from_singular_values(s, eps_list, convention), out=max_rank)
     rows = [[float(eps), int(rank)] for eps, rank in zip(eps_list, max_rank)]
     out = Path(args.out)

@@ -26,7 +26,9 @@ exponent in the block's unit configuration is at most ln(1/eps), and
 outside it the kernel ``exp(-n_eff * divergence)`` is below eps.
 ``_threshold_boxes`` finds the boxes of all blocks in one pass, and
 either builder runs on the box alone; a block whose box is empty
-stores rank 0 and builds nothing.  The entries left out are the kernel
+stores rank 0 and builds nothing.  The rank experiments take each
+block's singular values on a box too (``block_spectra``), at a level set
+by the block's own entries so that the SVD cannot see what is left out.  The entries left out are the kernel
 times the exact prefactor, so the absolute error the box adds is below
 eps times the largest prefactor on the ridge: eps/2 for the binomial
 (the k = 1 row, ``(1 - 1/n)^(n-1)``, at most 1/2 and near 1/e for large
@@ -71,6 +73,7 @@ from .partition import PartitionScheme, QuarterPlane, UnitSquare, block_interval
 # wraps them by this module's names
 from .separated import (BuilderError, aca_blocks, aca_build, build_constructive,
                         build_product, constructive_blocks, threshold_masks)  # noqa: F401
+from .separated import _UNIT_ROUNDOFF, _support_singular_values
 
 __all__ = [
     "Builder",
@@ -82,8 +85,10 @@ __all__ = [
     "StorageReport",
     "VerifyReport",
     "aca_by_level",
+    "block_spectra",
     "compress",
     "constructive_by_level",
+    "first_live_rows",
     "index_layout",
     "matvec",
     "payload_arrays",
@@ -474,26 +479,32 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
 
 
 def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
-                 eps: float) -> list:
+                 eps: float, first_rows: Optional[list] = None) -> list:
     """ACA factors of the blocks on their boxes, one lockstep ``aca_blocks`` call per level.
 
     ``levels`` and ``boxes`` name each block's level and its box in matrix
-    indices (None: nothing to build, and None comes back).  Every box lies
-    in the interior, the matrix without its singular rows and columns, and
-    the oracle is ``families.block_oracle`` over the interior: the family's
-    entry formula, bit for bit ``entry_exact``.
+    indices (None: nothing to build, and None comes back); ``first_rows``,
+    when given, each block's first pivot row in matrix indices, as
+    ``aca_blocks`` takes it.  Every box lies in the interior, the matrix
+    without its singular rows and columns, and the oracle is
+    ``families.block_oracle`` over the interior: the family's entry
+    formula, bit for bit ``entry_exact``.
     """
-    r0, r1 = _interior(kmap.singular_rows, spec.shape[0])
-    c0, c1 = _interior(kmap.singular_cols, spec.shape[1])
-    oracle = block_oracle(spec, r0, r1, c0, c1)
     by_level: dict = {}
     for k, (level, box) in enumerate(zip(levels, boxes)):
         if box is not None:
             by_level.setdefault(level, []).append(k)
     out = [None] * len(boxes)
+    if not by_level:
+        # nothing to build; the interior may be empty
+        return out
+    r0, r1 = _interior(kmap.singular_rows, spec.shape[0])
+    c0, c1 = _interior(kmap.singular_cols, spec.shape[1])
+    oracle = block_oracle(spec, r0, r1, c0, c1)
     for at in by_level.values():
         local = np.array([boxes[k] for k in at], dtype=np.intp) - [r0, r0, c0, c0]
-        for k, approx in zip(at, aca_blocks(oracle, local, eps)):
+        first = None if first_rows is None else [first_rows[k] - boxes[k][0] for k in at]
+        for k, approx in zip(at, aca_blocks(oracle, local, eps, first)):
             out[k] = approx
     return out
 
@@ -506,19 +517,21 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple:
             np.repeat(np.arange(sizes.size), sizes), starts)
 
 
-def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
+def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps) -> list:
     """Each block's threshold box in index space, for all the blocks at once.
 
     ``block_ranges`` pairs each block's ``(level, index)`` with its box, as
-    ``index_layout`` gives them, and holds at least one block.  Returns per
-    block the box of the rows and columns that ``separated.threshold_masks``
-    puts inside its threshold box, or None when no row or no column is
-    inside.  The rows of a block map to rate coordinates on one side of
-    its corner, where the rule's exponent is monotone, so the rows inside
-    are one range (for the binomial, the intersection of two ranges); the
-    box runs from the first through the last of them, and likewise for
-    the columns.
+    ``index_layout`` gives them; ``eps`` is one level for all of them or an
+    array of one per block.  Returns per block the box of the rows and
+    columns that ``separated.threshold_masks`` puts inside its threshold
+    box, or None when no row or no column is inside.  The rows of a block
+    map to rate coordinates on one side of its corner, where the rule's
+    exponent is monotone, so the rows inside are one range (for the
+    binomial, the intersection of two ranges); the box runs from the first
+    through the last of them, and likewise for the columns.
     """
+    if not block_ranges:
+        return []
     regions = np.array([region for region, _ in block_ranges], dtype=np.intp)
     boxes = np.array([box for _, box in block_ranges], dtype=np.intp)
     rows, row_block, row_starts = _spans(boxes[:, 0], boxes[:, 1])
@@ -532,6 +545,73 @@ def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps: float) -> list:
         inside.append(np.maximum.reduceat(np.where(mask, idx, -1), starts) + 1)
     return [None if r0 >= r1 or c0 >= c1 else (r0, r1, c0, c1)
             for r0, r1, c0, c1 in zip(*(a.tolist() for a in inside))]
+
+
+def _spectrum_boxes(spec: FamilySpec, kmap: KernelMap, block_ranges: list) -> list:
+    """Per block, the box its spectrum is taken on, or None to form it whole.
+
+    A block of R x C entries has m, the largest of its four corner
+    entries, and P, the largest exact prefactor on its prefactor axis.  At
+    the level eps' = (u/2) m / (P sqrt(R C)), u = 2^-53, the kernel is
+    below eps' outside the block's threshold box, so every entry left out
+    is below eps' P and all of them together have Frobenius norm below
+    (u/2) m.  When m's corner lies inside the box that is at most
+    (u/2) ||A_box||_F; otherwise, or when eps' is 0, the block gets None.
+    The boxes of all blocks come from one ``threshold_masks`` pass.
+    """
+    if not block_ranges:
+        return []
+    boxes = np.array([box for _, box in block_ranges], dtype=np.intp)
+    r0, r1, c0, c1 = boxes.T
+    rows = np.stack([r0, r0, r1 - 1, r1 - 1], axis=1)
+    cols = np.stack([c0, c1 - 1, c0, c1 - 1], axis=1)
+    corners = entry_exact(spec, rows, cols)
+    at, top = np.arange(len(boxes)), corners.argmax(axis=1)
+    m, m_row, m_col = corners[at, top], rows[at, top], cols[at, top]
+    lo, hi = (r0, r1) if kmap.prefactor_axis == "row" else (c0, c1)
+    axis, _, starts = _spans(lo, hi)
+    p_max = np.maximum.reduceat(np.exp(kmap.exact_log_prefactor[axis]), starts)
+    level = 0.5 * _UNIT_ROUNDOFF * m / (p_max * np.sqrt((r1 - r0) * (c1 - c0)))
+    held = level > 0.0
+    out = _threshold_boxes(kmap, block_ranges, np.where(held, level, 1.0))
+    for k, box in enumerate(out):
+        if box is not None and not (held[k] and box[0] <= m_row[k] < box[1]
+                                    and box[2] <= m_col[k] < box[3]):
+            out[k] = None
+    return out
+
+
+def block_spectra(spec: FamilySpec, kmap: KernelMap, block_ranges: list):
+    """Yield the singular values of each off-diagonal block, in ``index_layout`` order.
+
+    Each block is formed by ``families.block_oracle``, one at a time, on
+    the box ``_spectrum_boxes`` gives it, whose left-out part has
+    Frobenius norm at most (u/2) ||A_box||_F.  The box's support is
+    trimmed against (3/4) (u ||A_box||_F)^2, so the part dropped in all
+    has Frobenius norm at most u ||A_box||_F <= u ||A||_F and, by Weyl's
+    inequality, each value is within u ||A||_F of the whole block's SVD,
+    as ``separated.singular_values``' are.  A block without a box is
+    formed whole and trimmed as ``singular_values`` trims it.  The largest
+    box, not the largest block, sets the peak memory.
+    """
+    boxes = _spectrum_boxes(spec, kmap, block_ranges)
+    for (_, block), box in zip(block_ranges, boxes):
+        r0, r1, c0, c1 = block if box is None else box
+        a = block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
+                                                np.arange(c1 - c0)[None, :])
+        yield _support_singular_values(a, 1.0 if box is None else 0.75)
+
+
+def first_live_rows(kmap: KernelMap, block_ranges: list) -> list:
+    """Each block's first row inside its threshold box at 1e-300 (without a box, its first row).
+
+    Outside that box the kernel is below 1e-300 and every exact prefactor
+    is below 1, so the rows before hold no entry above 1e-300: the rows
+    ACA's degenerate-row walk would pass over, so ``aca_by_level``'s
+    ``first_rows`` may start it here.
+    """
+    return [block[0] if box is None else box[0] for (_, block), box
+            in zip(block_ranges, _threshold_boxes(kmap, block_ranges, 1e-300))]
 
 
 def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,

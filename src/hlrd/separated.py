@@ -192,16 +192,29 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     exp(-n * divergence) away from the ridge, so most of its rows and
     columns fall below that level.  Norms are taken of A scaled by its
     largest magnitude, so that squaring neither overflows nor underflows.
+
+    The rank experiments (``hmatrix.block_spectra``) need not form a
+    block whole: they form it on a box whose left-out part has Frobenius
+    norm at most (u/2) ||A_box||_F and trim the box against
+    (3/4) (u ||A_box||_F)^2, so the part dropped in all is again at most
+    u ||A||_F.
     """
+    return _support_singular_values(matrix, 1.0)
+
+
+def _support_singular_values(matrix: np.ndarray, share: float) -> np.ndarray:
+    """``singular_values`` with the trim's budget ``share`` (u ||A||_F)^2."""
     a = np.asarray(matrix, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    # a NaN or an infinity reaches the largest or the smallest entry
+    hi, lo = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a), initial=0.0))
+    scale = max(hi, -lo)
     if scale == 0.0:
         return np.zeros(0)
     scaled = a / scale
     row_sq = np.einsum("ij,ij->i", scaled, scaled)
-    rows, budget = _keep_above(row_sq, _UNIT_ROUNDOFF ** 2 * float(row_sq.sum()))
+    rows, budget = _keep_above(row_sq, share * _UNIT_ROUNDOFF ** 2 * float(row_sq.sum()))
     scaled = scaled[rows]
     cols, _ = _keep_above(np.einsum("ij,ij->j", scaled, scaled), budget)
     return np.linalg.svd(a[np.ix_(rows, cols)], compute_uv=False)
@@ -491,16 +504,19 @@ def _unit_configuration(p_interval: tuple, q_interval: tuple) -> tuple:
     return p_lo > q_lo, np.maximum(p_lo, q_lo)
 
 
-def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+def threshold_masks(kind: DivergenceKind, n: float, eps, intervals: tuple,
                     p_grid: np.ndarray, p_block: np.ndarray,
                     q_grid: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which grid points lie inside their block's threshold box, for many blocks at once.
 
     ``intervals`` is ``(p_lo, p_hi, q_lo, q_hi)``, one array entry per
     block (``partition.block_intervals``); grid point i of the p axis lies
-    in block ``p_block[i]``, and likewise for q.  In the block's unit
-    configuration (``_rate_coordinates``, then division by the corner of
-    ``_unit_configuration``) a rate-p point is inside when
+    in block ``p_block[i]``, and likewise for q.  ``eps > 0`` is one level
+    for all blocks, or an array of one per block: the rank experiments
+    (``hmatrix.block_spectra``) set each block's level from its own
+    entries.  In the block's unit configuration (``_rate_coordinates``,
+    then division by the corner of ``_unit_configuration``) a rate-p
+    point is inside when
     ``n' rate(p || 1) <= ln(1/eps)`` and a rate-q point when
     ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: the
     left-hand sides of ``divergence.solve_thresholds``' equations, and
@@ -522,7 +538,7 @@ def threshold_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple
     return _rate_masks(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block)
 
 
-def _rate_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
+def _rate_masks(kind: DivergenceKind, n: float, eps, intervals: tuple,
                 p_grid: np.ndarray, p_block: np.ndarray,
                 q_grid: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``threshold_masks`` for one of the rate kinds."""
@@ -532,9 +548,13 @@ def _rate_masks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
     _, corner = _unit_configuration(p_int, q_int)
     if kind is DivergenceKind.RATE_DUAL:
         p_block, q_block = q_block, p_block
-    log_inv_eps = math.log(1.0 / eps)
-    p_in = _rate_to_one(n * corner[p_block], p_vals / corner[p_block]) <= log_inv_eps
-    q_in = _rate_from_one(n * corner[q_block], q_vals / corner[q_block]) <= log_inv_eps
+    if np.ndim(eps) == 0:
+        p_level = q_level = math.log(1.0 / eps)
+    else:
+        log_inv_eps = np.log(1.0 / np.asarray(eps, dtype=np.float64))
+        p_level, q_level = log_inv_eps[p_block], log_inv_eps[q_block]
+    p_in = _rate_to_one(n * corner[p_block], p_vals / corner[p_block]) <= p_level
+    q_in = _rate_from_one(n * corner[q_block], q_vals / corner[q_block]) <= q_level
     return (q_in, p_in) if kind is DivergenceKind.RATE_DUAL else (p_in, q_in)
 
 
@@ -666,7 +686,8 @@ def _sum_crosses(coef: np.ndarray, panel: np.ndarray) -> np.ndarray:
     return (coef[:, :, None] * panel).sum(axis=1)
 
 
-def aca_blocks(entry_oracle: Callable, boxes, eps: float) -> list[SeparatedApprox]:
+def aca_blocks(entry_oracle: Callable, boxes, eps: float,
+               first_rows=None) -> list[SeparatedApprox]:
     """Adaptive cross approximation with partial pivoting, on a group of blocks in lockstep.
 
     ``boxes`` is a ``(g, 4)`` array of ``(row_lo, row_hi, col_lo, col_hi)``,
@@ -702,6 +723,11 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float) -> list[SeparatedAppro
     ``(g, h, 1) x (g, 1, cols)`` request per window: the same walk in a
     few requests, since without a cross a row's residual is its oracle row.
 
+    A block's first pivot row is its box's first row, or its entry of
+    ``first_rows`` (box-local, below the block's row count): the rows
+    before it count as walked.  A caller that knows those rows hold no
+    entry above 1e-300 gets the factors it would get without them, sooner.
+
     A block ends, without keeping it, at the first cross past its first
     whose norm is at most eps times the running Frobenius-norm estimate,
     or when no unused row is left.  A block that reaches min(rows, cols)
@@ -733,6 +759,9 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float) -> list[SeparatedAppro
     k = np.zeros(len(boxes), dtype=np.intp)
     norm2 = np.zeros(len(boxes))
     pivot_row = np.zeros(len(boxes), dtype=np.intp)
+    if first_rows is not None:
+        pivot_row[:] = first_rows
+        used_rows |= np.arange(n_rows) < pivot_row[:, None]
     to_dense = np.zeros(len(boxes), dtype=bool)
     tol2 = eps * eps
 

@@ -4,13 +4,17 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hlrd import cli
+from hlrd import cli, hmatrix, separated
 from hlrd.cli import main
-from hlrd.families import BinomialFamily, ChiSquaredFamily, PoissonFamily
+from hlrd.families import (BinomialFamily, ChiSquaredFamily, PoissonFamily, block_oracle,
+                           dense_matrix, entry_exact)
+from hlrd.hmatrix import index_layout
 
 
 def run(args):
@@ -88,11 +92,120 @@ FAMILY_FLAGS_128 = {
 ])
 def test_rank_commands_match_golden_csv(tmp_path, command, eps, family):
     # the paper's per-block ranks and their growth in ln(1/eps), pinned byte
-    # for byte: an oracle, layout or writer change cannot move them silently
-    name = f"{command}-{family}-128.csv"
-    out = tmp_path / name
-    assert run([command, *FAMILY_FLAGS_128[family], *eps, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    # for byte at n = 128 and at the benchmark's n = 1024: an oracle, layout,
+    # box or writer change cannot move them silently
+    for n in (128, 1024):
+        name = f"{command}-{family}-{n}.csv"
+        out = tmp_path / name
+        flags = [f.replace("128", str(n)) for f in FAMILY_FLAGS_128[family]]
+        assert run([command, *flags, *eps, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+U = 2.0 ** -53
+FAMILY_SPECS = {
+    "binomial": lambda n: BinomialFamily(n=n),
+    "poisson": lambda n: PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n),
+    "chisq": lambda n: ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n),
+}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_spectrum_box_leaves_out_half_the_budget(family, n):
+    # every block gets a box; what the box leaves out of the whole block has
+    # Frobenius norm at most (u/2) ||A_box||_F, and the box's spectrum is the
+    # whole block's to within u ||A||_F, plus the SVDs' own rounding (up to
+    # 5.4 u ||A||_F between singular_values and the full SVD on chi-squared
+    # 2^10), with the same rank at every eps the commands take
+    spec = FAMILY_SPECS[family](n)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    boxes = hmatrix._spectrum_boxes(spec, kmap, block_ranges)
+    full = dense_matrix(spec)
+    spectra = hmatrix.block_spectra(spec, kmap, block_ranges)
+    for ((region, (r0, r1, c0, c1)), box, s) in zip(block_ranges, boxes, spectra):
+        assert box is not None, region
+        a = full[r0:r1, c0:c1]
+        rows, cols = slice(box[0] - r0, box[1] - r0), slice(box[2] - c0, box[3] - c0)
+        left_out = a.copy()
+        left_out[rows, cols] = 0.0
+        assert np.linalg.norm(left_out) <= 0.5 * U * np.linalg.norm(a[rows, cols]), region
+        s_support = separated.singular_values(a)
+        s_full = np.linalg.svd(a, compute_uv=False)
+        tol = 8.0 * U * np.linalg.norm(a)
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.max(np.abs(s - s_full[:s.size]), initial=0.0) <= tol, region
+        assert np.all(s_full[s.size:] <= tol), region
+        k = min(s.size, s_support.size)
+        assert np.max(np.abs(s[:k] - s_support[:k]), initial=0.0) <= tol, region
+        for t in range(3, 15):
+            for convention in separated.RankConvention:
+                assert (separated.rank_from_singular_values(s, 10.0 ** -t, convention)
+                        == separated.rank_from_singular_values(s_support, 10.0 ** -t,
+                                                               convention)), (region, t)
+
+
+def _shrunk(threshold_boxes):
+    # one index in from every side: no block corner lies inside
+    def boxes(kmap, block_ranges, eps):
+        return [None if box is None else (box[0] + 1, box[1] - 1, box[2] + 1, box[3] - 1)
+                for box in threshold_boxes(kmap, block_ranges, eps)]
+    return boxes
+
+
+@pytest.mark.parametrize("force", ["corner-outside", "zero-corners"])
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_block_without_a_box_gets_the_whole_block_spectrum(monkeypatch, family, force):
+    # a block whose largest corner entry lies outside its box, or whose corners
+    # are all 0, is formed whole and gets singular_values' spectrum bit for bit
+    spec = FAMILY_SPECS[family](256)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    whole = [separated.singular_values(block_oracle(spec, r0, r1, c0, c1)(
+        np.arange(r1 - r0)[:, None], np.arange(c1 - c0)[None, :]))
+        for _, (r0, r1, c0, c1) in block_ranges]
+    if force == "corner-outside":
+        monkeypatch.setattr(hmatrix, "_threshold_boxes", _shrunk(hmatrix._threshold_boxes))
+    else:
+        monkeypatch.setattr(hmatrix, "entry_exact", lambda spec, i, j: np.zeros(np.shape(i)))
+    assert hmatrix._spectrum_boxes(spec, kmap, block_ranges) == [None] * len(block_ranges)
+    got = list(hmatrix.block_spectra(spec, kmap, block_ranges))
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in whole]
+
+
+def test_box_spectra_of_binomial_4096_stay_small():
+    # every block of binomial n = 2^12 on its box: the spectra's allocations peak
+    # at a few MiB, where forming the blocks whole peaked at 68 MiB
+    spec = BinomialFamily(n=4096)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    block_oracle(spec, *block_ranges[0][1])   # the family's operands, built once, are not counted
+    tracemalloc.start()
+    try:
+        for _ in hmatrix.block_spectra(spec, kmap, block_ranges):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_rank_map_aca_starts_past_underflowed_rows(family):
+    # the rows before each block's first live row hold no entry above 1e-300, and
+    # ACA started there gives the factors it gives from the block's first row, sooner
+    spec = FAMILY_SPECS[family](2048)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    first = hmatrix.first_live_rows(kmap, block_ranges)
+    for (region, (r0, r1, c0, c1)), row in zip(block_ranges, first):
+        assert r0 <= row < r1, region
+        if row > r0:
+            assert np.max(entry_exact(spec, np.arange(r0, row)[:, None],
+                                      np.arange(c0, c1)[None, :])) <= 1e-300, region
+    assert sum(row - box[0] for (_, box), row in zip(block_ranges, first)) > 0
+    levels, boxes = [level for (level, _), _ in block_ranges], [box for _, box in block_ranges]
+    plain = hmatrix.aca_by_level(spec, kmap, levels, boxes, 1e-9)
+    started = hmatrix.aca_by_level(spec, kmap, levels, boxes, 1e-9, first_rows=first)
+    for a, b in zip(plain, started):
+        assert a.alpha.tobytes() == b.alpha.tobytes() and a.beta.tobytes() == b.beta.tobytes()
 
 
 @pytest.mark.parametrize("family", ["poisson", "chisq"])
@@ -112,6 +225,16 @@ def test_eps_sweep_linear_in_log_accuracy_down_to_1e_14(tmp_path, family):
     steps = [b - a for a, b in zip(ranks, ranks[1:])]
     assert all(0 <= s <= 2 for s in steps), ranks
     assert ranks[-1] <= 16, ranks
+
+
+@pytest.mark.parametrize("command", ["rank-map", "eps-sweep"])
+def test_rank_commands_on_a_matrix_without_blocks(tmp_path, command):
+    # binomial n = 1 is a 2 x 1 matrix of singular rows: no block, no ACA oracle to form
+    out = tmp_path / "none.csv"
+    assert run([command, "--family", "binomial", "--n", "1", "--eps", "1e-6",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows == ([] if command == "rank-map" else [["9.9999999999999995e-07", "0"]])
 
 
 def test_ratio_scan_schema_and_values(tmp_path):

@@ -1066,11 +1066,11 @@ def test_aca_requests_on_the_threshold_box(monkeypatch):
     requested = [0]
     real_aca = hmatrix.aca_blocks
 
-    def counting(oracle, boxes, eps):
+    def counting(oracle, boxes, eps, first_rows=None):
         def counted(i, j):
             requested[0] += int(np.prod(np.broadcast_shapes(np.shape(i), np.shape(j))))
             return oracle(i, j)
-        return real_aca(counted, boxes, eps)
+        return real_aca(counted, boxes, eps, first_rows)
 
     monkeypatch.setattr(hmatrix, "aca_blocks", counting)
     compress(BinomialFamily(n=2**12), 1e-6, builder=Builder.ACA)
