@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -341,7 +342,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse starts a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hlrd",
         description="Hierarchical low-rank experiments on distribution matrices")

@@ -9,7 +9,8 @@ coordinate space, builds the staircase partition there, and stores
   blocks of a level in one lockstep ``separated.aca_blocks`` call, or by
   the constructive divergence pipeline, all the blocks of a level in one
   ``separated.constructive_blocks`` call, with the exact row/column
-  prefactor of ``families.kernel_map`` folded into the factors,
+  prefactor of ``families.kernel_map`` folded into each block's factors
+  before they are truncated at eps, so that eps bounds the entries,
 * the finest-level diagonal strip exactly,
 * the singular rows/columns (binomial outcomes k = 0 and k = n, the
   Poisson k = 0 row, chi-squared columns with k <= 2) exactly as dense
@@ -434,8 +435,11 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
     box in matrix indices (None: nothing to build, and None comes back),
     the blocks by level as ``index_layout`` gives them.  The boxes' kernel
     coordinates and their threshold masks are formed for all levels at
-    once; then each level is built on its own, and the exact prefactor,
-    exponentiated once, is folded into the factor on its axis.  A
+    once, and the exact prefactor is exponentiated once.  Then each level
+    is built on its own, the prefactor of its box points multiplied into
+    each block's raw factor on ``kmap.prefactor_axis`` before the block's
+    one recompression at eps: the truncation is of the matrix entries, not
+    of the unit kernel, so the kept ranks follow the entries' contract.  A
     ``BuilderError`` names the failing block's level, index, rows and
     columns.
     """
@@ -451,8 +455,8 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
     p_grid, q_grid = kmap.p_of_row[rows], kmap.q_of_col[cols]
     p_in, q_in = threshold_masks(kmap.kind, kmap.n_eff, eps, intervals,
                                  p_grid, row_block, q_grid, col_block)
-    scale = np.exp(kmap.exact_log_prefactor)
     on_rows = kmap.prefactor_axis == "row"
+    prefactor = np.exp(kmap.exact_log_prefactor)[rows if on_rows else cols]
     level_starts = [0, *(np.flatnonzero(np.diff(region[:, 0])) + 1).tolist(), len(at)]
     row_starts, col_starts = np.append(row_starts, rows.size), np.append(col_starts, cols.size)
     for a, b in zip(level_starts[:-1], level_starts[1:]):
@@ -461,7 +465,9 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
             level = constructive_blocks(kmap.kind, kmap.n_eff, eps,
                                         tuple(x[a:b] for x in intervals),
                                         p_grid[r], row_block[r] - a, q_grid[c], col_block[c] - a,
-                                        inside=(p_in[r], q_in[c]))
+                                        inside=(p_in[r], q_in[c]),
+                                        p_prefactor=prefactor[r] if on_rows else None,
+                                        q_prefactor=None if on_rows else prefactor[c])
         except BuilderError as exc:
             if exc.block is None:
                 raise
@@ -469,11 +475,7 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
             raise BuilderError(
                 f"builder failed on block level={level_no} index={index} "
                 f"rows [{r0},{r1}) cols [{c0},{c1}): {exc}") from exc
-        for k, (r0, r1, c0, c1), approx in zip(at[a:b], box[a:b].tolist(), level):
-            if on_rows:
-                approx.alpha = approx.alpha * scale[r0:r1, None]
-            else:
-                approx.beta = approx.beta * scale[c0:c1, None]
+        for k, approx in zip(at[a:b], level):
             out[k] = approx
     return out
 
@@ -626,7 +628,10 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     Every block is built on its threshold box, a level at a time, by ACA
     (``aca_by_level``) or by the constructive builder
     (``constructive_by_level``); a block whose box is empty gets rank 0 on
-    its whole box and builds nothing.  The matrix is assembled as
+    its whole box and builds nothing.  Both approximate the entries, not
+    the unit kernel: ACA runs on the exact entries, and the constructive
+    builder truncates each block at eps with the exact prefactor already
+    in its factors, so its kept rank follows the entries' contract.  The matrix is assembled as
     ``container.load_hmatrix`` assembles it: one ``stack_pieces`` over
     both tables, then each piece's factors copied into its slots and
     dropped, and the dense values computed straight into theirs.

@@ -273,7 +273,10 @@ def _recompress(alpha: np.ndarray, beta: np.ndarray, threshold: float) -> tuple[
     singular values, and an exactly zero factor row stays exactly zero.
 
     The discarded spectral tail is at most the threshold, so the entrywise
-    reconstruction error added here is at most the threshold as well.
+    reconstruction error added here is at most the threshold as well, in
+    whatever the factors carry: ``constructive_blocks`` multiplies a
+    family's exact prefactor in first, so that the threshold bounds the
+    error of the matrix entries rather than of the unit kernel.
     """
     if alpha.shape[1] == 0:
         return alpha, beta
@@ -587,7 +590,9 @@ def _constructive_factors(kind: DivergenceKind, n: float, eps: float, intervals:
 def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
                         p_grid: np.ndarray, p_block: np.ndarray,
                         q_grid: np.ndarray, q_block: np.ndarray,
-                        inside: Optional[tuple] = None) -> list[SeparatedApprox]:
+                        inside: Optional[tuple] = None,
+                        p_prefactor: Optional[np.ndarray] = None,
+                        q_prefactor: Optional[np.ndarray] = None) -> list[SeparatedApprox]:
     """Constructive separated approximations of exp(-n * divergence) on many blocks at once.
 
     The blocks and grids are given as ``threshold_masks`` takes them:
@@ -596,6 +601,9 @@ def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: t
     for q; the block ids ascend, so each block's points are consecutive.
     ``inside`` is the pair of masks ``threshold_masks`` gives for these
     grids, when the caller has them; otherwise they are computed.
+    ``p_prefactor`` (``q_prefactor``), one value per p-point (q-point),
+    scales the kernel's rows (columns): the expansion is then of the
+    entries ``prefactor * exp(-n * divergence)``, not of the kernel.
 
     Supports the rate kernel, its dual (roles of the axes swapped), its
     reflection (both coordinates complemented) and the Bernoulli KL; the
@@ -604,23 +612,32 @@ def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: t
     block's corner (``_split_at_corner``), all blocks in one pass; the
     cross factor is interpolated over each block's grid points inside its
     threshold box, all blocks of one degree in one pass
-    (``_cross_factors``); and each block's factors are recompressed by
-    ``_recompress``, one call per block.  A block's expansion is bit for
-    bit the one it gets alone.  Reconstruction error on the grid is below
-    10*eps: interpolation, zero-truncation and recompression each
-    contribute at most ~eps.  A ``BuilderError`` carries the failing
-    block's position as ``block``.
+    (``_cross_factors``); and each block's factors, the prefactor
+    multiplied into the factor on its axis, are recompressed by
+    ``_recompress`` at eps, one call per block.  A block's expansion is
+    bit for bit the one it gets alone.  Reconstruction error on the grid
+    is below 10*eps: interpolation and zero-truncation each contribute at
+    most ~eps times the largest prefactor (1 without one), and
+    recompression at most eps, in the scaled entries.  A ``BuilderError``
+    carries the failing block's position as ``block``.
 
     Returns one ``SeparatedApprox`` per block, in order, on its own grid points.
     """
+    p_grid, q_grid = (np.asarray(g, dtype=np.float64) for g in (p_grid, q_grid))
+    for grid, prefactor in ((p_grid, p_prefactor), (q_grid, q_prefactor)):
+        if prefactor is not None and np.shape(prefactor) != grid.shape:
+            raise ValueError("a prefactor needs one value per point of its grid")
     factors = _constructive_factors(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block,
                                     inside)
-    p_grid, q_grid = (np.asarray(g, dtype=np.float64) for g in (p_grid, q_grid))
     blocks = np.arange(len(factors) + 1)
     p_edges = np.searchsorted(p_block, blocks).tolist()
     q_edges = np.searchsorted(q_block, blocks).tolist()
     out = []
     for b, (alpha, beta) in enumerate(factors):
+        if p_prefactor is not None:
+            alpha = alpha * p_prefactor[p_edges[b]:p_edges[b + 1], None]
+        if q_prefactor is not None:
+            beta = beta * q_prefactor[q_edges[b]:q_edges[b + 1], None]
         alpha, beta = _recompress(alpha, beta, eps)
         out.append(SeparatedApprox(p_grid[p_edges[b]:p_edges[b + 1]],
                                    q_grid[q_edges[b]:q_edges[b + 1]], alpha, beta))

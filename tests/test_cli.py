@@ -444,6 +444,39 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_main_reuses_one_parser_like_fresh_ones(tmp_path, monkeypatch, capsys):
+    # one parser serves every call of a process; a usage error between calls (a
+    # repeated --eps) leaves nothing behind, so each call ends as with a fresh parser
+    def calls(where):
+        where.mkdir()
+        rank_map = ["rank-map", "--family", "binomial", "--n", "64", "--eps", "1e-6",
+                    "--out", str(where / "rm.csv")]
+        argvs = [rank_map,
+                 ["eps-sweep", "--family", "poisson", "--kmax", "48", "--lambda-max", "48",
+                  "--eps", "1e-3", "--eps", "1e-9", "--out", str(where / "sweep.csv")],
+                 rank_map[:-2] + ["--eps", "1e-9", "--out", str(where / "twice.csv")],
+                 ["ratio-scan", "--m-points", "5", "--out", str(where / "ratio.csv")],
+                 rank_map[:5] + ["--eps", "1e-9", "--out", str(where / "rm9.csv")],
+                 rank_map]
+        ends = []
+        for argv in argvs:
+            try:
+                ends.append(main(argv))
+            except SystemExit as exc:
+                ends.append(("exit", exc.code))
+            ends.append(capsys.readouterr().err.replace(str(where), ""))
+        return ends, {f.name: f.read_bytes() for f in sorted(where.glob("*.csv"))}
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = calls(tmp_path / "shared")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = calls(tmp_path / "fresh")
+    assert shared == fresh
+    assert shared[0][::2] == [0, 0, ("exit", 2), 0, 0, 0]
+    assert "--eps may be given only once" in shared[0][5]
+    assert sorted(shared[1]) == ["ratio.csv", "rm.csv", "rm9.csv", "sweep.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     # each command takes only the flags it reads
     ["rank-map", "--family", "binomial", "--n", "64", "--eps", "1e-6",

@@ -32,6 +32,9 @@ from hlrd.hmatrix import (
 from hlrd.partition import Block, QuarterPlane, build_scheme
 from hlrd.separated import RankConvention, numerical_rank
 
+import panel_check
+from panel_check import family as _family
+
 SMALL_FAMILIES = [
     BinomialFamily(n=48),
     PoissonFamily(k_max=48, lambda_max=48.0, lambda_grid=48),
@@ -104,14 +107,6 @@ def _coverage_counts(spec, leaf=8):
 def test_every_index_owned_exactly_once(spec):
     counts = _coverage_counts(spec)
     assert np.all(counts == 1), f"ownership breaks at {np.argwhere(counts != 1)[:5]}"
-
-
-def _family(name, n):
-    if name == "binomial":
-        return BinomialFamily(n=n)
-    if name == "poisson":
-        return PoissonFamily(k_max=n, lambda_max=float(n), lambda_grid=n)
-    return ChiSquaredFamily(x_max=float(n), x_grid=n, k_max=n)
 
 
 def _on_interval(coords, lo, hi, extent):
@@ -1095,6 +1090,75 @@ def test_aca_ranks_stay_small_at_eps_1e_12(name):
     # u k ln(lambda), ACA fitted that noise here, up to rank 47 (Poisson)
     h = compress(_family(name, 2**12), 1e-12, builder=Builder.ACA)
     assert 0 < int(h.lowrank["rank"].max()) <= 16
+
+
+@pytest.mark.parametrize("name,eps,stored,unit_kernel", [
+    ("binomial", 1e-6, 155_140, 180_589), ("binomial", 1e-9, 205_951, 230_796),
+    ("poisson", 1e-6, 157_068, 183_542), ("poisson", 1e-9, 207_646, 234_472),
+    ("chisq", 1e-6, 164_815, 193_871), ("chisq", 1e-9, 217_096, 248_695),
+])
+def test_constructive_stored_entries_at_2048(name, eps, stored, unit_kernel):
+    # each block is truncated at eps with the exact prefactor folded in: fewer entries
+    # than truncating the unit kernel at eps and multiplying the prefactor in after stored
+    h = compress(_family(name, 2**11), eps, builder=Builder.CONSTRUCTIVE)
+    assert storage_report(h).stored_entries == stored < unit_kernel
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", ["binomial", "poisson", "chisq"])
+@pytest.mark.parametrize("builder", list(Builder))
+def test_matvec_rows_against_the_dense_product_at_2048(builder, name, eps):
+    # every row of the product, not a sample: relative error <= 50 eps
+    spec = _family(name, 2**11)
+    x = np.random.default_rng(3).uniform(0.5, 1.5, spec.shape[1])
+    ref = dense_matrix(spec) @ x
+    rel = np.abs(matvec(compress(spec, eps, builder=builder), x) - ref) / ref
+    assert np.all(ref > 0.0) and np.max(rel) <= 50.0 * eps
+
+
+@pytest.mark.parametrize("name", ["binomial", "poisson", "chisq"])
+def test_constructive_pieces_at_eps_0_9_are_rank_zero(name, tmp_path):
+    # truncated in entry space (entries at most 1/2), no block keeps a singular value
+    # above eps: each piece is rank 0 on its box, which the unit kernel (up to 1) did
+    # not give, and the matrix is its dense pieces, bit for bit through save and load
+    spec, eps = _family(name, 2**8), 0.9
+    h = compress(spec, eps, builder=Builder.CONSTRUCTIVE)
+    assert len(h.lowrank) > 0 and not h.lowrank["rank"].any()
+    panel_check.assert_within(panel_check.block_errors(h), eps)
+    save_hmatrix(h, tmp_path / "h.hlrd")
+    g = load_hmatrix(tmp_path / "h.hlrd")
+    x = np.linspace(0.5, 1.5, spec.shape[1])
+    assert g.lowrank.tobytes() == h.lowrank.tobytes()
+    assert matvec(g, x).tobytes() == matvec(h, x).tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("n", [2**8, 2**11])
+@pytest.mark.parametrize("name", ["binomial", "poisson", "chisq"])
+@pytest.mark.parametrize("builder", list(Builder))
+def test_every_block_entry_meets_the_contract(builder, name, n, eps):
+    # every entry of every block, the piece rebuilt from its own factors inside its box
+    # and 0 outside, <= 10 eps; dense pieces hold the exact entries bit for bit
+    h = compress(_family(name, n), eps, builder=builder)
+    errors = panel_check.block_errors(h)
+    assert len(errors) == len(h.lowrank)
+    panel_check.assert_within(errors, eps)
+    assert panel_check.dense_mismatches(h) == []
+
+
+def test_exhaustive_check_names_a_perturbed_block():
+    # one factor of one block scaled by 1 + 1e-3: the check fails on that block by name
+    eps = 1e-9
+    h = compress(_family("poisson", 2**11), eps, builder=Builder.CONSTRUCTIVE)
+    panel_check.assert_within(panel_check.block_errors(h), eps)
+    slots = payload_arrays(h.layout, h.lowrank, h.dense)
+    k = len(h.lowrank) // 2
+    while not h.lowrank["rank"][k]:
+        k += 1
+    slots[2 * k + 1][...] *= 1.0 + 1e-3
+    level, index = int(h.lowrank["level"][k]), int(h.lowrank["index"][k])
+    with pytest.raises(AssertionError, match=rf"block level={level} index={index} error"):
+        panel_check.assert_within(panel_check.block_errors(h), eps)
 
 
 @pytest.fixture(scope="module")

@@ -631,6 +631,55 @@ def test_level_builder_checks_its_block_ids():
                                             grid, bad, 1.0 - grid / 2, ok)
 
 
+@pytest.mark.parametrize("family", ["binomial", "poisson", "chisq"])
+def test_compress_folds_the_prefactor_in_before_each_recompression(monkeypatch, family):
+    # each block recompresses its raw factors with the exact prefactor multiplied into
+    # the factor on kmap.prefactor_axis, at eps itself
+    spec, eps = FAMILY_SPECS[family](2 ** 8), 1e-9
+    kmap = kernel_map(spec)
+    seen = []
+    recompress = separated._recompress
+
+    def spy(alpha, beta, threshold):
+        seen.append((alpha.copy(), beta.copy(), threshold))
+        return recompress(alpha, beta, threshold)
+
+    monkeypatch.setattr(separated, "_recompress", spy)
+    compress(spec, eps, builder=Builder.CONSTRUCTIVE)
+    _, _, block_ranges, _, _ = index_layout(spec)
+    built = [(region, box) for (region, _), box
+             in zip(block_ranges, hmatrix._threshold_boxes(kmap, block_ranges, eps))
+             if box is not None]
+    assert len(seen) == len(built) > 10
+    prefactor = np.exp(kmap.exact_log_prefactor)
+    raw = _level_call(kmap, eps, *zip(*built))
+    for (alpha, beta, threshold), (_, (r0, r1, c0, c1)), (a, b) in zip(seen, built, raw):
+        if kmap.prefactor_axis == "row":
+            a = a * prefactor[r0:r1, None]
+        else:
+            b = b * prefactor[c0:c1, None]
+        assert threshold == eps
+        _assert_same_bits((alpha, beta), (a, b), (r0, c0))
+
+
+def test_level_builder_without_a_prefactor_is_the_unit_kernel():
+    # no prefactor and a prefactor of ones give the same bits; a prefactor c scales
+    # the entries before the truncation; a prefactor must match its grid
+    blk = Block(-1, 1)
+    args = (K.RATE, 64.0, 1e-9, tuple(np.array([x]) for x in (*blk.p_interval, *blk.q_interval)),
+            np.linspace(*blk.p_interval, 40), np.zeros(40, dtype=np.intp),
+            np.linspace(*blk.q_interval, 30), np.zeros(30, dtype=np.intp))
+    (unit,) = separated.constructive_blocks(*args)
+    (ones,) = separated.constructive_blocks(*args, p_prefactor=np.ones(40))
+    _assert_same_bits((ones.alpha, ones.beta), (unit.alpha, unit.beta), "ones")
+    (scaled,) = separated.constructive_blocks(*args, q_prefactor=np.full(30, 1e-3))
+    assert scaled.rank < unit.rank
+    assert np.max(np.abs(scaled.reconstruct() - 1e-3 * unit.reconstruct())) <= 2e-9
+    for bad in ({"p_prefactor": np.ones(30)}, {"q_prefactor": np.ones(40)}):
+        with pytest.raises(ValueError, match="prefactor"):
+            separated.constructive_blocks(*args, **bad)
+
+
 # ---------------------------------------------------------------------------
 # product builder
 # ---------------------------------------------------------------------------
