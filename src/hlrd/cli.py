@@ -131,8 +131,7 @@ def _family_params(spec) -> dict:
 def _cmd_rank_map(args) -> int:
     spec = _family_from_args(args)
     eps = args.eps
-    convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
-                  else RankConvention.ABSOLUTE)
+    convention = RankConvention(args.rank_convention)
     _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
     # ACA on each whole block, the blocks of a level in lockstep
     aca = aca_by_level(spec, kmap, [level for (level, _), _ in block_ranges],
@@ -158,8 +157,7 @@ def _cmd_rank_map(args) -> int:
 
 def _cmd_eps_sweep(args) -> int:
     spec = _family_from_args(args)
-    convention = (RankConvention.RELATIVE_TO_SIGMA1 if args.rank_convention == "rel"
-                  else RankConvention.ABSOLUTE)
+    convention = RankConvention(args.rank_convention)
     eps_list = np.array(sorted(args.eps))
     max_rank = np.zeros(eps_list.size, dtype=int)
     _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)

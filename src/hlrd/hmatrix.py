@@ -23,8 +23,9 @@ the domain's upper edge, all in one pass over the finest grid's edges
 
 Both builders share one support rule, ``separated.threshold_masks``: a
 block's threshold box holds the rows and columns whose one-sided
-exponent in the block's unit configuration is at most ln(1/eps), and
-outside it the kernel ``exp(-n_eff * divergence)`` is below eps.
+exponent, of the kernel split at the block's corner, is at most
+ln(1/eps), and outside it the kernel ``exp(-n_eff * divergence)`` is
+below eps.
 ``_threshold_boxes`` finds the boxes of all blocks in one pass, and
 either builder runs on the box alone; a block whose box is empty
 stores rank 0 and builds nothing.  The rank experiments take each
@@ -434,14 +435,13 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
     ``regions`` and ``boxes`` name each block's ``(level, index)`` and its
     box in matrix indices (None: nothing to build, and None comes back),
     the blocks by level as ``index_layout`` gives them.  The boxes' kernel
-    coordinates and their threshold masks are formed for all levels at
-    once, and the exact prefactor is exponentiated once.  Then each level
-    is built on its own, the prefactor of its box points multiplied into
-    each block's raw factor on ``kmap.prefactor_axis`` before the block's
-    one recompression at eps: the truncation is of the matrix entries, not
-    of the unit kernel, so the kept ranks follow the entries' contract.  A
-    ``BuilderError`` names the failing block's level, index, rows and
-    columns.
+    coordinates are formed for all levels at once, and the exact prefactor
+    is exponentiated once.  Then each level is built on its own, the
+    prefactor of its box points multiplied into each block's raw factor on
+    ``kmap.prefactor_axis`` before the block's one recompression at eps:
+    the truncation is of the matrix entries, not of the unit kernel, so
+    the kept ranks follow the entries' contract.  A ``BuilderError`` names
+    the failing block's level, index, rows and columns.
     """
     at = [k for k, box in enumerate(boxes) if box is not None]
     out = [None] * len(boxes)
@@ -453,8 +453,6 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
     cols, col_block, col_starts = _spans(box[:, 2], box[:, 3])
     intervals = block_intervals(region[:, 0], region[:, 1])
     p_grid, q_grid = kmap.p_of_row[rows], kmap.q_of_col[cols]
-    p_in, q_in = threshold_masks(kmap.kind, kmap.n_eff, eps, intervals,
-                                 p_grid, row_block, q_grid, col_block)
     on_rows = kmap.prefactor_axis == "row"
     prefactor = np.exp(kmap.exact_log_prefactor)[rows if on_rows else cols]
     level_starts = [0, *(np.flatnonzero(np.diff(region[:, 0])) + 1).tolist(), len(at)]
@@ -465,7 +463,6 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
             level = constructive_blocks(kmap.kind, kmap.n_eff, eps,
                                         tuple(x[a:b] for x in intervals),
                                         p_grid[r], row_block[r] - a, q_grid[c], col_block[c] - a,
-                                        inside=(p_in[r], q_in[c]),
                                         p_prefactor=prefactor[r] if on_rows else None,
                                         q_prefactor=None if on_rows else prefactor[c])
         except BuilderError as exc:
@@ -527,10 +524,10 @@ def _threshold_boxes(kmap: KernelMap, block_ranges: list, eps) -> list:
     array of one per block.  Returns per block the box of the rows and
     columns that ``separated.threshold_masks`` puts inside its threshold
     box, or None when no row or no column is inside.  The rows of a block
-    map to rate coordinates on one side of its corner, where the rule's
-    exponent is monotone, so the rows inside are one range (for the
-    binomial, the intersection of two ranges); the box runs from the first
-    through the last of them, and likewise for the columns.
+    lie on one side of its corner, where the rule's exponent (one side of
+    the split at the corner, such as ``n KL(p || c)`` for the binomial) is
+    monotone, so the rows inside are one range; the box runs from the
+    first through the last of them, and likewise for the columns.
     """
     if not block_ranges:
         return []

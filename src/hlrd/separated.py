@@ -56,11 +56,14 @@ Three builders are provided:
   the practical route that needs only an entry oracle, run on a group of
   blocks in lockstep; ``aca_build`` is the same loop on one block.
 
-``threshold_masks`` is the support rule both builders share.  In the
-unit configuration, with ``n' = n * corner``, a p-point lies in the
-threshold box when ``n' rate(p || 1) <= ln(1/eps)`` and a q-point when
-``n' rate(1 || q) <= ln(1/eps)``: by the identity above the kernel is
-below eps at every pair outside, so a builder may store zeros there.
+``threshold_masks`` is the support rule both builders share.  A grid
+point lies in the threshold box when its one-sided exponent of the split
+at its block's corner, u on the p side and v on the q side, is at most
+``ln(1/eps)``: ``n' rate(p || 1)`` and ``n' rate(1 || q)`` in the unit
+configuration (``n' = n * corner``), ``n KL(p || c)`` and ``n KL(c || q)``
+for the Bernoulli.  The kernel is ``exp(-u) exp(-s t) exp(-v)`` with all
+three exponents non-negative, so it is below eps at every pair outside,
+and a builder may store zeros there.
 ``hmatrix.compress`` runs either builder on the box alone, a level at a
 time: a low-rank piece's box is its block's threshold box (its block's
 box at rank 0).  The constructive builder also masks its factors with
@@ -92,7 +95,7 @@ from typing import Callable, Optional
 import numpy as np
 
 # solve_thresholds is unused here; perfbench/tracing.py wraps it by this module's name
-from .divergence import DivergenceKind, _bernoulli, solve_thresholds  # noqa: F401
+from .divergence import DivergenceKind, _bernoulli, _rate, solve_thresholds  # noqa: F401
 from .partition import Block
 
 __all__ = [
@@ -330,15 +333,9 @@ def _lagrange_matrix(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> n
     return out
 
 
-def _rate_one_sided_p(p: np.ndarray) -> np.ndarray:
-    # rate(p || 1) = p ln p - p + 1 with the limit 1 at p = 0
-    p_safe = np.where(p > 0.0, p, 1.0)
-    return np.where(p > 0.0, p * np.log(p_safe) - p + 1.0, 1.0)
-
-
 def _rate_to_one(n_scaled: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    """n' rate(p || 1) on the unit configuration: the p-side exponent of the threshold box."""
-    return n_scaled * _rate_one_sided_p(p_hat)
+    """n' rate(p || 1) on the unit configuration, in the bd0 form: the p-side exponent."""
+    return n_scaled * _rate(p_hat, 1.0)
 
 
 def _rate_from_one(n_scaled: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
@@ -517,54 +514,40 @@ def threshold_masks(kind: DivergenceKind, n: float, eps, intervals: tuple,
     in block ``p_block[i]``, and likewise for q.  ``eps > 0`` is one level
     for all blocks, or an array of one per block: the rank experiments
     (``hmatrix.block_spectra``) set each block's level from its own
-    entries.  In the block's unit configuration (``_rate_coordinates``,
-    then division by the corner of ``_unit_configuration``) a rate-p
-    point is inside when
-    ``n' rate(p || 1) <= ln(1/eps)`` and a rate-q point when
-    ``n' rate(1 || q) <= ln(1/eps)``, with ``n' = n * corner``: the
-    left-hand sides of ``divergence.solve_thresholds``' equations, and
-    bit for bit the exponents u and v of the constructive builder's split
-    (``_split_at_corner``).  Since ``n' rate(p || q)`` is at least each of
-    them, the kernel ``exp(-n * divergence)`` is below eps at every pair
-    outside the box.  The Bernoulli kernel is the product of the rate
-    kernel and its reflection; its box is the intersection of theirs.  The
-    constructive builder interpolates over the points the masks keep
-    (``_cross_factors``).  Returns boolean masks over ``p_grid`` and
-    ``q_grid``; ``hmatrix.compress`` stores a low-rank piece on its
-    block's threshold box (its block's box at rank 0), from the first
-    through the last point inside on each axis.
+    entries.  A point is inside when its one-sided exponent of the split
+    at its block's corner (``_split_at_corner``), u on the p side and v on
+    the q side, is at most ``ln(1/eps)``: for the rate kinds
+    ``n' rate(p || 1)`` and ``n' rate(1 || q)`` in the block's unit
+    configuration, for the Bernoulli ``n KL(p || c)`` and ``n KL(c || q)``.
+    The kernel is ``exp(-u) exp(-s t) exp(-v)`` with s t, u, v >= 0, so it
+    is below eps at every pair outside the box.  The constructive builder
+    interpolates over the points the masks keep (``_cross_factors``).
+    Returns boolean masks over ``p_grid`` and ``q_grid``;
+    ``hmatrix.compress`` stores a low-rank piece on its block's threshold
+    box (its block's box at rank 0), from the first through the last point
+    inside on each axis.
     """
-    if kind is DivergenceKind.BERNOULLI:
-        parts = [_rate_masks(part, n, eps, intervals, p_grid, p_block, q_grid, q_block)
-                 for part in (DivergenceKind.RATE, DivergenceKind.RATE_REFLECTED)]
-        return parts[0][0] & parts[1][0], parts[0][1] & parts[1][1]
-    return _rate_masks(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block)
+    _, _, u, v = _split_at_corner(kind, n, intervals, p_grid, p_block, q_grid, q_block)
+    u_in, v_in = _below_level(kind, eps, u, v, p_block, q_block)
+    return (v_in, u_in) if kind is DivergenceKind.RATE_DUAL else (u_in, v_in)
 
 
-def _rate_masks(kind: DivergenceKind, n: float, eps, intervals: tuple,
-                p_grid: np.ndarray, p_block: np.ndarray,
-                q_grid: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``threshold_masks`` for one of the rate kinds."""
-    p_lo, p_hi, q_lo, q_hi = intervals
-    p_int, q_int, p_vals, q_vals = _rate_coordinates(kind, (p_lo, p_hi), (q_lo, q_hi),
-                                                     p_grid, q_grid)
-    _, corner = _unit_configuration(p_int, q_int)
-    if kind is DivergenceKind.RATE_DUAL:
-        p_block, q_block = q_block, p_block
+def _below_level(kind: DivergenceKind, eps, u: np.ndarray, v: np.ndarray,
+                 p_block: np.ndarray, q_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masks ``u <= ln(1/eps)`` and ``v <= ln(1/eps)``, on the axes of u and v."""
     if np.ndim(eps) == 0:
-        p_level = q_level = math.log(1.0 / eps)
-    else:
-        log_inv_eps = np.log(1.0 / np.asarray(eps, dtype=np.float64))
-        p_level, q_level = log_inv_eps[p_block], log_inv_eps[q_block]
-    p_in = _rate_to_one(n * corner[p_block], p_vals / corner[p_block]) <= p_level
-    q_in = _rate_from_one(n * corner[q_block], q_vals / corner[q_block]) <= q_level
-    return (q_in, p_in) if kind is DivergenceKind.RATE_DUAL else (p_in, q_in)
+        level = math.log(1.0 / eps)
+        return u <= level, v <= level
+    if kind is DivergenceKind.RATE_DUAL:
+        # u lies on the q axis
+        p_block, q_block = q_block, p_block
+    log_inv_eps = np.log(1.0 / np.asarray(eps, dtype=np.float64))
+    return u <= log_inv_eps[p_block], v <= log_inv_eps[q_block]
 
 
 def _constructive_factors(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
                           p_grid: np.ndarray, p_block: np.ndarray,
-                          q_grid: np.ndarray, q_block: np.ndarray,
-                          inside: Optional[tuple] = None) -> list:
+                          q_grid: np.ndarray, q_block: np.ndarray) -> list:
     """``constructive_blocks``' raw factors: an (alpha, beta) pair per block, not recompressed."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
@@ -578,19 +561,17 @@ def _constructive_factors(kind: DivergenceKind, n: float, eps: float, intervals:
         if block.size and (block[0] < 0 or block[-1] >= count or np.any(block[1:] < block[:-1])):
             raise ValueError("block ids must ascend and lie in [0, blocks)")
     s, t, u, v = _split_at_corner(kind, n, intervals, p_grid, p_block, q_grid, q_block)
-    p_in, q_in = inside if inside is not None else threshold_masks(kind, n, eps, intervals, p_grid,
-                                                                   p_block, q_grid, q_block)
+    u_in, v_in = _below_level(kind, eps, u, v, p_block, q_block)
     if kind is DivergenceKind.RATE_DUAL:
         # the rate kernel's p side is the q axis
-        pairs = _cross_factors(s, t, u, v, q_in, q_block, p_in, p_block, count, eps)
+        pairs = _cross_factors(s, t, u, v, u_in, q_block, v_in, p_block, count, eps)
         return [(beta, alpha) for alpha, beta in pairs]
-    return _cross_factors(s, t, u, v, p_in, p_block, q_in, q_block, count, eps)
+    return _cross_factors(s, t, u, v, u_in, p_block, v_in, q_block, count, eps)
 
 
 def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: tuple,
                         p_grid: np.ndarray, p_block: np.ndarray,
                         q_grid: np.ndarray, q_block: np.ndarray,
-                        inside: Optional[tuple] = None,
                         p_prefactor: Optional[np.ndarray] = None,
                         q_prefactor: Optional[np.ndarray] = None) -> list[SeparatedApprox]:
     """Constructive separated approximations of exp(-n * divergence) on many blocks at once.
@@ -599,8 +580,6 @@ def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: t
     ``intervals`` is ``(p_lo, p_hi, q_lo, q_hi)``, one entry per block,
     and grid point i of the p axis lies in block ``p_block[i]``, likewise
     for q; the block ids ascend, so each block's points are consecutive.
-    ``inside`` is the pair of masks ``threshold_masks`` gives for these
-    grids, when the caller has them; otherwise they are computed.
     ``p_prefactor`` (``q_prefactor``), one value per p-point (q-point),
     scales the kernel's rows (columns): the expansion is then of the
     entries ``prefactor * exp(-n * divergence)``, not of the kernel.
@@ -611,7 +590,8 @@ def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: t
     cross factor between a p- and a q-factor: the kernel is split at each
     block's corner (``_split_at_corner``), all blocks in one pass; the
     cross factor is interpolated over each block's grid points inside its
-    threshold box, all blocks of one degree in one pass
+    threshold box, where the split's u and v are at most ln(1/eps) as in
+    ``threshold_masks``, all blocks of one degree in one pass
     (``_cross_factors``); and each block's factors, the prefactor
     multiplied into the factor on its axis, are recompressed by
     ``_recompress`` at eps, one call per block.  A block's expansion is
@@ -627,8 +607,7 @@ def constructive_blocks(kind: DivergenceKind, n: float, eps: float, intervals: t
     for grid, prefactor in ((p_grid, p_prefactor), (q_grid, q_prefactor)):
         if prefactor is not None and np.shape(prefactor) != grid.shape:
             raise ValueError("a prefactor needs one value per point of its grid")
-    factors = _constructive_factors(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block,
-                                    inside)
+    factors = _constructive_factors(kind, n, eps, intervals, p_grid, p_block, q_grid, q_block)
     blocks = np.arange(len(factors) + 1)
     p_edges = np.searchsorted(p_block, blocks).tolist()
     q_edges = np.searchsorted(q_block, blocks).tolist()

@@ -881,8 +881,8 @@ def test_binomial_constructive_blocks_from_one_cross_factor(eps, monkeypatch):
 
 @pytest.mark.parametrize("name", ["binomial", "poisson", "chisq"])
 def test_constructive_compress_masks_once_and_recompresses_each_box(name, monkeypatch):
-    # one threshold_masks call finds the boxes and one masks the box grids of all
-    # levels; then one _recompress per block with a nonempty box
+    # one threshold_masks call finds the boxes; each level's builder masks its grids
+    # with the exponents of its own split; then one _recompress per block with a nonempty box
     spec, eps = _family(name, 2**10), 1e-9
     _, kmap, block_ranges, _, _ = index_layout(spec)
     built = sum(box is not None for box in hmatrix._threshold_boxes(kmap, block_ranges, eps))
@@ -901,7 +901,7 @@ def test_constructive_compress_masks_once_and_recompresses_each_box(name, monkey
     monkeypatch.setattr(hmatrix, "threshold_masks", masking)
     monkeypatch.setattr(separated, "_recompress", recompressing)
     h = compress(spec, eps, builder=Builder.CONSTRUCTIVE)
-    assert len(masks) <= 2
+    assert len(masks) == 1
     assert len(recompressed) == built == int(np.count_nonzero(h.lowrank["rank"])) > 50
 
 
@@ -937,32 +937,28 @@ def test_builder_error_names_the_block(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _box_exponents(spec, region, block):
-    """Reference: each row's and column's largest one-sided exponent over the block's kernels.
+    """Reference: each row's and column's one-sided exponent of the kernel split at the corner.
 
     In a rate kernel's unit configuration (corner c, n' = n_eff c) the
     rate-p axis has ``n' rate(p/c || 1)`` and the rate-q axis
     ``n' rate(1 || q/c)``, here from ``divergence``; the chi-squared kernel
-    is the dual, whose rate-p axis is the columns, and the binomial kernel
-    is the rate kernel times its reflection x -> 1 - x.
+    is the dual, whose rate-p axis is the columns.  The binomial kernel
+    splits at its block's diagonal corner c: rows ``n KL(p || c)``, columns
+    ``n KL(c || q)``.
     """
     kmap = families.kernel_map(spec)
     r0, r1, c0, c1 = block
-    (p_lo, p_hi), (q_lo, q_hi) = Block(*region).p_interval, Block(*region).q_interval
-    p, q = kmap.p_of_row[r0:r1], kmap.q_of_col[c0:c1]
-    kernels = [(p, q, max(p_lo, q_lo))]
+    (p_lo, _), (q_lo, _) = Block(*region).p_interval, Block(*region).q_interval
+    p, q, corner = kmap.p_of_row[r0:r1], kmap.q_of_col[c0:c1], max(p_lo, q_lo)
     if kmap.kind is DivergenceKind.BERNOULLI:
-        kernels.append((1.0 - p, 1.0 - q, max(1.0 - p_hi, 1.0 - q_hi)))
-    rows, cols = np.zeros(r1 - r0), np.zeros(c1 - c0)
-    for p, q, corner in kernels:
-        n_scaled = kmap.n_eff * corner
-        to_one = n_scaled * divergence(DivergenceKind.RATE, np.append(p, q) / corner, 1.0)
-        from_one = n_scaled * divergence(DivergenceKind.RATE, 1.0, np.append(p, q) / corner)
-        if kmap.kind is DivergenceKind.RATE_DUAL:
-            row_exp, col_exp = from_one[:p.size], to_one[p.size:]
-        else:
-            row_exp, col_exp = to_one[:p.size], from_one[p.size:]
-        rows, cols = np.maximum(rows, row_exp), np.maximum(cols, col_exp)
-    return rows, cols
+        return (kmap.n_eff * divergence(DivergenceKind.BERNOULLI, p, corner),
+                kmap.n_eff * divergence(DivergenceKind.BERNOULLI, corner, q))
+    n_scaled = kmap.n_eff * corner
+    to_one = n_scaled * divergence(DivergenceKind.RATE, np.append(p, q) / corner, 1.0)
+    from_one = n_scaled * divergence(DivergenceKind.RATE, 1.0, np.append(p, q) / corner)
+    if kmap.kind is DivergenceKind.RATE_DUAL:
+        return from_one[:p.size], to_one[p.size:]
+    return to_one[:p.size], from_one[p.size:]
 
 
 def _assert_threshold_box(spec, eps, region, block, box, rank):
@@ -1073,7 +1069,7 @@ def test_aca_requests_on_the_threshold_box(monkeypatch):
 
 
 @pytest.mark.parametrize("name,eps,stored", [
-    ("binomial", 1e-6, 176_651), ("binomial", 1e-9, 227_554),
+    ("binomial", 1e-6, 167_351), ("binomial", 1e-9, 218_670),
     ("poisson", 1e-6, 177_380), ("poisson", 1e-9, 231_541),
     ("chisq", 1e-6, 189_288), ("chisq", 1e-9, 239_600),
 ])
@@ -1093,7 +1089,7 @@ def test_aca_ranks_stay_small_at_eps_1e_12(name):
 
 
 @pytest.mark.parametrize("name,eps,stored,unit_kernel", [
-    ("binomial", 1e-6, 155_140, 180_589), ("binomial", 1e-9, 205_951, 230_796),
+    ("binomial", 1e-6, 149_596, 180_589), ("binomial", 1e-9, 198_652, 230_796),
     ("poisson", 1e-6, 157_068, 183_542), ("poisson", 1e-9, 207_646, 234_472),
     ("chisq", 1e-6, 164_815, 193_871), ("chisq", 1e-9, 217_096, 248_695),
 ])

@@ -442,6 +442,42 @@ def test_bernoulli_expansion_depends_only_on_points_in_the_box(blk):
             pg, qg, p_in, q_in)
 
 
+def test_p_side_exponent_matches_mpmath_near_the_corner():
+    # n' rate(p || 1) in the bd0 form: p ln p - p + 1 cancels as p -> 1, and at
+    # n' = 2^20 its kernel exp(-n' rate(p || 1)) read 5.8e-11 off on this grid
+    mp = pytest.importorskip("mpmath")
+    n_scaled, p_hat = 2.0 ** 20, np.linspace(1.0, 1.0 + 1.0 / 256, 129)
+    with mp.workdps(30):
+        ref = np.array([float(mp.exp(-n_scaled * (x * mp.log(x) - x + 1)))
+                        for x in map(mp.mpf, p_hat.tolist())])
+    err = np.abs(np.exp(-separated._rate_to_one(n_scaled, p_hat)) - ref)
+    assert np.max(err) <= 2e-13
+
+
+@pytest.mark.parametrize("kind", list(K))
+def test_threshold_masks_with_a_level_per_block_match_one_call_per_block(kind):
+    # eps as an array, one level per block, gives bit for bit the masks of one scalar
+    # call per block: blocks above (even index) and below (odd) the diagonal, on grids
+    # of their own sizes over the whole block
+    levels, indices = np.array([1, 1, 3, 3, 6, 6]), np.array([0, 1, 4, 5, 20, 21])
+    eps, n = np.array([1e-3, 1e-6, 1e-9, 1e-12, 1e-4, 1e-8]), 4096.0
+    intervals = block_intervals(levels, indices)
+    p_grids = [np.linspace(lo, hi, 17 + b) for b, (lo, hi) in enumerate(zip(*intervals[:2]))]
+    q_grids = [np.linspace(lo, hi, 23 + 2 * b) for b, (lo, hi) in enumerate(zip(*intervals[2:]))]
+    p_block = np.repeat(np.arange(levels.size), [g.size for g in p_grids])
+    q_block = np.repeat(np.arange(levels.size), [g.size for g in q_grids])
+    p_in, q_in = separated.threshold_masks(kind, n, eps, intervals, np.concatenate(p_grids),
+                                           p_block, np.concatenate(q_grids), q_block)
+    alone = [separated.threshold_masks(kind, n, eps[b], tuple(x[b:b + 1] for x in intervals),
+                                       p_grids[b], np.zeros(p_grids[b].size, dtype=np.intp),
+                                       q_grids[b], np.zeros(q_grids[b].size, dtype=np.intp))
+             for b in range(levels.size)]
+    assert np.array_equal(p_in, np.concatenate([p for p, _ in alone]))
+    assert np.array_equal(q_in, np.concatenate([q for _, q in alone]))
+    # the levels cut through the blocks: both masks hold points inside and outside
+    assert p_in.any() and not p_in.all() and q_in.any() and not q_in.all()
+
+
 @pytest.mark.parametrize("regime", list(Regime))
 def test_unit_rate_factors_on_empty_and_one_point_grids(regime):
     n_scaled, eps = 32.0, 1e-6
