@@ -38,16 +38,11 @@ from .families import (
     PoissonFamily,
     dense_matrix,
 )
-from .hmatrix import (Builder, aca_by_level, block_spectra, compress, first_live_rows,
+from .hmatrix import (Builder, aca_by_level, block_ranks, compress, first_live_rows,
                       index_layout, matvec, storage_report, verify)
 from .partition import QuarterPlane, UnitSquare, build_scheme, verify_tiling
 # aca_build is unused here; perfbench/tracing.py wraps it by this module's name
-from .separated import (  # noqa: F401
-    BuilderError,
-    RankConvention,
-    aca_build,
-    rank_from_singular_values,
-)
+from .separated import BuilderError, RankConvention, aca_build  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,6 +119,11 @@ def _family_params(spec) -> dict:
     return dataclasses.asdict(spec)
 
 
+def _count_report(sketched: int, blocks: int) -> dict:
+    """How many blocks the range sketch certified and how many took the support SVD."""
+    return {"sketch_certified_blocks": sketched, "svd_blocks": blocks - sketched}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -138,17 +138,19 @@ def _cmd_rank_map(args) -> int:
                        [box for _, box in block_ranges], eps,
                        first_rows=first_live_rows(kmap, block_ranges))
     rows = []
-    for ((level, index), box), s, approx in zip(block_ranges,
-                                                block_spectra(spec, kmap, block_ranges), aca):
-        rows.append([level, index, *box, rank_from_singular_values(s, eps, convention),
-                     approx.rank])
+    sketched = 0
+    for ((level, index), box), (rank, certified), approx in zip(
+            block_ranges, block_ranks(spec, kmap, block_ranges, eps, convention), aca):
+        sketched += certified
+        rows.append([level, index, *box, rank, approx.rank])
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
     _write_csv(out, ["level", "index", "row_lo", "row_hi", "col_lo", "col_hi",
                      "svd_rank", "aca_rank"], rows)
     _write_provenance(out, "rank-map",
                       {"family": _family_params(spec), "eps": eps,
-                       "rank_convention": args.rank_convention, "leaf": args.leaf},
+                       "rank_convention": args.rank_convention, "leaf": args.leaf,
+                       "result": _count_report(sketched, len(rows))},
                       args.seed)
     print(f"rank-map: {len(rows)} blocks, max svd_rank "
           f"{max((r[6] for r in rows), default=0)}, wrote {out}")
@@ -161,14 +163,17 @@ def _cmd_eps_sweep(args) -> int:
     eps_list = np.array(sorted(args.eps))
     max_rank = np.zeros(eps_list.size, dtype=int)
     _, kmap, block_ranges, _, _ = index_layout(spec, leaf_size=args.leaf)
-    for s in block_spectra(spec, kmap, block_ranges):
-        np.maximum(max_rank, rank_from_singular_values(s, eps_list, convention), out=max_rank)
+    sketched = 0
+    for ranks, certified in block_ranks(spec, kmap, block_ranges, eps_list, convention):
+        sketched += certified
+        np.maximum(max_rank, ranks, out=max_rank)
     rows = [[float(eps), int(rank)] for eps, rank in zip(eps_list, max_rank)]
     out = Path(args.out)
     _write_csv(out, ["eps", "max_rank"], rows)
     _write_provenance(out, "eps-sweep",
                       {"family": _family_params(spec), "eps_list": sorted(args.eps),
-                       "rank_convention": args.rank_convention, "leaf": args.leaf},
+                       "rank_convention": args.rank_convention, "leaf": args.leaf,
+                       "result": _count_report(sketched, len(block_ranges))},
                       args.seed)
     print(f"eps-sweep: {len(rows)} accuracies, wrote {out}")
     return EXIT_OK

@@ -30,7 +30,11 @@ below eps.
 either builder runs on the box alone; a block whose box is empty
 stores rank 0 and builds nothing.  The rank experiments take each
 block's singular values on a box too (``block_spectra``), at a level set
-by the block's own entries so that the SVD cannot see what is left out.  The entries left out are the kernel
+by the block's own entries so that the SVD cannot see what is left out,
+and count them there (``block_ranks``): from a seeded range sketch with
+an exact residual where that settles every count at the requested eps
+(``separated._support_rank``), else from the support's SVD, with the
+same counts either way.  The entries left out are the kernel
 times the exact prefactor, so the absolute error the box adds is below
 eps times the largest prefactor on the ridge: eps/2 for the binomial
 (the k = 1 row, ``(1 - 1/n)^(n-1)``, at most 1/2 and near 1/e for large
@@ -73,9 +77,9 @@ from .families import FamilySpec, KernelMap, block_oracle, entry_exact, kernel_m
 from .partition import PartitionScheme, QuarterPlane, UnitSquare, block_intervals, build_scheme
 # aca_build, build_constructive and build_product are unused here; perfbench/tracing.py
 # wraps them by this module's names
-from .separated import (BuilderError, aca_blocks, aca_build, build_constructive,
-                        build_product, constructive_blocks, threshold_masks)  # noqa: F401
-from .separated import _UNIT_ROUNDOFF, _support_singular_values
+from .separated import (BuilderError, RankConvention, aca_blocks, aca_build,  # noqa: F401
+                        build_constructive, build_product, constructive_blocks, threshold_masks)
+from .separated import _UNIT_ROUNDOFF, _support_rank, _support_singular_values
 
 __all__ = [
     "Builder",
@@ -87,6 +91,7 @@ __all__ = [
     "StorageReport",
     "VerifyReport",
     "aca_by_level",
+    "block_ranks",
     "block_spectra",
     "compress",
     "constructive_by_level",
@@ -580,6 +585,21 @@ def _spectrum_boxes(spec: FamilySpec, kmap: KernelMap, block_ranges: list) -> li
     return out
 
 
+def _box_blocks(spec: FamilySpec, kmap: KernelMap, block_ranges: list):
+    """Yield each off-diagonal block on its spectrum box and the share its support trim takes.
+
+    The block is formed by ``families.block_oracle`` on the box
+    ``_spectrum_boxes`` gives it, trimmed against 3/4 of the budget
+    (``block_spectra`` says why), or whole and trimmed against all of it.
+    """
+    boxes = _spectrum_boxes(spec, kmap, block_ranges)
+    for (_, block), box in zip(block_ranges, boxes):
+        r0, r1, c0, c1 = block if box is None else box
+        yield (block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
+                                                   np.arange(c1 - c0)[None, :]),
+               1.0 if box is None else 0.75)
+
+
 def block_spectra(spec: FamilySpec, kmap: KernelMap, block_ranges: list):
     """Yield the singular values of each off-diagonal block, in ``index_layout`` order.
 
@@ -593,12 +613,24 @@ def block_spectra(spec: FamilySpec, kmap: KernelMap, block_ranges: list):
     formed whole and trimmed as ``singular_values`` trims it.  The largest
     box, not the largest block, sets the peak memory.
     """
-    boxes = _spectrum_boxes(spec, kmap, block_ranges)
-    for (_, block), box in zip(block_ranges, boxes):
-        r0, r1, c0, c1 = block if box is None else box
-        a = block_oracle(spec, r0, r1, c0, c1)(np.arange(r1 - r0)[:, None],
-                                                np.arange(c1 - c0)[None, :])
-        yield _support_singular_values(a, 1.0 if box is None else 0.75)
+    for a, share in _box_blocks(spec, kmap, block_ranges):
+        yield _support_singular_values(a, share)
+
+
+def block_ranks(spec: FamilySpec, kmap: KernelMap, block_ranges: list, eps,
+                convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1):
+    """Yield ``(counts, sketched)`` for each off-diagonal block, in ``index_layout`` order.
+
+    ``counts`` is the number of the block's ``block_spectra`` values above
+    eps (one count per level when eps is an array), exactly; the block is
+    formed on the same box.  ``separated._support_rank`` settles the
+    counts of a block whose box has both sides above 48 from a seeded
+    range sketch with an exact residual, and ``sketched`` is True; a block
+    whose count the sketch cannot certify, and every smaller block, is
+    counted from its support's SVD.
+    """
+    for a, share in _box_blocks(spec, kmap, block_ranges):
+        yield _support_rank(a, eps, convention, share)
 
 
 def first_live_rows(kmap: KernelMap, block_ranges: list) -> list:

@@ -81,7 +81,16 @@ the columns of least norm whose total squared norm stays within
 (u ||A||_F)^2 are dropped first.  By Weyl's inequality no singular value
 moves by more than u ||A||_F, which is below the rounding already in the
 entries; ranks at thresholds near or below that level count the support
-only.
+only.  A count needs only the values near its thresholds, so
+``_support_rank``, which ``numerical_rank`` and the rank experiments
+(``hmatrix.block_ranks``) count through, first tries a seeded range
+sketch on a matrix with both sides above 48: from the sketch's singular
+values and its exact residual it brackets every value the SVD would
+return, within a pad of 8 sqrt(max(m, n)) u ||A||_F for the SVD's and
+the sketch's own rounding (``_sketched_counts``), and it returns the
+counts when no value's bracket reaches a threshold.  Any count it cannot
+settle that way, and every count of a smaller matrix, comes from the SVD
+of the support, so the counts are the SVD's whichever path gives them.
 """
 
 from __future__ import annotations
@@ -154,14 +163,20 @@ class SeparatedApprox:
 # SVD oracle
 # ---------------------------------------------------------------------------
 
+def _checked_eps(eps) -> np.ndarray:
+    """``eps`` as a float array, each level positive and finite, else ValueError."""
+    eps_arr = np.asarray(eps, dtype=np.float64)
+    if not np.all((eps_arr > 0.0) & (eps_arr < math.inf)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return eps_arr
+
+
 def rank_from_singular_values(s: np.ndarray, eps,
                               convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1):
     """Count of the descending singular values ``s`` above the eps threshold (0 < eps < inf).
 
     An array of eps gets one count each, from one comparison."""
-    eps_arr = np.asarray(eps, dtype=np.float64)
-    if not np.all((eps_arr > 0.0) & (eps_arr < math.inf)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    eps_arr = _checked_eps(eps)
     relative = convention is RankConvention.RELATIVE_TO_SIGMA1 and s.size
     counts = np.count_nonzero(s > (eps_arr * s[0] if relative else eps_arr)[..., None], axis=-1)
     return int(counts) if counts.ndim == 0 else counts
@@ -223,15 +238,163 @@ def _support_singular_values(matrix: np.ndarray, share: float) -> np.ndarray:
     return np.linalg.svd(a[np.ix_(rows, cols)], compute_uv=False)
 
 
+# a matrix with no more rows or columns than this goes straight to the SVD
+_SKETCH_MIN_SIDE = 48
+# columns of the first range sketch; doubled while the doubled width is at most a quarter
+# of the short side
+_SKETCH_WIDTH = 16
+# the pad is this times sqrt(max(m, n)) u ||A||_F (derived in _sketched_counts)
+_SKETCH_PAD = 8.0
+# entries of the sketch's residual formed at a time
+_RESIDUAL_PANEL = 2 ** 18
+
+
+def _support_rank(matrix: np.ndarray, eps,
+                  convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1,
+                  share: float = 1.0) -> tuple:
+    """``(counts, sketched)``: the support spectrum's counts above eps, from a sketch where it can.
+
+    ``counts`` is exactly
+    ``rank_from_singular_values(_support_singular_values(matrix, share), eps, convention)``.
+    A matrix whose both sides exceed ``_SKETCH_MIN_SIDE`` first goes to
+    ``_sketched_counts``, which settles the counts from a seeded range
+    sketch and an exact residual or declines; ``sketched`` tells whether
+    it settled them.  Otherwise the support's SVD counts them.
+    """
+    eps_arr = _checked_eps(eps)
+    a = np.asarray(matrix, dtype=np.float64)
+    if min(a.shape) > _SKETCH_MIN_SIDE and eps_arr.size:
+        counts = _sketched_counts(a, eps_arr, convention is RankConvention.RELATIVE_TO_SIGMA1)
+        if counts is not None:
+            return (int(counts) if counts.ndim == 0 else counts), True
+    return rank_from_singular_values(_support_singular_values(a, share), eps, convention), False
+
+
+@functools.lru_cache(maxsize=None)
+def _gaussian(rows: int, width: int) -> np.ndarray:
+    """Read-only ``default_rng(0).standard_normal((rows, width))``, one array per shape.
+
+    ``_sketch_matrix`` asks only for power-of-two row counts and widths
+    16 * 2^j, so the cache holds a few arrays, the largest at most twice
+    the largest sketch.
+    """
+    g = np.random.default_rng(0).standard_normal((rows, width))
+    g.flags.writeable = False
+    return g
+
+
+def _sketch_matrix(n: int, width: int) -> np.ndarray:
+    """``default_rng(0).standard_normal((n, width))``, sliced from a draw of 2^j >= n rows.
+
+    The draw fills its rows in order, so its first n rows are the (n, width) draw.
+    """
+    return _gaussian(1 << (n - 1).bit_length(), width)[:n]
+
+
+def _residual_norm(a: np.ndarray, q: np.ndarray, bt: np.ndarray) -> float:
+    """``||a - q bt^T||_F``, the residual formed a panel of rows at a time."""
+    rows = max(1, _RESIDUAL_PANEL // a.shape[1])
+    total = 0.0
+    for i in range(0, a.shape[0], rows):
+        r = q[i:i + rows] @ bt.T
+        np.subtract(a[i:i + rows], r, out=r)
+        total += float(np.vdot(r, r))
+    return math.sqrt(total)
+
+
+def _sketched_counts(a: np.ndarray, eps_arr: np.ndarray, relative: bool):
+    """The support SVD's counts above each eps, certified from a range sketch, or None.
+
+    A is scaled by a power of two (exactly) to a largest magnitude in
+    [1/2, 1).  Q is the orthonormal basis of A Omega, Omega the Gaussian
+    n x l ``default_rng(0).standard_normal((n, l))`` (l = 16 at first, each
+    doubled width a fresh draw; ``_sketch_matrix``), B = Q^T A, and the
+    residual R = A - Q B is formed explicitly.  With s the singular values
+    of B and rho = ||R||_F + pad, every value s^_i the support SVD returns
+    lies in [s_i - pad, s_i + rho] for i <= l, and every one past l is at
+    most rho: the projection Q Q^T A has no value above A's, A's values
+    exceed Q B's by at most ||R||_2 (Weyl), and Q B has rank l.  A
+    threshold is eps (abs) or eps s^_1 with s^_1 in [s_1 - pad, s_1 + rho]
+    (rel).  A count is certain when rho is below the lowest threshold and
+    no s_i lies in a threshold's band; it is then the number of s_i with
+    s_i - pad above the threshold's top.  When rho alone is too large, l
+    doubles while the doubled l is at most min(m, n)/4.  An s_i inside a
+    band returns None at once, as do 2 pad at or above the lowest
+    threshold before any sketch (for rel with sigma_1 at least
+    ||A^T a_j|| / ||a_j||, a_j A's largest column, and
+    ||A||_F / sqrt(min(m, n))) and a zero or non-finite A.
+
+    The pad.  With N = max(m, n), l <= N/4 and u = 2^-53, an inner product
+    of length L carries a rounding error of about sqrt(L) u times its
+    operands' norms (the usual statistical estimate; the worst case is
+    L u).  Between the s^_i and A's exact values lie the trim,
+    ||D||_F <= u ||A||_F, and ``gesdd``'s backward error, about
+    sqrt(N) u ||A||_2.  Between s_i and the values of Q^T A lie the
+    rounding of B (inner products of length m: sqrt(N) u ||A||_F),
+    ``gesdd`` on B (sqrt(N) u ||A||_2) and Householder Q's departure from
+    orthonormality, ||Q^T Q - I||_2 about sqrt(N) u, which scales every
+    value by at most that.  The computed R differs from A - Q B by about
+    (1 + sqrt(l)) u ||A||_F.  So s^_i >= s_i - (1 + 4 sqrt(N)) u ||A||_F
+    and s^_i <= s_i + ||R||_F + (2 + 4.5 sqrt(N)) u ||A||_F, both inside
+    pad = 8 sqrt(N) u ||A||_F with room for the estimates' constants.
+    The sketch's seed is fixed, so the counts never depend on a caller's
+    seed, and an undecided count falls back to the SVD path, so they
+    never depend on the sketch either.
+    """
+    m, n = a.shape
+    short = min(m, n)
+    pad_per_norm = _SKETCH_PAD * math.sqrt(max(m, n)) * _UNIT_ROUNDOFF
+    if relative and 2.0 * pad_per_norm >= float(eps_arr.min()):
+        return None   # 2 pad >= eps sigma_1 for every A of this shape: sigma_1 <= ||A||_F
+    scale = max(float(a.max()), -float(a.min()))
+    if not 0.0 < scale < math.inf:
+        return None
+    factor = math.ldexp(1.0, -math.frexp(scale)[1])
+    a = a * factor
+    if not relative:
+        eps_arr = eps_arr * factor
+    col_sq = np.einsum("ij,ij->j", a, a)
+    norm = math.sqrt(float(col_sq.sum()))
+    pad = pad_per_norm * norm
+    unit = 1.0   # the thresholds' scale: 1 (abs) or a floor under sigma_1 (rel)
+    if relative:
+        # sigma_1 >= ||A^T x|| / ||x|| for any x: one power step from the largest column
+        top = a[:, int(col_sq.argmax())]
+        unit = max(float(np.linalg.norm(a.T @ top)) / float(np.linalg.norm(top)),
+                   norm / math.sqrt(short))
+    if 2.0 * pad >= float(eps_arr.min()) * unit:
+        return None
+    width = _SKETCH_WIDTH
+    while True:
+        q = np.linalg.qr(a @ _sketch_matrix(n, width))[0]
+        bt = a.T @ q   # B^T: tall, which gesdd takes faster
+        rho = _residual_norm(a, q, bt) + pad
+        s = np.linalg.svd(bt, compute_uv=False)
+        lo, hi = ((eps_arr * (s[0] - pad), eps_arr * (s[0] + rho)) if relative
+                  else (eps_arr, eps_arr))
+        if rho < float(lo.min()):
+            break
+        if 8 * width > short:
+            return None
+        width *= 2
+    sure = s - pad > hi[..., None]
+    if np.any((s + rho > lo[..., None]) & ~sure):
+        return None
+    return np.count_nonzero(sure, axis=-1)
+
+
 def numerical_rank(matrix: np.ndarray, eps: float,
                    convention: RankConvention = RankConvention.RELATIVE_TO_SIGMA1) -> int:
     """Number of singular values above the eps threshold, on the numerical support.
 
-    The spectrum is ``singular_values``': each value is within
-    u ||A||_F (u = 2^-53) of the full SVD's, so only thresholds near or
-    below that level can count differently from a full SVD.
+    The count is that of ``singular_values``' spectrum: each value is
+    within u ||A||_F (u = 2^-53) of the full SVD's, so only thresholds
+    near or below that level can count differently from a full SVD.  A
+    matrix with both sides above 48 is first counted from a seeded range
+    sketch with an exact residual (``_sketched_counts``), which returns
+    the SVD's count or leaves it to the SVD.
     """
-    return rank_from_singular_values(singular_values(matrix), eps, convention)
+    return _support_rank(matrix, eps, convention)[0]
 
 
 # ---------------------------------------------------------------------------

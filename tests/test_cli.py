@@ -102,6 +102,26 @@ def test_rank_commands_match_golden_csv(tmp_path, command, eps, family):
         assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command,family", [
+    ("eps-sweep", "binomial"), ("eps-sweep", "poisson"), ("eps-sweep", "chisq"),
+    ("rank-map", "chisq"),
+])
+def test_rank_commands_match_golden_csv_at_4096(tmp_path, command, family):
+    # at n = 2^12 about half the blocks are counted from the certified range sketch
+    # (at 128 and 1024 most blocks are small enough for the SVD alone); the files
+    # were written by the support SVD before the sketch existed
+    eps = (["--eps", "1e-9"] if command == "rank-map"
+           else [a for t in range(3, 13) for a in ("--eps", f"1e-{t}")])
+    name = f"{command}-{family}-4096.csv"
+    out = tmp_path / name
+    flags = [f.replace("128", "4096") for f in FAMILY_FLAGS_128[family]]
+    assert run([command, *flags, *eps, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    counts = json.loads((tmp_path / f"{name}.json").read_text())["parameters"]["result"]
+    assert counts["sketch_certified_blocks"] > 0 and counts["svd_blocks"] > 0
+    assert counts["sketch_certified_blocks"] + counts["svd_blocks"] == 254
+
+
 U = 2.0 ** -53
 FAMILY_SPECS = {
     "binomial": lambda n: BinomialFamily(n=n),
@@ -172,20 +192,79 @@ def test_block_without_a_box_gets_the_whole_block_spectrum(monkeypatch, family, 
     assert [s.tobytes() for s in got] == [s.tobytes() for s in whole]
 
 
+def _box_peak(blocks) -> int:
+    """tracemalloc's peak over running the block generator to its end, in bytes."""
+    tracemalloc.start()
+    try:
+        for _ in blocks:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_box_spectra_of_binomial_4096_stay_small():
     # every block of binomial n = 2^12 on its box: the spectra's allocations peak
     # at a few MiB, where forming the blocks whole peaked at 68 MiB
     spec = BinomialFamily(n=4096)
     _, kmap, block_ranges, _, _ = index_layout(spec)
     block_oracle(spec, *block_ranges[0][1])   # the family's operands, built once, are not counted
-    tracemalloc.start()
-    try:
-        for _ in hmatrix.block_spectra(spec, kmap, block_ranges):
-            pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _box_peak(hmatrix.block_spectra(spec, kmap, block_ranges))
     assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
+
+def test_box_ranks_of_binomial_4096_stay_small():
+    # the certified counts on the same boxes keep the same bound: they add a scaled
+    # copy of the box and form the sketch's residual one panel of rows at a time
+    spec = BinomialFamily(n=4096)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    block_oracle(spec, *block_ranges[0][1])
+    eps = 10.0 ** -np.arange(3.0, 13.0)
+    peak = _box_peak(hmatrix.block_ranks(spec, kmap, block_ranges, eps))
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_block_ranks_are_the_support_svd_counts(family, n):
+    # every block's count equals the count of its block_spectra values, in both
+    # conventions: at eps down to 1e-12 the sketch settles the large blocks, and
+    # at 1e-14, below what it can certify at rel, the support SVD takes them all
+    spec = FAMILY_SPECS[family](n)
+    _, kmap, block_ranges, _, _ = index_layout(spec)
+    spectra = list(hmatrix.block_spectra(spec, kmap, block_ranges))
+    for convention in separated.RankConvention:
+        for smallest in (12, 14):
+            eps = 10.0 ** -np.arange(3.0, smallest + 1.0)
+            got = list(hmatrix.block_ranks(spec, kmap, block_ranges, eps, convention))
+            want = [separated.rank_from_singular_values(s, eps, convention) for s in spectra]
+            assert [c.tolist() for c, _ in got] == [w.tolist() for w in want]
+            sketched = sum(certified for _, certified in got)
+            if smallest == 12:
+                assert sketched > 0
+            elif convention is separated.RankConvention.RELATIVE_TO_SIGMA1:
+                assert sketched == 0
+
+
+@pytest.mark.parametrize("command,eps", [
+    ("rank-map", ["--eps", "1e-9"]),
+    ("eps-sweep", [a for t in range(3, 13) for a in ("--eps", f"1e-{t}")]),
+])
+def test_rank_commands_do_not_depend_on_the_seed(tmp_path, command, eps):
+    # the range sketch draws from its own fixed seed: --seed changes only the sidecar
+    flags = ["--family", "chisq", "--xmax", "1024", "--grid", "1024", "--kmax", "1024"]
+    sidecars = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"{command}-{seed}.csv"
+        assert run([command, *flags, *eps, "--seed", seed, "--out", str(out)]) == 0
+        sidecars.append(json.loads((tmp_path / f"{out.name}.json").read_text()))
+    assert ((tmp_path / f"{command}-0.csv").read_bytes()
+            == (tmp_path / f"{command}-7.csv").read_bytes())
+    assert [s["seed"] for s in sidecars] == [0, 7]
+    result = sidecars[0]["parameters"]["result"]
+    assert result == sidecars[1]["parameters"]["result"]
+    assert result["sketch_certified_blocks"] > 0
+    assert result["sketch_certified_blocks"] + result["svd_blocks"] == 62
 
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))

@@ -101,6 +101,80 @@ def test_numerical_rank_rejects_nonfinite():
         numerical_rank(m, 1e-6)
 
 
+def _svd_count(a, eps, convention, share=1.0):
+    return rank_from_singular_values(separated._support_singular_values(a, share), eps,
+                                     convention)
+
+
+def _with_spectrum(s, seed=0):
+    """A 200 x 200 matrix with singular values ``s`` (zero past them), random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((200, s.size)))[0]
+    v = np.linalg.qr(rng.standard_normal((200, s.size)))[0]
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("convention", list(RankConvention))
+def test_support_rank_leaves_a_value_inside_the_pad_to_the_svd(convention):
+    # sigma_7 sits 1e-9 of itself above the threshold 1e-6, far inside the sketch's
+    # pad: the sketch may not settle that count, the support SVD does; moved away
+    # from the value, the same threshold is settled by the sketch alone
+    s = 10.0 ** -np.arange(13.0)
+    s[6] = 1e-6 * (1.0 + 1e-9)
+    a = _with_spectrum(s)
+    eps = 1e-6 * (separated.singular_values(a)[0]
+                  if convention is RankConvention.ABSOLUTE else 1.0)
+    counts, sketched = separated._support_rank(a, eps, convention)
+    assert (counts, sketched) == (_svd_count(a, eps, convention), False)
+    for moved in (eps / 3.0, eps * 3.0):
+        counts, sketched = separated._support_rank(a, moved, convention)
+        assert (counts, sketched) == (_svd_count(a, moved, convention), True)
+
+
+@pytest.mark.parametrize("convention", list(RankConvention))
+def test_support_rank_of_full_rank_and_zero_matrices_is_the_svd_count(convention):
+    # a random full-rank matrix leaves a residual no sketch width can shrink, and a
+    # zero matrix has no spectrum: both are counted by the support SVD
+    eps = np.array([1e-3, 1e-6, 1e-9, 1e-12])
+    full = np.random.default_rng(3).standard_normal((200, 200))
+    for a in (full, np.zeros((200, 200))):
+        counts, sketched = separated._support_rank(a, eps, convention)
+        assert not sketched
+        assert counts.tolist() == _svd_count(a, eps, convention).tolist()
+    assert separated._support_rank(full, 1e-9, convention)[0] == 200
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_support_rank_rejects_nonfinite(bad):
+    a = _with_spectrum(10.0 ** -np.arange(8.0))
+    a[17, 33] = bad
+    for convention in RankConvention:
+        with pytest.raises(ValueError, match="non-finite"):
+            separated._support_rank(a, [1e-3, 1e-9], convention)
+        with pytest.raises(ValueError, match="non-finite"):
+            numerical_rank(a, 1e-6, convention)
+
+
+def test_sketch_matrix_is_the_seeded_draw_whatever_came_before():
+    # Omega is default_rng(0)'s (n, width) draw, sliced from a cached larger draw
+    for n, width in ((1000, 16), (300, 16), (129, 32), (64, 16)):
+        want = np.random.default_rng(0).standard_normal((n, width))
+        assert np.array_equal(separated._sketch_matrix(n, width), want), (n, width)
+
+
+def test_numerical_rank_of_a_smooth_kernel_is_sketched_and_exact():
+    pg = np.linspace(1.0, 2.0, 160)
+    qg = np.linspace(0.0, 1.0, 150)
+    m = rate_kernel(2.0, pg, qg)
+    m /= np.linalg.norm(m)   # sigma_1 near 1, so abs thresholds clear the pad as rel ones do
+    for t in range(3, 13):
+        for convention in RankConvention:
+            counts, sketched = separated._support_rank(m, 10.0 ** -t, convention)
+            assert sketched, (t, convention)
+            assert counts == numerical_rank(m, 10.0 ** -t, convention)
+            assert counts == _svd_count(m, 10.0 ** -t, convention)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 def test_rank_rejects_eps_not_positive(eps):
     # checked before anything else, the empty spectrum included
