@@ -109,6 +109,9 @@ __all__ = [
 ]
 
 DEFAULT_LEAF = 32
+# compress's ACA stops a block once a cross is at most this many eps in norm (the
+# contract is 10 eps per entry)
+_ACA_FLOOR = 2.0
 
 
 class Builder(enum.Enum):
@@ -483,13 +486,16 @@ def constructive_by_level(kmap: KernelMap, regions: list, boxes: list, eps: floa
 
 
 def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
-                 eps: float, first_rows: Optional[list] = None) -> list:
+                 eps: float, first_rows: Optional[list] = None, floor: float = 0.0) -> list:
     """ACA factors of the blocks on their boxes, one lockstep ``aca_blocks`` call per level.
 
     ``levels`` and ``boxes`` name each block's level and its box in matrix
     indices (None: nothing to build, and None comes back); ``first_rows``,
     when given, each block's first pivot row in matrix indices, as
-    ``aca_blocks`` takes it.  Every box lies in the interior, the matrix
+    ``aca_blocks`` takes it.  ``floor`` is ``aca_blocks``' absolute floor
+    under each block's stop level, max(eps ||A_k||_F, floor), which the
+    check after each level and the dense fallback also hold the block to
+    (0: the relative rule).  Every box lies in the interior, the matrix
     without its singular rows and columns, and the oracle is
     ``families.block_oracle`` over the interior: the family's entry
     formula, bit for bit ``entry_exact``.
@@ -508,7 +514,7 @@ def aca_by_level(spec: FamilySpec, kmap: KernelMap, levels: list, boxes: list,
     for at in by_level.values():
         local = np.array([boxes[k] for k in at], dtype=np.intp) - [r0, r0, c0, c0]
         first = None if first_rows is None else [first_rows[k] - boxes[k][0] for k in at]
-        for k, approx in zip(at, aca_blocks(oracle, local, eps, first)):
+        for k, approx in zip(at, aca_blocks(oracle, local, eps, first, floor)):
             out[k] = approx
     return out
 
@@ -658,9 +664,14 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     (``aca_by_level``) or by the constructive builder
     (``constructive_by_level``); a block whose box is empty gets rank 0 on
     its whole box and builds nothing.  Both approximate the entries, not
-    the unit kernel: ACA runs on the exact entries, and the constructive
-    builder truncates each block at eps with the exact prefactor already
-    in its factors, so its kept rank follows the entries' contract.  The matrix is assembled as
+    the unit kernel.  ACA runs on the exact entries and stops a block at
+    a cross of norm max(eps ||A_k||_F, 2 eps), an absolute floor under
+    its relative rule, since the contract is absolute; each block it
+    ends is checked against that level on a few unused rows and columns,
+    and one that misses it is formed densely and truncated by SVD at
+    the same level.  The constructive builder truncates each block at eps
+    with the exact prefactor already in its factors, so its kept rank
+    follows the entries' contract.  The matrix is assembled as
     ``container.load_hmatrix`` assembles it: one ``stack_pieces`` over
     both tables, then each piece's factors copied into its slots and
     dropped, and the dense values computed straight into theirs.
@@ -678,7 +689,8 @@ def compress(spec: FamilySpec, eps: float, builder: Builder = Builder.ACA,
     elif block_ranges:
         boxes = _threshold_boxes(kmap, block_ranges, eps)
         if builder is Builder.ACA:
-            factors = aca_by_level(spec, kmap, [region[0] for region, _ in block_ranges], boxes, eps)
+            factors = aca_by_level(spec, kmap, [region[0] for region, _ in block_ranges], boxes,
+                                   eps, floor=_ACA_FLOOR * eps)
         else:
             regions = [region for region, _ in block_ranges]
             factors = constructive_by_level(kmap, regions, boxes, eps)

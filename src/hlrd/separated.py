@@ -54,7 +54,10 @@ Three builders are provided:
 
 * ``aca_blocks`` is adaptive cross approximation with partial pivoting,
   the practical route that needs only an entry oracle, run on a group of
-  blocks in lockstep; ``aca_build`` is the same loop on one block.
+  blocks in lockstep; ``aca_build`` is the same loop on one block.  Its
+  stop level can take an absolute floor, and a residual check on a few
+  seeded unused rows and columns of each block sends the blocks it
+  missed to a dense SVD.
 
 ``threshold_masks`` is the support rule both builders share.  A grid
 point lies in the threshold box when its one-sided exponent of the split
@@ -833,6 +836,11 @@ _ACA_PANEL_WIDTH = 16
 # entries of one window of a degenerate-row walk (8 MiB): a whole 2^14 block
 # opens with thousands of rows that underflow to zero
 _ACA_WALK_ENTRIES = 2 ** 20
+# unused rows, and as many unused columns, drawn to check a block that ACA ended
+_ACA_CHECKS = 3
+# a block with at most this many unused rows (columns) has them all checked: the residual
+# is zero on its pivots and walked lines, so that check sees every entry of the residual
+_ACA_CHECK_ALL = 12
 
 
 def _sum_crosses(coef: np.ndarray, panel: np.ndarray) -> np.ndarray:
@@ -845,8 +853,104 @@ def _sum_crosses(coef: np.ndarray, panel: np.ndarray) -> np.ndarray:
     return (coef[:, :, None] * panel).sum(axis=1)
 
 
+def _uniforms(rows: np.ndarray, cols: np.ndarray, count: int) -> np.ndarray:
+    """``count`` uniforms in [0, 1) per block, from the SplitMix64 stream its extents seed.
+
+    Draw d of a block is SplitMix64's output (Steele, Lea & Flood, 2014) at
+    state ``(rows << 32 | cols) + (d + 1) * golden``, its top 53 bits.
+    """
+    z = ((rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64))[:, None]
+    z = z + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _dense_factors(full: np.ndarray, eps: float, floor: float) -> tuple:
+    """The SVD of a formed block, truncated to its singular values above max(eps sigma_1, floor)."""
+    uu, s, vt = np.linalg.svd(full, full_matrices=False)
+    rank = int(np.count_nonzero(s > max(eps * s[0], floor)))
+    return uu[:, :rank] * s[:rank], vt[:rank].T
+
+
+def _drawn(unused: np.ndarray, uniform: np.ndarray) -> tuple:
+    """The lines ``_missed`` checks, one row of ``unused`` lines and of uniforms per block.
+
+    A block with at most ``_ACA_CHECK_ALL`` unused lines gets them all;
+    otherwise draw t is uniform over the t-th of ``_ACA_CHECKS`` equal
+    shares of them, in order.  Returns the positions and a mask of those
+    drawn (a block can draw fewer than the widest).
+    """
+    count = np.count_nonzero(unused, axis=1)[:, None]
+    every = count <= _ACA_CHECK_ALL
+    t = np.arange(max(_ACA_CHECKS, int(count[every].max(initial=0))))
+    share = np.zeros((len(count), t.size), dtype=np.intp)
+    share[:, :_ACA_CHECKS] = ((t[:_ACA_CHECKS] + uniform) * (count / _ACA_CHECKS)).astype(np.intp)
+    drawn = np.where(every, t < count, t < _ACA_CHECKS)
+    # (t + uniform) / s may round up to 1
+    share = np.minimum(np.where(every, t, share), count - 1)
+    # the share-th unused line of each row, read from the unused lines of all rows in order;
+    # a line not drawn is position 0
+    flat = np.append(np.flatnonzero(unused), 0)
+    at = flat[np.where(drawn, np.cumsum(count[:, 0])[:, None] - count + share, -1)]
+    return np.where(drawn, at - np.arange(len(count))[:, None] * unused.shape[1], 0), drawn
+
+
+def _missed(entry_oracle: Callable, row_at: np.ndarray, col_at: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray, ended: list, eps: float, floor: float) -> np.ndarray:
+    """The blocks ACA ended whose crosses miss their stop level on a checked line.
+
+    ``row_at``/``col_at`` are every block's oracle indices and ``rows``/
+    ``cols`` its extents, as ``aca_blocks`` pads them.  ``ended`` holds
+    one chunk per step in which blocks ended: their numbers, squared norm
+    estimates ||A_k||_F^2, used rows and columns (pivots, walked and
+    padding) and cross panels; a block's stop level is
+    max(eps ||A_k||_F, floor).
+    On its pivots and walked lines a block's residual is rounding, so its
+    unused lines hold the rest: each block checks some of its unused rows
+    and of its unused columns (``_drawn``), its uniforms from the stream
+    its extents seed (``_uniforms``).  All blocks' rows come in one oracle
+    request as ``(m, s, 1) x (m, 1, cols)`` and their columns in another
+    as ``(m, 1, rows) x (m, s, 1)``; the residuals there are one batched
+    product each.  So a block's verdict, like its stop rule on the norm
+    estimate, can depend on its group only through rounding at its
+    level.  Returns the numbers of the blocks with a residual entry above
+    their stop level.
+    """
+    block, norm2, used_rows, used_cols = (np.concatenate(x) for x in list(zip(*ended))[:4])
+    u = np.zeros((block.size, max(c[4].shape[1] for c in ended), row_at.shape[1]))
+    v = np.zeros((block.size, u.shape[1], col_at.shape[1]))
+    at = 0
+    for _, _, _, _, u_crosses, v_crosses in ended:
+        u[at:at + len(u_crosses), :u_crosses.shape[1]] = u_crosses
+        v[at:at + len(v_crosses), :v_crosses.shape[1]] = v_crosses
+        at += len(u_crosses)
+    rows, cols, row_at, col_at = rows[block], cols[block], row_at[block], col_at[block]
+    # rows and columns drawn in one call: the unused rows over the unused columns
+    unused = np.zeros((2 * block.size, max(row_at.shape[1], col_at.shape[1])), dtype=bool)
+    np.logical_not(used_rows, out=unused[:block.size, :row_at.shape[1]])
+    np.logical_not(used_cols, out=unused[block.size:, :col_at.shape[1]])
+    uniform = _uniforms(rows, cols, 2 * _ACA_CHECKS).reshape(-1, 2, _ACA_CHECKS)
+    line, drawn = _drawn(unused, uniform.swapaxes(0, 1).reshape(-1, _ACA_CHECKS))
+    (i, j), (i_drawn, j_drawn) = np.split(line, 2), np.split(drawn, 2)
+    got_rows = np.asarray(entry_oracle(np.take_along_axis(row_at, i, axis=1)[:, :, None],
+                                       col_at[:, None, :]), dtype=np.float64)
+    got_cols = np.asarray(entry_oracle(row_at[:, None, :],
+                                       np.take_along_axis(col_at, j, axis=1)[:, :, None]),
+                          dtype=np.float64)
+    sub = np.arange(block.size)[:, None]
+    worst = np.zeros(block.size)
+    for got, idx, drawn, panel, other, extent in ((got_rows, i, i_drawn, u, v, cols),
+                                                  (got_cols, j, j_drawn, v, u, rows)):
+        res = np.abs(got - np.matmul(panel[sub, :, idx], other))
+        inside = np.arange(res.shape[2]) < extent[:, None, None]
+        line_max = res.max(axis=2, initial=0.0, where=inside)
+        worst = np.maximum(worst, line_max.max(axis=1, initial=0.0, where=drawn))
+    return block[worst > np.maximum(eps * np.sqrt(norm2), floor)]
+
+
 def aca_blocks(entry_oracle: Callable, boxes, eps: float,
-               first_rows=None) -> list[SeparatedApprox]:
+               first_rows=None, floor: float = 0.0) -> list[SeparatedApprox]:
     """Adaptive cross approximation with partial pivoting, on a group of blocks in lockstep.
 
     ``boxes`` is a ``(g, 4)`` array of ``(row_lo, row_hi, col_lo, col_hi)``,
@@ -858,12 +962,16 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float,
     columns, as ``(g, rows) x (g, 1)``, where rows and cols are the
     group's largest box extents: a block's indices past its own extent
     repeat its last row or column and the entries read there are dropped,
-    so no index leaves its box.  The dense fallback asks for its block's
-    open grid.  ``families.block_oracle`` over a box that holds all the
-    boxes is such an oracle.
+    so no index leaves its box.  The check after the loop asks twice more
+    (``_missed``), and the dense fallback asks for its block's open grid.
+    ``families.block_oracle`` over a box that holds all the boxes is such
+    an oracle.
 
     Every block follows the rule of partial-pivoting ACA (Bebendorf, 2000)
-    on its own, and its factors do not depend on the group it runs in.
+    on its own, and its factors do not depend on the group it runs in (up
+    to its decisions on rounded sums, the stop rule's norm estimate and
+    the check's residuals, which another group can round otherwise only
+    where they fall within rounding of their level).
     Its k crosses so far are the first k rows of two zero-padded factor
     panels, U (width x rows) and V (width x cols); the width starts at 16
     and doubles when a block fills it, up to the group's largest
@@ -888,14 +996,28 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float,
     entry above 1e-300 gets the factors it would get without them, sooner.
 
     A block ends, without keeping it, at the first cross past its first
-    whose norm is at most eps times the running Frobenius-norm estimate,
-    or when no unused row is left.  A block that reaches min(rows, cols)
-    crosses without ending is formed densely and truncated by SVD instead.
-    Ended blocks leave the group.  Returns one ``SeparatedApprox`` per box,
-    in order, with C-contiguous factors.
+    whose norm is at most its stop level, max(eps ||A_k||_F, floor) with
+    ||A_k||_F the running Frobenius-norm estimate, or when no unused row
+    is left.  ``floor`` = 0 is the relative rule; an absolute floor (such
+    as ``compress``'s 2 eps) ends a block whose entries are far below 1
+    at the entries' own contract.  Either end can come too early: the
+    crosses can miss a part of the block they never visited (Börm &
+    Grasedyck, 2005).  So once the loop is over, every block that ended
+    with a cross is checked on some of its unused rows and columns, all
+    of them where it has at most 12 (``_missed``).  A block with a
+    residual entry above its stop level there goes to the dense fallback,
+    as do a block that reaches min(rows, cols) crosses without ending and
+    a block whose pivot row is larger on a used column than on every
+    unused one (its next cross would divide rounding by the pivot).  The
+    fallback forms the block densely and keeps its SVD's singular values
+    above max(eps sigma_1, floor).  Ended blocks leave the group.
+    Returns one ``SeparatedApprox`` per box, in order, with C-contiguous
+    factors.
     """
     if not (0.0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not (0.0 <= floor < math.inf):
+        raise ValueError(f"floor must be non-negative and finite, got {floor!r}")
     boxes = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
     rows, cols = boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2]
     if np.any(rows < 1) or np.any(cols < 1):
@@ -922,7 +1044,19 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float,
         pivot_row[:] = first_rows
         used_rows |= np.arange(n_rows) < pivot_row[:, None]
     to_dense = np.zeros(len(boxes), dtype=bool)
-    tol2 = eps * eps
+    tol2, floor2 = eps * eps, floor * floor
+    # every block's oracle indices, kept as blocks leave the group, and what the check
+    # needs of the blocks ACA ends with a cross, a step at a time (see _missed)
+    grid_rows, grid_cols, box_rows, box_cols = row_at, col_at, rows, cols
+    ended = []
+
+    def dense_fallback(b: int) -> SeparatedApprox:
+        # the block formed densely and truncated by SVD at max(eps sigma_1, floor)
+        full = np.asarray(entry_oracle(grid_rows[b, :box_rows[b], None],
+                                       grid_cols[b, None, :box_cols[b]]), dtype=np.float64)
+        alpha, beta = _dense_factors(full, eps, floor)
+        return SeparatedApprox(p_grid=None, q_grid=None, alpha=np.ascontiguousarray(alpha),
+                               beta=np.ascontiguousarray(beta))
 
     while block.size:
         at = np.arange(block.size)
@@ -931,15 +1065,22 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float,
         if top:
             r = r - _sum_crosses(u_panel[at, :top, pivot_row], v_panel[:, :top])
         r = np.where(col_pad, 0.0, r)
-        r_abs = np.where(used_cols, -1.0, np.abs(r))
+        r_abs = np.abs(r)
+        on_used = r_abs.max(axis=1, initial=0.0, where=used_cols)
+        r_abs = np.where(used_cols, -1.0, r_abs)
         pivot_col = r_abs.argmax(axis=1)
         used_rows[at, pivot_row] = True
-        done = np.zeros(block.size, dtype=bool)
-        live = r_abs[at, pivot_col] > 1e-300
+        pivot = r_abs[at, pivot_col]
+        live = pivot > 1e-300
+        # a live row whose residual is larger on a used column, where the crosses should match
+        # the block, than on every unused one: its cross would divide rounding by the pivot,
+        # and the block goes to the dense fallback
+        done = live & (on_used > pivot)
         on = at
-        if not live.all():
+        if not live.all() or done.any():
+            to_dense[block[done]] = True
             # degenerate rows: the residual vanishes there; try the first unused row
-            idle, on = np.flatnonzero(~live), np.flatnonzero(live)
+            idle, on = np.flatnonzero(~live & ~done), np.flatnonzero(live & ~done)
             unused = ~used_rows[idle]
             nxt = np.where(unused.any(axis=1), unused.argmax(axis=1), n_rows)
             fresh, height = np.flatnonzero(k[idle] == 0), 1
@@ -971,57 +1112,64 @@ def aca_blocks(entry_oracle: Callable, boxes, eps: float,
             u = np.asarray(entry_oracle(row_at[on], col_at[on, j][:, None]), dtype=np.float64)
             if top:
                 u = u - _sum_crosses(vs[sub, :top, j], us[:, :top])
-            u = np.where(row_pad[on], 0.0, u)
+            u = np.where(row_pad if on is at else row_pad[on], 0.0, u)
             cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v)
             norm2_new = norm2[on] + cross2
             if top:
                 norm2_new += 2.0 * np.einsum("ak,ak->a", np.einsum("akr,ar->ak", us[:, :top], u),
                                              np.einsum("akc,ac->ak", vs[:, :top], v))
             norm2_new = np.maximum(norm2_new, cross2)
-            # the residual left is below tolerance: the block ends without this cross
-            stop = (k[on] > 0) & (cross2 <= tol2 * norm2_new)
+            # the residual left is below the stop level: the block ends without this cross
+            k_on = k[on]
+            stop = (k_on > 0) & (cross2 <= np.maximum(tol2 * norm2_new, floor2))
             if stop.any():
                 done[on[stop]] = True
                 go = ~stop
-                on, j, u, v, norm2_new = on[go], j[go], u[go], v[go], norm2_new[go]
-            if on.size and int(k[on].max()) == width:
+                on, j, u, v, norm2_new, k_on = on[go], j[go], u[go], v[go], norm2_new[go], k_on[go]
+            if on.size and int(k_on.max()) == width:
                 extra = min(width, int(limit.max()) - width)
                 u_panel = np.concatenate([u_panel, np.zeros((block.size, extra, n_rows))], axis=1)
                 v_panel = np.concatenate([v_panel, np.zeros((block.size, extra, n_cols))], axis=1)
                 width += extra
             norm2[on] = norm2_new
             used_cols[on, j] = True
-            u_panel[on, k[on]] = u
-            v_panel[on, k[on]] = v
-            k[on] += 1
+            u_panel[on, k_on] = u
+            v_panel[on, k_on] = v
+            k_on += 1
+            k[on] = k_on
             u_abs = np.where(used_rows[on], -1.0, np.abs(u))
-            pivot_row[on] = u_abs.argmax(axis=1)
+            pivot_row[on] = next_row = u_abs.argmax(axis=1)
             # no unused row left: converged; min(rows, cols) crosses and no end: dense
-            exhausted = u_abs.max(axis=1, initial=-1.0) < 0.0
-            dense = on[~exhausted & (k[on] == limit[on])]
+            exhausted = u_abs[np.arange(on.size), next_row] < 0.0
+            dense = on[~exhausted & (k_on == limit[on])]
             to_dense[block[dense]] = True
             done[on[exhausted]] = done[dense] = True
 
         if done.any():
+            kept = np.flatnonzero(done & ~to_dense[block] & (k > 0))
+            if kept.size:
+                crosses = int(k[kept].max())
+                ended.append((block[kept], norm2[kept], used_rows[kept], used_cols[kept],
+                              u_panel[kept, :crosses], v_panel[kept, :crosses]))
             for a in np.flatnonzero(done).tolist():
                 if to_dense[block[a]]:
-                    # non-convergence: dense SVD truncation fallback
-                    full = np.asarray(entry_oracle(row_at[a, :rows[a], None],
-                                                   col_at[a, None, :cols[a]]), dtype=np.float64)
-                    uu, s, vt = np.linalg.svd(full, full_matrices=False)
-                    rank = rank_from_singular_values(s, eps)
-                    alpha, beta = uu[:, :rank] * s[:rank], vt[:rank].T
+                    out[block[a]] = dense_fallback(block[a])
                 else:
-                    alpha, beta = u_panel[a, :k[a], :rows[a]].T, v_panel[a, :k[a], :cols[a]].T
-                out[block[a]] = SeparatedApprox(p_grid=None, q_grid=None,
-                                                alpha=np.ascontiguousarray(alpha),
-                                                beta=np.ascontiguousarray(beta))
+                    out[block[a]] = SeparatedApprox(
+                        p_grid=None, q_grid=None,
+                        alpha=np.ascontiguousarray(u_panel[a, :k[a], :rows[a]].T),
+                        beta=np.ascontiguousarray(v_panel[a, :k[a], :cols[a]].T))
             left = ~done
             block, k, norm2, pivot_row, rows, cols, limit = (
                 x[left] for x in (block, k, norm2, pivot_row, rows, cols, limit))
             row_at, col_at, row_pad, col_pad, used_rows, used_cols, u_panel, v_panel = (
                 x[left] for x in (row_at, col_at, row_pad, col_pad, used_rows, used_cols,
                                   u_panel, v_panel))
+
+    if ended:
+        for b in _missed(entry_oracle, grid_rows, grid_cols, box_rows, box_cols, ended,
+                         eps, floor).tolist():
+            out[b] = dense_fallback(b)
     return out
 
 
